@@ -31,7 +31,6 @@ from .volterra import (
 
 IDENTITY_TOL = 1e-12
 TRACE_PRESERVATION_TOL = 1e-8
-HERMITICITY_PRESERVATION_TOL = 1e-9
 CONDITION_LIMIT = 1e10
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
@@ -135,17 +134,6 @@ def choi_matrix(m: np.ndarray) -> np.ndarray:
 def dual_superop(m: np.ndarray) -> np.ndarray:
     """Heisenberg-picture dual, the Hilbert-Schmidt adjoint Λ*."""
     return m.conj().T
-
-
-def is_trace_preserving(m: np.ndarray, tol: float = TRACE_PRESERVATION_TOL) -> bool:
-    d = isqrt(m.shape[0])
-    ident = vec(np.eye(d, dtype=complex))
-    return bool(np.abs(ident.conj() @ m - ident.conj()).max() <= tol)
-
-
-def is_hermiticity_preserving(m: np.ndarray, tol: float = HERMITICITY_PRESERVATION_TOL) -> bool:
-    c = choi_matrix(m)
-    return bool(np.abs(c - c.conj().T).max() <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +477,14 @@ def _spin_boson_maps(amplitudes: np.ndarray) -> np.ndarray:
     return maps
 
 
+def _amplitude_solution(model: SpinBoson, times: np.ndarray) -> AmplitudeSolution:
+    """The model's memory-kernel solution, solved again on ``times`` unless
+    the cached one reaches the grid's end (its spline must not extrapolate)."""
+    if model.solution is None or model.solution.times[-1] < times[-1]:
+        model.solution = solve_memory_kernel(model.kernel, times)
+    return model.solution
+
+
 def _evolve_analytic(model: GeneratorModel, times: np.ndarray) -> np.ndarray:
     if isinstance(model, Dephasing):
         gammas = cumulative_rate_integral(model.rate, times)
@@ -513,16 +509,14 @@ def _evolve_analytic(model: GeneratorModel, times: np.ndarray) -> np.ndarray:
         if isinstance(model.kernel, ExponentialKernel):
             g = model.kernel.closed_form_amplitude(times).astype(complex)
         else:
-            solution = model.solution or solve_memory_kernel(model.kernel, times)
-            model.solution = solution
-            g = solution.amplitude(times)
+            g = _amplitude_solution(model, times).amplitude(times)
         return _spin_boson_maps(g)
     raise ValueError(f"no analytic backend for {type(model).__name__}")
 
 
 def _evolve_numeric(model: GeneratorModel, times: np.ndarray, atol: float, rtol: float) -> np.ndarray:
-    if isinstance(model, SpinBoson) and model.solution is None:
-        model.solution = solve_memory_kernel(model.kernel, times)
+    if isinstance(model, SpinBoson):
+        _amplitude_solution(model, times)
     d = model.dim
     n = d * d
     y0 = np.eye(n, dtype=complex).reshape(-1)

@@ -7,16 +7,24 @@ reported as excluded rather than judged.
 
 Three measures are computed over a finite, user-configured horizon:
 
-* the trace-norm witness measure, a lower bound on the supremum over unit
-  trace-norm Hermitian witnesses of the integrated positive flow, obtained
-  from a seeded derivative-free search (tensor-product basis candidates, the
-  negative-Choi-direction candidate, random candidates, then random-
-  perturbation hill climbing with an adaptive step);
 * the RHP measure, the integral of the first-order trace-norm excess of the
   maximally entangled projector under id + eps L_t (Richardson-extrapolated
   in eps);
-* the state-distinguishability (BLP) measure, the same search over pairs of
+* the trace-norm witness measure, a lower bound on the supremum over unit
+  trace-norm Hermitian witnesses of the integrated positive flow;
+* the state-distinguishability (BLP) measure, the same supremum over pairs of
   pure states.
+
+The last two share one seeded derivative-free hill climber, ``_search``, and
+differ only in their parameterisation.  The witness search starts from
+tensor-product basis candidates, the negative-Choi-direction candidate and
+random witnesses, and moves by adding a random Hermitian direction.  The BLP
+search starts from orthogonal basis-state pairs and random pure states, and
+moves both vectors by a complex Gaussian kick.  Each seed climbs on its own
+random stream and accepts a move only if it strictly raises the integrated
+positive flow.  The step starts at ``INITIAL_STEP``, grows by 1.4 after an
+accepted move (up to ``MAX_STEP``) and shrinks by 0.8 otherwise (down to
+``MIN_STEP``).
 
 Search results are reproducible lower bounds: values never decrease during
 refinement and depend only on the recorded seed.
@@ -41,11 +49,15 @@ from .witnesses import (
     ExtendedTraceNormWitness,
     InformationFlowPair,
     WitnessSeries,
+    _runs,
     series,
 )
 
 DIVISIBILITY_TOL = 1e-8
 DETECTION_THRESHOLD = 1e-6
+INITIAL_STEP = 0.5
+MIN_STEP = 1e-6
+MAX_STEP = 2.0
 
 
 @dataclass(frozen=True)
@@ -55,8 +67,6 @@ class SearchConfig:
     seeds: int = 64
     iterations: int = 200
     rng_seed: int = 0
-    initial_step: float = 0.5
-    min_step: float = 1e-6
 
 
 @dataclass
@@ -128,20 +138,6 @@ def step_choi_data(traj: Trajectory) -> StepChoiData:
     )
 
 
-def _merge_runs(mask: np.ndarray):
-    runs = []
-    start = None
-    for k, flag in enumerate(mask):
-        if flag and start is None:
-            start = k
-        elif not flag and start is not None:
-            runs.append((start, k - 1))
-            start = None
-    if start is not None:
-        runs.append((start, mask.size - 1))
-    return runs
-
-
 def divisibility_verdict(traj: Trajectory, tol: float = DIVISIBILITY_TOL,
                          steps: StepChoiData | None = None) -> Verdict:
     """Markovian iff every step propagator is CP (no violations, no exclusions)."""
@@ -152,11 +148,11 @@ def divisibility_verdict(traj: Trajectory, tol: float = DIVISIBILITY_TOL,
     violations = [
         (float(data.start_times[a]), float(data.end_times[b]),
          float(np.nanmin(data.min_eigenvalues[a:b + 1])))
-        for a, b in _merge_runs(violating)
+        for a, b in _runs(violating)
     ]
     excluded = [
         (float(data.start_times[a]), float(data.end_times[b]))
-        for a, b in _merge_runs(data.excluded)
+        for a, b in _runs(data.excluded)
     ]
     return Verdict(
         markovian=not violations and not excluded,
@@ -248,25 +244,44 @@ def _choi_candidates(data: StepChoiData, n: int) -> list:
     return [proj - np.eye(n) / n]
 
 
-def _positive_area(ws: WitnessSeries) -> float:
-    return ws.total_violation
+def _search(traj, data, seeds, perturb, stream, search):
+    """Best (point, series, value) of a hill climb from every seed.
 
+    ``seeds`` holds ``(point, spec)`` pairs; ``perturb(point, step, rng)``
+    returns the moved ``(point, spec)``, or None when the moved point carries
+    no witness.  The value of a spec is the integrated positive part of its
+    flow.  Seed i climbs for ``search.iterations`` moves on the random stream
+    ``(search.rng_seed, stream, i)``.  When every step propagator is CP and no
+    seed shows a positive flow the climb is skipped, since contraction forces
+    every flow to be non-positive.  Returns ``(None, None, 0.0)`` when no
+    positive value is found.
+    """
+    seeded = []
+    for point, spec in seeds:
+        ws = series(traj, spec)
+        seeded.append((point, ws, ws.total_violation))
 
-def _hill_climb(traj, spec, best_series, best_value, make_candidate, rng, search):
-    step = search.initial_step
-    for _ in range(search.iterations):
-        candidate = make_candidate(spec, step, rng)
-        if candidate is None:
-            step = max(step * 0.8, search.min_step)
-            continue
-        cand_series = series(traj, candidate)
-        value = _positive_area(cand_series)
-        if value > best_value:
-            spec, best_series, best_value = candidate, cand_series, value
-            step = min(step * 1.4, 2.0)
-        else:
-            step = max(step * 0.8, search.min_step)
-    return spec, best_series, best_value
+    cp_violated = bool(np.any(~data.excluded & (data.min_eigenvalues < -1e-12)))
+    best = (None, None, 0.0)
+    if not cp_violated and all(v == 0.0 for _, _, v in seeded):
+        return best
+
+    for i, (point, ws, value) in enumerate(seeded):
+        rng = np.random.default_rng((search.rng_seed, stream, i))
+        step = INITIAL_STEP
+        for _ in range(search.iterations):
+            moved = perturb(point, step, rng)
+            if moved is not None:
+                cand_series = series(traj, moved[1])
+                cand_value = cand_series.total_violation
+                if cand_value > value:
+                    point, ws, value = moved[0], cand_series, cand_value
+                    step = min(step * 1.4, MAX_STEP)
+                    continue
+            step = max(step * 0.8, MIN_STEP)
+        if value > best[2]:
+            best = (point, ws, value)
+    return best
 
 
 def witness_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
@@ -280,40 +295,21 @@ def witness_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
     raw = _product_candidates(d, search.seeds) + _choi_candidates(data, n)
     while len(raw) < search.seeds:
         raw.append(ops.random_hermitian(n, rng))
-    raw = raw[: max(search.seeds, 1)]
 
-    seeded = []
-    for x in raw:
+    def as_point(x):
         try:
             spec = ExtendedTraceNormWitness(x)
         except ValueError:
-            continue  # PSD directions carry no witness information
-        ws = series(traj, spec)
-        seeded.append((spec, ws, _positive_area(ws)))
+            return None  # PSD directions carry no witness information
+        return spec.witness, spec
 
-    cp_violated = bool(np.any(~data.excluded & (data.min_eigenvalues < -1e-12)))
-    if not cp_violated and all(v == 0.0 for _, _, v in seeded):
-        # every step is CP, so the contraction property forces all flows <= 0
-        return WitnessMeasureResult(value=0.0, witness=None, series=None)
-
-    def perturb(spec, step, crng):
-        try:
-            return ExtendedTraceNormWitness(
-                spec.witness + step * ops.random_hermitian(n, crng)
-            )
-        except ValueError:
-            return None
-
-    best = (None, None, 0.0)
-    for i, (spec, ws, value) in enumerate(seeded):
-        crng = np.random.default_rng((search.rng_seed, 1, i))
-        spec, ws, value = _hill_climb(traj, spec, ws, value, perturb, crng, search)
-        if value > best[2]:
-            best = (spec, ws, value)
-
-    if best[0] is None or best[2] <= 0.0:
-        return WitnessMeasureResult(value=0.0, witness=None, series=None)
-    return WitnessMeasureResult(value=float(best[2]), witness=best[0].witness, series=best[1])
+    seeds = [p for p in map(as_point, raw[: max(search.seeds, 1)]) if p is not None]
+    witness, ws, value = _search(
+        traj, data, seeds,
+        lambda w, step, crng: as_point(w + step * ops.random_hermitian(n, crng)),
+        1, search,
+    )
+    return WitnessMeasureResult(value=float(value), witness=witness, series=ws)
 
 
 def _axis_pairs_qubit() -> list:
@@ -338,43 +334,19 @@ def blp_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
     ]
     while len(pairs) < search.seeds:
         pairs.append((ops.random_pure_state(d, rng), ops.random_pure_state(d, rng)))
-    pairs = pairs[: max(search.seeds, 1)]
 
-    def to_spec(v1, v2):
-        return InformationFlowPair(np.outer(v1, v1.conj()), np.outer(v2, v2.conj()))
+    def as_point(v1, v2):
+        return (v1, v2), InformationFlowPair(np.outer(v1, v1.conj()), np.outer(v2, v2.conj()))
 
-    seeded = []
-    for v1, v2 in pairs:
-        spec = to_spec(v1, v2)
-        ws = series(traj, spec)
-        seeded.append(((v1, v2), ws, _positive_area(ws)))
+    def perturb(pair, step, crng):
+        moved = []
+        for v in pair:
+            w = v + step * (crng.normal(size=d) + 1j * crng.normal(size=d))
+            moved.append(w / np.linalg.norm(w))
+        return as_point(*moved)
 
-    cp_violated = bool(np.any(~data.excluded & (data.min_eigenvalues < -1e-12)))
-    if not cp_violated and all(v == 0.0 for _, _, v in seeded):
-        return BlpMeasureResult(value=0.0, pair=None, series=None)
-
-    best_pair, best_series, best_value = None, None, 0.0
-    for i, ((v1, v2), ws, value) in enumerate(seeded):
-        crng = np.random.default_rng((search.rng_seed, 2, i))
-        step = search.initial_step
-        cur = (v1, v2)
-        for _ in range(search.iterations):
-            w1 = cur[0] + step * (crng.normal(size=d) + 1j * crng.normal(size=d))
-            w2 = cur[1] + step * (crng.normal(size=d) + 1j * crng.normal(size=d))
-            w1 = w1 / np.linalg.norm(w1)
-            w2 = w2 / np.linalg.norm(w2)
-            cand_series = series(traj, to_spec(w1, w2))
-            cand_value = _positive_area(cand_series)
-            if cand_value > value:
-                cur, ws, value = (w1, w2), cand_series, cand_value
-                step = min(step * 1.4, 2.0)
-            else:
-                step = max(step * 0.8, search.min_step)
-        if value > best_value:
-            best_pair, best_series, best_value = cur, ws, value
-
-    if best_pair is None or best_value <= 0.0:
-        return BlpMeasureResult(value=0.0, pair=None, series=None)
-    rho1 = np.outer(best_pair[0], best_pair[0].conj())
-    rho2 = np.outer(best_pair[1], best_pair[1].conj())
-    return BlpMeasureResult(value=float(best_value), pair=(rho1, rho2), series=best_series)
+    seeds = [as_point(v1, v2) for v1, v2 in pairs[: max(search.seeds, 1)]]
+    pair, ws, value = _search(traj, data, seeds, perturb, 2, search)
+    if pair is not None:
+        pair = tuple(np.outer(v, v.conj()) for v in pair)
+    return BlpMeasureResult(value=float(value), pair=pair, series=ws)

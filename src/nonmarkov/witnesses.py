@@ -472,29 +472,28 @@ def flow(traj: Trajectory, spec: WitnessSpec, t: float) -> float:
     return float(orientation(spec) * (f_plus - f_minus) / (2.0 * h))
 
 
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Inclusive (first, last) index pairs of the maximal True runs of a 1-d mask."""
+    edges = np.diff(np.asarray(mask, dtype=np.int8), prepend=0, append=0)
+    return list(zip(np.flatnonzero(edges == 1).tolist(),
+                    (np.flatnonzero(edges == -1) - 1).tolist()))
+
+
 def detect_violations(times: np.ndarray, values: np.ndarray,
                       enter: float = VIOLATION_ENTER,
                       exit_level: float = VIOLATION_EXIT):
     """Maximal runs of positive flow with hysteresis (enter above ``enter``,
-    leave once the flow drops to ``exit_level`` or below)."""
+    leave once the flow drops to ``exit_level`` or below; ``enter`` must not
+    lie below ``exit_level``).  A NaN neither enters nor leaves a run."""
     intervals: list[tuple[float, float, float]] = []
     mask = np.zeros(values.size, dtype=bool)
-    start = None
-    peak = 0.0
-    for i, v in enumerate(values):
-        if start is None:
-            if v > enter:
-                start, peak = i, v
-                mask[i] = True
-        else:
-            if v <= exit_level:
-                intervals.append((float(times[start]), float(times[i - 1]), float(peak)))
-                start = None
-            else:
-                peak = max(peak, v)
-                mask[i] = True
-    if start is not None:
-        intervals.append((float(times[start]), float(times[-1]), float(peak)))
+    for first, last in _runs(~(values <= exit_level)):
+        entered = np.flatnonzero(values[first:last + 1] > enter)
+        if entered.size:
+            start = first + int(entered[0])
+            mask[start:last + 1] = True
+            peak = np.nanmax(values[start:last + 1])
+            intervals.append((float(times[start]), float(times[last]), float(peak)))
     return intervals, mask
 
 
@@ -570,7 +569,7 @@ def spectral_modes(traj: Trajectory, residual_tol: float = 1e-6,
             continue
         mods = np.abs(mu)
         grows = np.diff(mods) > 1e-12 * np.maximum(mods[:-1], 1.0)
-        violations = _merge_steps(traj.times, grows)
+        violations = [(float(traj.times[a]), float(traj.times[b + 1])) for a, b in _runs(grows)]
         modes.append(SpectralMode(
             operator=v.reshape(traj.dim, traj.dim, order="F").copy(),
             eigenvalues=mu,
@@ -579,21 +578,6 @@ def spectral_modes(traj: Trajectory, residual_tol: float = 1e-6,
         ))
     modes.sort(key=lambda m: -float(np.mean(np.abs(m.eigenvalues))))
     return SpectralModesResult(modes=modes, commutative=unmatched == 0, unmatched=unmatched)
-
-
-def _merge_steps(times: np.ndarray, flagged: np.ndarray) -> list:
-    """Merge consecutive flagged steps (t_k, t_{k+1}) into intervals."""
-    intervals = []
-    start = None
-    for k, bad in enumerate(flagged):
-        if bad and start is None:
-            start = k
-        elif not bad and start is not None:
-            intervals.append((float(times[start]), float(times[k])))
-            start = None
-    if start is not None:
-        intervals.append((float(times[start]), float(times[-1])))
-    return intervals
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from nonmarkov.dynamics import (
     vec,
 )
 from nonmarkov.operators import max_entangled_projector, random_hermitian
-from nonmarkov.volterra import ExponentialKernel
+from nonmarkov.volterra import ExponentialKernel, TabulatedKernel
 
 from conftest import PAULI_X, PAULI_Z, projector, KET0, KET1
 
@@ -215,6 +215,19 @@ class TestEvolve:
         g = model.solution.values
         assert np.abs(traj.maps[:, 3, 3] - np.abs(g) ** 2).max() < 1e-5
         assert np.abs(traj.maps[:, 2, 2] - np.conj(g)).max() < 1e-5
+
+    @pytest.mark.parametrize("backend", ["analytic", "numeric"])
+    def test_spin_boson_longer_grid_solves_kernel_again(self, backend):
+        # a kernel solution cached on [0, 1] must not be extrapolated to [0, 6]
+        dense = np.linspace(0, 8, 801)
+        kernel = TabulatedKernel(times=dense,
+                                 values=ExponentialKernel(coupling=1.0, rate=4.0)(dense))
+        model = SpinBoson(kernel=kernel)
+        evolve(model, np.linspace(0, 1, 65), backend=backend)
+        grid = np.linspace(0, 6, 385)
+        reused = evolve(model, grid, backend=backend)
+        fresh = evolve(SpinBoson(kernel=kernel), grid, backend=backend)
+        np.testing.assert_array_equal(reused.maps, fresh.maps)
 
     def test_lindblad_has_no_analytic_backend(self):
         model = Lindblad(hamiltonian=None, noise=((PAULI_Z, Constant(0.5)),), dim=2)

@@ -124,11 +124,15 @@ class TestWitnessMeasure:
         result = witness_measure(replacement_traj, QUICK)
         assert result.value > 1e-4
 
-    def test_reproducible_under_seed(self, sine_traj):
+    def test_reproducible_under_seed(self, sine_traj, replacement_traj):
         a = witness_measure(sine_traj, QUICK)
         b = witness_measure(sine_traj, QUICK)
         assert a.value == b.value
         np.testing.assert_array_equal(a.witness, b.witness)
+        # reference values of the seed-3 search; a refactor must reproduce them
+        assert a.value == pytest.approx(0.8643064805615197, rel=1e-12)
+        assert witness_measure(replacement_traj, QUICK).value == pytest.approx(
+            0.018894054948988683, rel=1e-12)
 
 
 class TestBlpMeasure:
@@ -148,10 +152,13 @@ class TestBlpMeasure:
         result = blp_measure(replacement_traj, SearchConfig(rng_seed=5))
         assert result.value == 0.0
 
-    def test_reproducible_under_seed(self, sine_traj):
+    def test_reproducible_under_seed(self, sine_traj, replacement_traj):
         a = blp_measure(sine_traj, QUICK)
         b = blp_measure(sine_traj, QUICK)
         assert a.value == b.value
+        # reference values of the seed-3 search; a refactor must reproduce them
+        assert a.value == pytest.approx(0.8643064805615198, rel=1e-12)
+        assert blp_measure(replacement_traj, QUICK).value == 0.0
 
 
 class TestSeparation:

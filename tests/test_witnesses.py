@@ -160,11 +160,22 @@ class TestSeries:
 
     def test_detect_violations_hysteresis(self):
         times = np.arange(6.0)
-        values = np.array([0.0, 5e-9, 5e-10, 2e-9, -1e-12, 0.0])
-        intervals, mask = detect_violations(times, values)
-        # entry above 1e-9 at t=1, stays through the sub-threshold dip, exits at t=4
-        assert intervals == [(1.0, 3.0, 5e-9)]
-        assert mask.tolist() == [False, True, True, True, False, False]
+        cases = [
+            # entry above 1e-9 at t=1, stays through the sub-threshold dip, exits at t=4
+            ([0.0, 5e-9, 5e-10, 2e-9, -1e-12, 0.0], [(1.0, 3.0, 5e-9)],
+             [False, True, True, True, False, False]),
+            # a NaN neither enters nor ends a run, and is left out of the peak
+            ([np.nan, 2e-9, np.nan, 3e-9, 0.0, 0.0], [(1.0, 3.0, 3e-9)],
+             [False, True, True, True, False, False]),
+            # a run reaching the last node closes there; the sub-threshold
+            # nodes before its entry stay outside it
+            ([0.0, 5e-10, 5e-10, 2e-9, 1e-10, 4e-9], [(3.0, 5.0, 4e-9)],
+             [False, False, False, True, True, True]),
+        ]
+        for values, expected, expected_mask in cases:
+            intervals, mask = detect_violations(times, np.array(values))
+            assert intervals == expected
+            assert mask.tolist() == expected_mask
 
 
 class TestInvariance:
