@@ -26,12 +26,15 @@ positive flow.  The step starts at ``INITIAL_STEP``, grows by 1.4 after an
 accepted move (up to ``MAX_STEP``) and shrinks by 0.8 otherwise (down to
 ``MIN_STEP``).
 
-Search results are reproducible lower bounds: values never decrease during
-refinement and depend only on the recorded seed.
+The seed climbs are independent, so they run in parallel in forked worker
+processes, one per CPU available to this process.  Search results are
+reproducible lower bounds: values never decrease during refinement and depend
+only on the recorded seed, not on the number of CPUs.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +126,8 @@ def step_choi_data(traj: Trajectory) -> StepChoiData:
             excluded[k] = True
             continue
         prop = np.linalg.solve(maps[k].T, maps[k + 1].T).T
-        w, v = np.linalg.eigh(0.5 * (choi_matrix(prop) + choi_matrix(prop).conj().T))
+        choi = choi_matrix(prop)
+        w, v = np.linalg.eigh(0.5 * (choi + choi.conj().T))
         min_eigs[k] = w[0]
         if w[0] < worst_val:
             worst_val = float(w[0])
@@ -244,6 +248,46 @@ def _choi_candidates(data: StepChoiData, n: int) -> list:
     return [proj - np.eye(n) / n]
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _climb(job, i):
+    """Hill climb of seed ``i`` of ``job``; returns its (point, series, value)."""
+    traj, seeded, perturb, stream, search = job
+    point, ws, value = seeded[i]
+    rng = np.random.default_rng((search.rng_seed, stream, i))
+    step = INITIAL_STEP
+    for _ in range(search.iterations):
+        moved = perturb(point, step, rng)
+        if moved is not None:
+            cand_series = series(traj, moved[1])
+            cand_value = cand_series.total_violation
+            if cand_value > value:
+                point, ws, value = moved[0], cand_series, cand_value
+                step = min(step * 1.4, MAX_STEP)
+                continue
+        step = max(step * 0.8, MIN_STEP)
+    return point, ws, value
+
+
+# The search job of a pool worker.  Set only inside forked workers, by the
+# pool initializer; the job holds closures, which cannot be pickled per task.
+_worker_job = None
+
+
+def _start_worker(job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _climb_in_worker(i):
+    return _climb(_worker_job, i)
+
+
 def _search(traj, data, seeds, perturb, stream, search):
     """Best (point, series, value) of a hill climb from every seed.
 
@@ -255,6 +299,12 @@ def _search(traj, data, seeds, perturb, stream, search):
     seed shows a positive flow the climb is skipped, since contraction forces
     every flow to be non-positive.  Returns ``(None, None, 0.0)`` when no
     positive value is found.
+
+    The climbs are independent, so they run in forked worker processes, one
+    per CPU available to this process (in process with one CPU or where
+    ``fork`` is missing).  The best climb is picked in seed order, so the
+    result does not depend on the number of workers.  The pool is closed
+    before this returns or raises; an exception in a worker reaches the caller.
     """
     seeded = []
     for point, spec in seeds:
@@ -266,21 +316,20 @@ def _search(traj, data, seeds, perturb, stream, search):
     if not cp_violated and all(v == 0.0 for _, _, v in seeded):
         return best
 
-    for i, (point, ws, value) in enumerate(seeded):
-        rng = np.random.default_rng((search.rng_seed, stream, i))
-        step = INITIAL_STEP
-        for _ in range(search.iterations):
-            moved = perturb(point, step, rng)
-            if moved is not None:
-                cand_series = series(traj, moved[1])
-                cand_value = cand_series.total_violation
-                if cand_value > value:
-                    point, ws, value = moved[0], cand_series, cand_value
-                    step = min(step * 1.4, MAX_STEP)
-                    continue
-            step = max(step * 0.8, MIN_STEP)
-        if value > best[2]:
-            best = (point, ws, value)
+    job = (traj, seeded, perturb, stream, search)
+    workers = min(_cpu_count(), len(seeded))
+    import multiprocessing  # here, so that importing the package stays cheap
+
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("fork")
+        with context.Pool(workers, _start_worker, (job,)) as pool:
+            climbed = pool.map(_climb_in_worker, range(len(seeded)), chunksize=1)
+    else:
+        climbed = [_climb(job, i) for i in range(len(seeded))]
+
+    for result in climbed:
+        if result[2] > best[2]:
+            best = result
     return best
 
 

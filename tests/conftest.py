@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,12 @@ def random_cptp(dim, rng, n_kraus=3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture(autouse=True)
+def no_child_processes_left():
+    """Fail a test that leaves child processes running, such as search workers."""
+    yield
+    left = multiprocessing.active_children()
+    if left:
+        pytest.fail(f"child processes still running after the test: {left}")

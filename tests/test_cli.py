@@ -1,9 +1,12 @@
 import json
+import multiprocessing
+import os
 import re
 
 import numpy as np
 import pytest
 
+from nonmarkov import measures
 from nonmarkov.cli import main
 from nonmarkov.config import ConfigError, load_config, parse_witness_descriptor
 from nonmarkov.dynamics import Dephasing, Sine, evolve, load_trajectory, save_trajectory, Trajectory
@@ -123,6 +126,30 @@ prefix = sb
 """
         assert main(["report", "--config", _write(tmp_path, config), "--quiet"]) == 3
         assert "evolve" in capsys.readouterr().err
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the seed climbs run in process without fork")
+    def test_worker_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        evaluate = measures.series
+
+        def failing_in_worker(traj, spec):
+            if os.getpid() != parent:
+                raise FloatingPointError("objective failed in a worker")
+            return evaluate(traj, spec)
+
+        monkeypatch.setattr(measures, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(measures, "series", failing_in_worker)
+        traj = evolve(Dephasing(rate=Sine(1.0)), np.linspace(0, 2 * np.pi, 65))
+        with pytest.raises(FloatingPointError, match="in a worker"):
+            measures.witness_measure(traj, measures.SearchConfig(seeds=4, iterations=5))
+        assert not multiprocessing.active_children()
+
+        cfg_path = _write(tmp_path, EXAMPLE1)
+        assert main(["report", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure in measure:witness" in err and "in a worker" in err
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         cfg_path = _write(tmp_path, EXAMPLE1)

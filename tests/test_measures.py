@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nonmarkov import measures
 from nonmarkov.dynamics import (
     BlochZSineTarget,
     Constant,
@@ -159,6 +160,34 @@ class TestBlpMeasure:
         # reference values of the seed-3 search; a refactor must reproduce them
         assert a.value == pytest.approx(0.8643064805615198, rel=1e-12)
         assert blp_measure(replacement_traj, QUICK).value == 0.0
+
+
+class TestParallelSearch:
+    @staticmethod
+    def _outcome(result, point):
+        ws = result.series
+        return (
+            result.value,
+            point,
+            None if ws is None else ws.values,
+            None if ws is None else ws.violation_intervals,
+        )
+
+    @pytest.mark.parametrize("name", ["sine_traj", "replacement_traj"])
+    def test_worker_count_does_not_change_results(self, name, request, monkeypatch):
+        traj = request.getfixturevalue(name)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(measures, "_cpu_count", lambda: workers)
+            wm = witness_measure(traj, QUICK)
+            bm = blp_measure(traj, QUICK)
+            runs.append((self._outcome(wm, wm.witness), self._outcome(bm, bm.pair)))
+        serial, parallel = runs
+        for one, two in zip(serial, parallel):
+            assert one[0] == two[0]
+            np.testing.assert_array_equal(np.asarray(one[1]), np.asarray(two[1]))
+            np.testing.assert_array_equal(np.asarray(one[2]), np.asarray(two[2]))
+            assert one[3] == two[3]
 
 
 class TestSeparation:
