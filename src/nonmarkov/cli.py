@@ -169,9 +169,7 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
     if do_measure:
         measures: dict = {"rhp": None, "witness": None, "blp": None}
         if cfg.measure_rhp and cfg.model is not None:
-            rate_values = _stage(
-                "measure:rhp", lambda: [rhp_rate(cfg.model, t) for t in traj.times]
-            )
+            rate_values = _stage("measure:rhp", rhp_rate, cfg.model, traj.times)
             measures["rhp"] = float(np.trapezoid(rate_values, traj.times))
             _write_rate_csv(out_dir / f"{cfg.prefix}_rhp_rate.csv", traj.times, rate_values)
         if cfg.measure_witness:

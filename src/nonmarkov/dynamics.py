@@ -96,22 +96,13 @@ def apply_superop_batch(ms: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def apply_extended(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Apply (id ⊗ Λ) to an operator on the doubled space H ⊗ H."""
-    n = m.shape[0]
+    """Apply (id ⊗ Λ) to an operator on the doubled space H ⊗ H.  A stack of
+    maps (..., d^2, d^2) gives the stack of results."""
+    n = m.shape[-1]
     d = isqrt(n)
     blocks = y.reshape(d, d, d, d).transpose(0, 2, 3, 1).reshape(d * d, n)
-    w = blocks @ m.T
-    return w.reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(n, n)
-
-
-def apply_extended_batch(ms: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Apply a stack of maps (N, d^2, d^2), extended by the identity, to one
-    operator on the doubled space."""
-    n = ms.shape[1]
-    d = isqrt(n)
-    blocks = y.reshape(d, d, d, d).transpose(0, 2, 3, 1).reshape(d * d, n)
-    w = np.einsum("tnm,bm->tbn", ms, blocks)
-    return w.reshape(-1, d, d, d, d).transpose(0, 1, 4, 2, 3).reshape(-1, n, n)
+    w = np.einsum("...nm,bm->...bn", m, blocks)
+    return w.reshape(-1, d, d, d, d).transpose(0, 1, 4, 2, 3).reshape(*m.shape[:-2], n, n)
 
 
 def extended_superop(m: np.ndarray) -> np.ndarray:
@@ -125,10 +116,12 @@ def extended_superop(m: np.ndarray) -> np.ndarray:
 
 
 def choi_matrix(m: np.ndarray) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| ⊗ Λ(|i><j|); PSD iff Λ is completely positive."""
-    n = m.shape[0]
+    """Choi matrix sum_ij |i><j| ⊗ Λ(|i><j|); PSD iff Λ is completely positive.
+    Takes one map or a stack (..., d^2, d^2)."""
+    n = m.shape[-1]
     d = isqrt(n)
-    return m.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(n, n)
+    lead = m.shape[:-2]
+    return np.swapaxes(m.reshape(*lead, d, d, d, d), -4, -1).reshape(*lead, n, n)
 
 
 def dual_superop(m: np.ndarray) -> np.ndarray:
@@ -652,21 +645,29 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
-    """Read and validate a trajectory file written by :func:`save_trajectory`."""
+    """Read and validate a trajectory file written by :func:`save_trajectory`;
+    a malformed file raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(TRAJECTORY_MAGIC))
-        if magic != TRAJECTORY_MAGIC:
-            raise ValueError(f"not a trajectory file (bad magic {magic!r})")
-        (blob_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
-        dim = int(header["dim"])
-        nodes = int(header["nodes"])
-        n = dim * dim
-        times = np.frombuffer(fh.read(nodes * 8), dtype="<f8").copy()
-        raw = np.frombuffer(fh.read(nodes * n * n * 2 * 8), dtype="<f8")
-        if raw.size != nodes * n * n * 2:
-            raise ValueError("trajectory file truncated")
-        interleaved = raw.reshape(nodes, n, n, 2)
+        data = fh.read()
+    magic = data[: len(TRAJECTORY_MAGIC)]
+    if magic != TRAJECTORY_MAGIC:
+        raise ValueError(f"not a trajectory file (bad magic {magic!r})")
+    if len(data) < 16:
+        raise ValueError("trajectory file truncated in its header length")
+    (blob_len,) = struct.unpack_from("<Q", data, 8)
+    header = json.loads(data[16:16 + blob_len].decode("utf-8"))
+    try:
+        dim, nodes = int(header["dim"]), int(header["nodes"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"trajectory header needs integer 'dim' and 'nodes' ({exc!r})") from exc
+    n = dim * dim
+    start = 16 + blob_len
+    if dim < 1 or nodes < 1 or len(data) - start < nodes * (1 + 2 * n * n) * 8:
+        raise ValueError(f"trajectory file truncated: it cannot hold {nodes} maps "
+                         f"of dimension {dim}")
+    times = np.frombuffer(data, dtype="<f8", count=nodes, offset=start).copy()
+    raw = np.frombuffer(data, dtype="<f8", count=nodes * n * n * 2, offset=start + nodes * 8)
+    interleaved = raw.reshape(nodes, n, n, 2)
     maps = interleaved[..., 0] + 1j * interleaved[..., 1]
     return Trajectory(times=times, maps=maps, model=None,
                       backend=header.get("backend"), meta=header.get("model") or {})

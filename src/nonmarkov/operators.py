@@ -2,10 +2,12 @@
 
 Everything here operates on plain complex numpy arrays.  States are density
 matrices (Hermitian, PSD, unit trace), observables and witnesses are Hermitian
-matrices.  All spectral work goes through ``numpy.linalg.eigh``; eigenvalues
-below the support cutoff are treated as exact zeros so that logarithms and
-fractional powers stay finite near rank deficiency.  Divergences use the
-natural logarithm throughout.
+matrices.  Spectral functions take one matrix or a stack ``(..., d, d)``,
+broadcast over the leading axes, and act on each matrix on its own: one matrix
+gives a ``float``, a stack an array.  All spectral work goes through
+``numpy.linalg.eigh``; eigenvalues below the support cutoff are treated as
+exact zeros so that logarithms and fractional powers stay finite near rank
+deficiency.  Divergences use the natural logarithm throughout.
 """
 
 from __future__ import annotations
@@ -28,10 +30,19 @@ class NotPSDError(ValueError):
     """Raised when an operation requires a positive semidefinite input."""
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _float_if_single(x: np.ndarray) -> float | np.ndarray:
+    """A result for one matrix as a float; a result for a stack as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Return (A + A†)/2."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + _dagger(a))
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
@@ -62,28 +73,56 @@ def check_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
     return rho
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
+def _pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both arguments as complex arrays whose matrices have the same shape."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a, b
 
 
 def spectral_decomposition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
     w, v = np.linalg.eigh(hermitian_part(a))
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    return w[..., ::-1], v[..., ::-1]
 
 
-def trace_norm(a: np.ndarray) -> float:
+def trace_norm(a: np.ndarray) -> float | np.ndarray:
     """Trace norm ||A||_1; for Hermitian A this is the sum of |eigenvalues|."""
     w = np.linalg.eigvalsh(hermitian_part(a))
-    return float(np.abs(w).sum())
+    return _float_if_single(np.abs(w).sum(axis=-1))
 
 
-def operator_norm(a: np.ndarray) -> float:
+def operator_norm(a: np.ndarray) -> float | np.ndarray:
     """Operator norm ||A||; for Hermitian A this is max |eigenvalue|."""
     w = np.linalg.eigvalsh(hermitian_part(a))
-    return float(np.abs(w).max())
+    return _float_if_single(np.abs(w).max(axis=-1))
+
+
+def _clamp_zeros(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues below the support cutoff, relative to their matrix's scale, set to 0."""
+    scale = np.abs(w).max(axis=-1, keepdims=True, initial=1.0)
+    return np.where(w < ZERO_EIG_TOL * scale, 0.0, w)
+
+
+def _compose(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The matrices V diag(w) V†."""
+    return (v * w[..., None, :]) @ _dagger(v)
+
+
+def _power(w: np.ndarray, exponent: float) -> np.ndarray:
+    """w ** exponent on the positive eigenvalues, 0 elsewhere."""
+    return np.where(w > 0, np.where(w > 0, w, 1.0) ** exponent, 0.0)
+
+
+def _xlogx(w: np.ndarray) -> np.ndarray:
+    """w log w with 0 log 0 := 0 (non-positive entries give 0)."""
+    return np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0)
+
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    return np.trace(a, axis1=-2, axis2=-1).real
 
 
 def matrix_function(a: np.ndarray, kind: str, power: float | None = None) -> np.ndarray:
@@ -92,13 +131,12 @@ def matrix_function(a: np.ndarray, kind: str, power: float | None = None) -> np.
     Eigenvalues below the support cutoff are clamped to exact zero before the
     scalar function is applied; ``log`` maps clamped zeros to 0 (support
     projection is owned by the divergence routines).  Raises :class:`NotPSDError`
-    when the minimum eigenvalue is below ``-1e-8``.
+    when the minimum eigenvalue of any matrix is below ``-1e-8``.
     """
     w, v = np.linalg.eigh(hermitian_part(a))
     if w.size and w.min() < -PSD_TOL:
         raise NotPSDError(f"matrix_function({kind}): min eigenvalue {w.min():.3e} < -{PSD_TOL}")
-    scale = max(np.abs(w).max(), 1.0) if w.size else 1.0
-    w = np.where(w < ZERO_EIG_TOL * scale, 0.0, w)
+    w = _clamp_zeros(w)
     if kind == "sqrt":
         fw = np.sqrt(w)
     elif kind == "log":
@@ -106,124 +144,110 @@ def matrix_function(a: np.ndarray, kind: str, power: float | None = None) -> np.
     elif kind == "power":
         if power is None:
             raise ValueError("matrix_function('power') requires the exponent")
-        fw = np.where(w > 0, np.where(w > 0, w, 1.0) ** power, 0.0)
+        fw = _power(w, power)
     else:
         raise ValueError(f"unknown matrix function {kind!r}")
-    return (v * fw) @ v.conj().T
+    return _compose(fw, v)
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     """D(rho, sigma) = ||rho - sigma||_1 / 2."""
-    _check_same_dim(np.asarray(rho), np.asarray(sigma))
-    return 0.5 * trace_norm(np.asarray(rho) - np.asarray(sigma))
+    rho, sigma = _pair(rho, sigma)
+    return 0.5 * trace_norm(rho - sigma)
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    _check_same_dim(rho, sigma)
+    rho, sigma = _pair(rho, sigma)
     s = matrix_function(rho, "sqrt")
-    w = np.linalg.eigvalsh(hermitian_part(s @ sigma @ s))
-    w = np.clip(w, 0.0, None)
-    return float(np.sqrt(w).sum() ** 2)
+    w = np.clip(np.linalg.eigvalsh(hermitian_part(s @ sigma @ s)), 0.0, None)
+    return _float_if_single(np.sqrt(w).sum(axis=-1) ** 2)
 
 
 def _eig_state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """State eigensystem with the support cutoff applied (tiny eigenvalues are
     exact zeros, so fractional powers cannot amplify eigensolver noise)."""
     w, v = np.linalg.eigh(hermitian_part(rho))
-    scale = max(np.abs(w).max(), 1.0) if w.size else 1.0
-    w = np.where(w < ZERO_EIG_TOL * scale, 0.0, w)
-    return w, v
+    return _clamp_zeros(w), v
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+def _outside_support(p: np.ndarray, overlap: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Where rho (eigenvalues p) puts over SUPPORT_TOL weight on the kernel of sigma
+    (eigenvalues q below SUPPORT_TOL); overlap[..., i, j] = |<u_i|v_j>|^2."""
+    kernel = q < SUPPORT_TOL
+    weight = np.sum(p * np.sum(overlap * kernel[..., None, :], axis=-1), axis=-1)
+    return weight > SUPPORT_TOL
+
+
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     """S(rho||sigma) = Tr rho (log rho - log sigma), natural log.
 
     Returns ``inf`` when the support of rho is not contained in the support of
     sigma (sigma eigenvalues below 1e-10 carrying nonzero rho weight).
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    _check_same_dim(rho, sigma)
+    rho, sigma = _pair(rho, sigma)
     p, u = _eig_state(rho)
     q, v = _eig_state(sigma)
-    overlap = np.abs(u.conj().T @ v) ** 2  # overlap[i, j] = |<u_i|v_j>|^2
+    overlap = np.abs(_dagger(u) @ v) ** 2
     kernel = q < SUPPORT_TOL
-    if kernel.any() and float(p @ overlap[:, kernel].sum(axis=1)) > SUPPORT_TOL:
-        return float("inf")
-    plogp = float(np.sum(p[p > 0] * np.log(p[p > 0])))
     logq = np.where(kernel, 0.0, np.log(np.where(kernel, 1.0, q)))
-    cross = float(p @ (overlap[:, ~kernel] @ logq[~kernel]))
-    return plogp - cross
+    cross = np.sum(p * (overlap @ logq[..., None])[..., 0], axis=-1)
+    value = np.sum(_xlogx(p), axis=-1) - cross
+    return _float_if_single(np.where(_outside_support(p, overlap, q), np.inf, value))
 
 
-def renyi_relative_entropy(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
+def renyi_relative_entropy(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float | np.ndarray:
     """Renyi relative entropy log(Tr rho^a sigma^(1-a)) / (a - 1).
 
     Restricted to the channel-monotone range alpha in [0,1) u (1,2].  For
-    alpha > 1 a support violation yields +inf.
+    alpha > 1 a support violation yields +inf, as does a trace Tr rho^a
+    sigma^(1-a) that is not positive.
     """
     if not (0.0 <= alpha < 1.0 or 1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in [0,1) u (1,2], got {alpha}")
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    _check_same_dim(rho, sigma)
+    rho, sigma = _pair(rho, sigma)
     p, u = _eig_state(rho)
     q, v = _eig_state(sigma)
-    rho_a = (u * p**alpha) @ u.conj().T
     if alpha > 1.0:
-        overlap = np.abs(u.conj().T @ v) ** 2
+        violated = _outside_support(p, np.abs(_dagger(u) @ v) ** 2, q)
         kernel = q < SUPPORT_TOL
-        if kernel.any() and float(p @ overlap[:, kernel].sum(axis=1)) > SUPPORT_TOL:
-            return float("inf")
         q_pow = np.where(kernel, 0.0, np.where(kernel, 1.0, q) ** (1.0 - alpha))
     else:
-        q_pow = np.where(q > 0, np.where(q > 0, q, 1.0) ** (1.0 - alpha), 0.0)
-    sigma_b = (v * q_pow) @ v.conj().T
-    val = float(np.trace(rho_a @ sigma_b).real)
-    if val <= 0.0:
-        return float("inf")
-    return float(np.log(val) / (alpha - 1.0))
+        violated = False
+        q_pow = _power(q, 1.0 - alpha)
+    val = _trace(_compose(p**alpha, u) @ _compose(q_pow, v))
+    value = np.log(np.where(val > 0.0, val, 1.0)) / (alpha - 1.0)
+    return _float_if_single(np.where(violated | (val <= 0.0), np.inf, value))
 
 
-def tsallis_relative_entropy(rho: np.ndarray, sigma: np.ndarray, q: float) -> float:
+def tsallis_relative_entropy(rho: np.ndarray, sigma: np.ndarray, q: float) -> float | np.ndarray:
     """Tsallis relative entropy (1 - Tr rho^q sigma^(1-q)) / (1 - q), q in [0,1)."""
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must lie in [0,1), got {q}")
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    _check_same_dim(rho, sigma)
+    rho, sigma = _pair(rho, sigma)
     p, u = _eig_state(rho)
     s, v = _eig_state(sigma)
-    rho_q = (u * p**q) @ u.conj().T
-    s_pow = np.where(s > 0, np.where(s > 0, s, 1.0) ** (1.0 - q), 0.0)
-    sigma_b = (v * s_pow) @ v.conj().T
-    val = float(np.trace(rho_q @ sigma_b).real)
-    return (1.0 - val) / (1.0 - q)
+    val = _trace(_compose(p**q, u) @ _compose(_power(s, 1.0 - q), v))
+    return _float_if_single((1.0 - val) / (1.0 - q))
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """S(rho) = -Tr rho log rho with 0 log 0 := 0."""
     w = np.linalg.eigvalsh(hermitian_part(rho))
-    w = w[w > 0]
-    return float(-np.sum(w * np.log(w)))
+    return _float_if_single(-np.sum(_xlogx(w), axis=-1))
 
 
-def skew_information(rho: np.ndarray, x: np.ndarray, p: float = 0.5) -> float:
+def skew_information(rho: np.ndarray, x: np.ndarray, p: float = 0.5) -> float | np.ndarray:
     """Wigner-Yanase-Dyson skew information -Tr [rho^p, X][rho^(1-p), X] / 2."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0,1), got {p}")
-    rho = np.asarray(rho, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    _check_same_dim(rho, x)
+    rho, x = _pair(rho, x)
     w, v = _eig_state(rho)
-    a = (v * w**p) @ v.conj().T
-    b = (v * w ** (1.0 - p)) @ v.conj().T
+    a = _compose(w**p, v)
+    b = _compose(w ** (1.0 - p), v)
     ca = a @ x - x @ a
     cb = b @ x - x @ b
-    return float(-0.5 * np.trace(ca @ cb).real)
+    return _float_if_single(-0.5 * _trace(ca @ cb))
 
 
 def max_entangled_projector(dim: int) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from . import operators as ops
 from .dynamics import (
     Trajectory,
-    apply_extended_batch,
+    apply_extended,
     apply_superop_batch,
 )
 
@@ -251,10 +251,6 @@ def orientation(spec: WitnessSpec) -> float:
     return _ORIENTATION[type(spec)]
 
 
-def _hermitize_batch(stack: np.ndarray) -> np.ndarray:
-    return 0.5 * (stack + np.conj(np.transpose(stack, (0, 2, 1))))
-
-
 def _check_dims(traj: Trajectory, spec: WitnessSpec) -> None:
     if spec.system_dim != traj.dim:
         raise ValueError(
@@ -277,7 +273,7 @@ def _window_changes(series: np.ndarray) -> np.ndarray:
 
 
 def _trace_norm_values(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    eigs = np.linalg.eigvalsh(_hermitize_batch(stack))
+    eigs = np.linalg.eigvalsh(ops.hermitian_part(stack))
     values = np.abs(eigs).sum(axis=1)
     # the trace norm kinks exactly where an eigenvalue crosses zero, i.e. the
     # count of (dead-banded) negative eigenvalues changes; persistent zero
@@ -288,7 +284,7 @@ def _trace_norm_values(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _operator_norm_values(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    eigs = np.linalg.eigvalsh(_hermitize_batch(stack))
+    eigs = np.linalg.eigvalsh(ops.hermitian_part(stack))
     values = np.abs(eigs).max(axis=1)
     # the operator norm kinks where the leading branch flips between the
     # largest and the most negative eigenvalue; exact persistent ties are smooth
@@ -307,49 +303,37 @@ def _operator_norm_values(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _functional_on_maps(maps: np.ndarray, spec: WitnessSpec):
     """Underlying functional for a stack of maps, plus a kink-suspicion mask."""
-    nodes = maps.shape[0]
     duals = np.conj(np.transpose(maps, (0, 2, 1)))
-    none = np.zeros(nodes, dtype=bool)
+    none = np.zeros(maps.shape[0], dtype=bool)
     if isinstance(spec, ExtendedTraceNormWitness):
-        return _trace_norm_values(apply_extended_batch(maps, spec.witness))
+        return _trace_norm_values(apply_extended(maps, spec.witness))
     if isinstance(spec, PlainTraceNormWitness):
         return _trace_norm_values(apply_superop_batch(maps, spec.operator))
     if isinstance(spec, InformationFlowPair):
         values, kinks = _trace_norm_values(apply_superop_batch(maps, spec.rho1 - spec.rho2))
         return 0.5 * values, kinks
     if isinstance(spec, DualOperatorNormWitness):
-        return _operator_norm_values(apply_extended_batch(duals, spec.witness))
+        return _operator_norm_values(apply_extended(duals, spec.witness))
     if isinstance(spec, InvariantOverlap):
         evolved = apply_superop_batch(maps, spec.rho)
         values = np.einsum("i,kij,j->k", spec.psi0.conj(), evolved, spec.psi0).real
         return values, none
     if isinstance(spec, (RelativeEntropyPair, RenyiPair, TsallisPair, FidelityPair)):
-        rho_t = _hermitize_batch(apply_superop_batch(maps, spec.rho))
-        sigma_t = _hermitize_batch(apply_superop_batch(maps, spec.sigma))
+        rho_t = ops.hermitian_part(apply_superop_batch(maps, spec.rho))
+        sigma_t = ops.hermitian_part(apply_superop_batch(maps, spec.sigma))
         if isinstance(spec, RelativeEntropyPair):
-            fn = ops.relative_entropy
-        elif isinstance(spec, RenyiPair):
-            fn = lambda a, b: ops.renyi_relative_entropy(a, b, spec.alpha)
-        elif isinstance(spec, TsallisPair):
-            fn = lambda a, b: ops.tsallis_relative_entropy(a, b, spec.q)
-        else:
-            fn = ops.fidelity
-        values = np.asarray([fn(rho_t[k], sigma_t[k]) for k in range(nodes)])
-        return values, none
+            return ops.relative_entropy(rho_t, sigma_t), none
+        if isinstance(spec, RenyiPair):
+            return ops.renyi_relative_entropy(rho_t, sigma_t, spec.alpha), none
+        if isinstance(spec, TsallisPair):
+            return ops.tsallis_relative_entropy(rho_t, sigma_t, spec.q), none
+        return ops.fidelity(rho_t, sigma_t), none
     if isinstance(spec, SchrodingerSkew):
-        rho_t = _hermitize_batch(apply_superop_batch(maps, spec.rho))
-        values = np.asarray([
-            ops.skew_information(rho_t[k], spec.observable, spec.exponent)
-            for k in range(nodes)
-        ])
-        return values, none
+        rho_t = ops.hermitian_part(apply_superop_batch(maps, spec.rho))
+        return ops.skew_information(rho_t, spec.observable, spec.exponent), none
     if isinstance(spec, HeisenbergSkew):
-        obs_t = _hermitize_batch(apply_superop_batch(duals, spec.observable))
-        values = np.asarray([
-            ops.skew_information(spec.sigma0, obs_t[k], spec.exponent)
-            for k in range(nodes)
-        ])
-        return values, none
+        obs_t = ops.hermitian_part(apply_superop_batch(duals, spec.observable))
+        return ops.skew_information(spec.sigma0, obs_t, spec.exponent), none
     raise TypeError(f"unknown witness spec {type(spec).__name__}")
 
 
@@ -398,11 +382,10 @@ def derivative_series(times: np.ndarray, values: np.ndarray,
             inner &= ~reach[1:-1]
         out[inner] = five[np.flatnonzero(inner) - 1]
     if kinks is not None:
-        for k in np.flatnonzero(kinks):
-            if 1 <= k <= n - 2:
-                left = (values[k] - values[k - 1]) / (times[k] - times[k - 1])
-                right = (values[k + 1] - values[k]) / (times[k + 1] - times[k])
-                out[k - 1] = left if abs(left) >= abs(right) else right
+        for k in np.flatnonzero(kinks[1:-1]) + 1:
+            left = (values[k] - values[k - 1]) / (times[k] - times[k - 1])
+            right = (values[k + 1] - values[k]) / (times[k + 1] - times[k])
+            out[k - 1] = left if abs(left) >= abs(right) else right
     return out
 
 
@@ -601,7 +584,7 @@ def qubit_entropy_flow(traj: Trajectory, rho: np.ndarray,
     if traj.dim != 2:
         raise ValueError("qubit entropy flow requires a two-level trajectory")
     rho = ops.check_density_matrix(rho, "rho")
-    evolved = _hermitize_batch(apply_superop_batch(traj.maps, rho))
+    evolved = ops.hermitian_part(apply_superop_batch(traj.maps, rho))
     eigs = np.linalg.eigvalsh(evolved)
     lam_minus = np.clip(eigs[:, 0], 0.0, None)
     lam_plus = np.clip(eigs[:, 1], 0.0, None)
@@ -613,10 +596,8 @@ def qubit_entropy_flow(traj: Trajectory, rho: np.ndarray,
     flow_values = np.where(gap < 1e-12, 0.0, -lam_dot * log_ratio)
     flow_values = np.nan_to_num(flow_values, nan=0.0, posinf=0.0, neginf=0.0)
 
-    relent = np.asarray([
-        ops.relative_entropy(evolved[k], 0.5 * np.eye(2)) for k in range(traj.nodes)
-    ])
-    entropy = np.asarray([ops.von_neumann_entropy(evolved[k]) for k in range(traj.nodes)])
+    relent = ops.relative_entropy(evolved, 0.5 * np.eye(2))
+    entropy = ops.von_neumann_entropy(evolved)
     offset_identity = float(np.abs(relent - (np.log(2.0) - entropy)).max())
     if offset_identity > cross_check_tol:
         raise RuntimeError(

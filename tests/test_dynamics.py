@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -343,9 +346,25 @@ class TestTrajectoryFile:
         path = tmp_path / "t.traj"
         save_trajectory(traj, path)
         blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 100])
-        with pytest.raises(ValueError):
-            load_trajectory(path)
+        header_len = struct.unpack("<Q", blob[8:16])[0]
+        header = json.loads(blob[16:16 + header_len])
+
+        def with_header(**changes):
+            edited = {k: v for k, v in {**header, **changes}.items() if v != "drop"}
+            text = json.dumps(edited).encode()
+            return blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + header_len:]
+
+        for broken in (
+            blob[: len(blob) - 100],
+            blob[:10],  # cut inside the 8-byte header-length field
+            with_header(dim="drop"),
+            with_header(dim=None),
+            with_header(nodes=0),
+            with_header(nodes=18),  # one node more than the file holds
+        ):
+            path.write_bytes(broken)
+            with pytest.raises(ValueError):
+                load_trajectory(path)
 
     def test_invariant_checked_on_load(self, tmp_path):
         traj = evolve(Dephasing(rate=Constant(1.0)), np.linspace(0, 1, 17))

@@ -2,14 +2,22 @@ import numpy as np
 import pytest
 
 from nonmarkov import measures
+from nonmarkov import operators as ops
 from nonmarkov.dynamics import (
+    CONDITION_LIMIT,
+    SIGMA_MINUS,
+    SIGMA_Z,
     BlochZSineTarget,
     Constant,
     Dephasing,
     Lindblad,
+    OffsetSine,
     Sine,
     TraceReplacement,
+    apply_extended,
+    choi_matrix,
     evolve,
+    generator_superoperator,
 )
 from nonmarkov.measures import (
     SearchConfig,
@@ -78,6 +86,31 @@ class TestVerdict:
         assert verdict.excluded_intervals != []
         assert not verdict.markovian
 
+    @pytest.mark.parametrize("case", ["sine", "singular"])
+    def test_batched_scan_matches_per_step_reference(self, case, sine_traj):
+        traj = sine_traj if case == "sine" else evolve(
+            Dephasing(rate=Constant(30.0)), np.linspace(0, 2, 65))
+        maps = traj.maps
+        min_eigs = np.full(traj.nodes - 1, np.nan)
+        excluded = np.zeros(traj.nodes - 1, dtype=bool)
+        worst_vec, worst_val = None, np.inf
+        for k in range(traj.nodes - 1):
+            cond = float(np.linalg.cond(maps[k]))
+            if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+                excluded[k] = True
+                continue
+            prop = np.linalg.solve(maps[k].T, maps[k + 1].T).T
+            w, v = np.linalg.eigh(ops.hermitian_part(choi_matrix(prop)))
+            min_eigs[k] = w[0]
+            if w[0] < worst_val:
+                worst_val, worst_vec = float(w[0]), v[:, 0]
+        data = step_choi_data(traj)
+        assert case == "sine" or excluded.any()
+        np.testing.assert_array_equal(data.min_eigenvalues, min_eigs)
+        np.testing.assert_array_equal(data.excluded, excluded)
+        assert data.worst_value == worst_val
+        np.testing.assert_array_equal(data.worst_vector, worst_vec)
+
     def test_step_data_shapes(self, sine_traj):
         data = step_choi_data(sine_traj)
         assert data.min_eigenvalues.size == sine_traj.nodes - 1
@@ -87,7 +120,44 @@ class TestVerdict:
         assert np.all((mid[negative] > np.pi) & (mid[negative] < 2 * np.pi))
 
 
+def _rhp_rate_reference(model, t, eps=1e-6):
+    """Finite-difference RHP rate: the trace-norm quotient
+    (||P + e Δ||_1 - 1) / e, Richardson-extrapolated from e = eps and eps/2."""
+    projector = ops.max_entangled_projector(model.dim)
+    delta = apply_extended(generator_superoperator(model, t), projector)
+
+    def quotient(e):
+        return (ops.trace_norm(projector + e * delta) - 1.0) / e
+
+    return max(2.0 * quotient(eps / 2.0) - quotient(eps), 0.0)
+
+
+RHP_MODELS = {
+    # the driven GKSL qubit of perfbench/workloads/gksl_bank.ini
+    "gksl": (Lindblad(hamiltonian=0.5 * SIGMA_Z,
+                      noise=((SIGMA_MINUS, OffsetSine(0.2, 1.0)), (SIGMA_Z, Sine(0.5))),
+                      dim=2),
+             np.linspace(0, 4 * np.pi, 2001)),
+    "replacement": (TraceReplacement(rate=Constant(1.0), target=BlochZSineTarget(scale=1.2)),
+                    np.linspace(0, 2 * np.pi, 257)),
+    "dephasing": (Dephasing(rate=Sine(1.0)), SINE_GRID),
+}
+
+
 class TestRhp:
+    @pytest.mark.parametrize("name", sorted(RHP_MODELS))
+    def test_closed_form_matches_finite_difference(self, name):
+        model, grid = RHP_MODELS[name]
+        rates = rhp_rate(model, grid)
+        reference = np.array([_rhp_rate_reference(model, t) for t in grid])
+        assert rates.shape == grid.shape
+        assert reference.max() > 0.05
+        assert np.abs(rates - reference).max() <= 1e-8
+        for k in range(0, grid.size, 37):
+            scalar = rhp_rate(model, grid[k])
+            assert isinstance(scalar, float)
+            assert scalar == rates[k]
+
     def test_rate_is_negative_rate_part(self):
         model = Dephasing(rate=Sine(1.0))
         assert rhp_rate(model, 3 * np.pi / 2) == pytest.approx(1.0, abs=1e-6)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonmarkov import operators as ops
 from nonmarkov.operators import NotPSDError
@@ -224,3 +226,76 @@ class TestValidation:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             ops.check_hermitian(bad)
+
+
+# Every spectral function as f(a, b) of two state stacks; the one-argument
+# functions read only ``a`` or a combination of both.
+SPECTRAL = {
+    "hermitian_part": lambda a, b: ops.hermitian_part(a @ b),
+    "trace_norm": lambda a, b: ops.trace_norm(a - b),
+    "operator_norm": lambda a, b: ops.operator_norm(a - b),
+    "trace_distance": ops.trace_distance,
+    "matrix_function_sqrt": lambda a, b: ops.matrix_function(a, "sqrt"),
+    "matrix_function_log": lambda a, b: ops.matrix_function(a, "log"),
+    "matrix_function_power": lambda a, b: ops.matrix_function(a, "power", power=0.3),
+    "fidelity": ops.fidelity,
+    "relative_entropy": ops.relative_entropy,
+    "renyi_alpha_0.5": lambda a, b: ops.renyi_relative_entropy(a, b, 0.5),
+    "renyi_alpha_1.5": lambda a, b: ops.renyi_relative_entropy(a, b, 1.5),
+    "tsallis": lambda a, b: ops.tsallis_relative_entropy(a, b, 0.5),
+    "von_neumann_entropy": lambda a, b: ops.von_neumann_entropy(a),
+    "skew_information": lambda a, b: ops.skew_information(a, b - a, 0.3),
+}
+# Functions that give inf on the support-violating pair of the stack.
+INF_ON_VIOLATION = {"relative_entropy", "renyi_alpha_1.5"}
+# Functions that reject a non-PSD first argument.
+PSD_CHECKED = {"matrix_function_sqrt", "matrix_function_log", "matrix_function_power",
+               "fidelity"}
+
+
+def _state_stacks(seed, size, dim):
+    """Random state pairs plus, at random places, a support-violating pair
+    (full-rank rho, pure sigma) and an orthogonal pure pair; returns the two
+    stacks and the index of the support-violating pair."""
+    rng = np.random.default_rng(seed)
+    a = [ops.random_density_matrix(dim, rng) for _ in range(size)]
+    b = [ops.random_density_matrix(dim, rng) for _ in range(size)]
+    psi = ops.random_pure_state(dim, rng)
+    orth = ops.random_pure_state(dim, rng)
+    orth -= (psi.conj() @ orth) * psi
+    orth /= np.linalg.norm(orth)
+    k = int(rng.integers(size + 1))
+    a.insert(k, ops.random_density_matrix(dim, rng))
+    b.insert(k, projector(psi))
+    j = int(rng.integers(size + 2))
+    a.insert(j, projector(psi))
+    b.insert(j, projector(orth))
+    violating = k + (j <= k)
+    return np.stack(a), np.stack(b), violating
+
+
+class TestStacks:
+    @pytest.mark.parametrize("name", sorted(SPECTRAL))
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 4), dim=st.integers(2, 3))
+    def test_stack_matches_single(self, name, seed, size, dim):
+        fn = SPECTRAL[name]
+        a, b, violating = _state_stacks(seed, size, dim)
+        single = [fn(x, y) for x, y in zip(a, b)]
+        if np.ndim(single[0]) == 0:
+            assert all(isinstance(v, float) for v in single)
+        stacked = fn(a, b)
+        np.testing.assert_allclose(stacked, np.array(single), rtol=1e-12, atol=1e-12)
+        # one argument a single matrix, broadcast against the other stack
+        np.testing.assert_allclose(fn(a, b[0]), np.array([fn(x, b[0]) for x in a]),
+                                   rtol=1e-12, atol=1e-12)
+        if name in INF_ON_VIOLATION:
+            assert stacked[violating] == np.inf
+            assert np.isfinite(np.delete(stacked, violating)).any()
+        if name in PSD_CHECKED:
+            bad = a.copy()
+            bad[violating] = np.diag([1.2] + [-0.2 / (dim - 1)] * (dim - 1))
+            with pytest.raises(NotPSDError):
+                fn(bad[violating], b[violating])
+            with pytest.raises(NotPSDError):
+                fn(bad, b)
