@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config
+from .config import MIN_NODES, ConfigError, RunConfig, load_config
 from .dynamics import evolve, load_trajectory, save_trajectory
 from .measures import (
     blp_measure,
@@ -67,29 +67,11 @@ def _matrix_json(m: np.ndarray) -> dict:
     return {"real": m.real.tolist(), "imag": m.imag.tolist()}
 
 
-def _write_witness_csv(path: Path, ws) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "value", "violating"])
-        for t, v, bad in zip(ws.times, ws.values, ws.violating):
-            writer.writerow([_fmt(t), _fmt(v), int(bad)])
-
-
-def _write_rate_csv(path: Path, times, values) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "value"])
-        for t, v in zip(times, values):
-            writer.writerow([_fmt(t), _fmt(v)])
-
-
-def _write_choi_csv(path: Path, data) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t_start", "t_end", "min_eigenvalue", "excluded"])
-        for t0, t1, w, bad in zip(data.start_times, data.end_times,
-                                  data.min_eigenvalues, data.excluded):
-            writer.writerow([_fmt(t0), _fmt(t1), "" if np.isnan(w) else _fmt(w), int(bad)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _verdict_json(verdict) -> dict:
@@ -147,7 +129,9 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
         ):
             ws = _stage(f"witness:{descriptor}", witness_series, traj, spec)
             name = f"{cfg.prefix}_witness_{idx}_{_slug(descriptor)}.csv"
-            _write_witness_csv(out_dir / name, ws)
+            _write_csv(out_dir / name, ["t", "value", "violating"],
+                       ([_fmt(t), _fmt(v), int(bad)]
+                        for t, v, bad in zip(ws.times, ws.values, ws.violating)))
             report["witness_series_files"].append(name)
             if not quiet:
                 print(f"wrote {name} ({len(ws.violation_intervals)} violation intervals)")
@@ -160,7 +144,11 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
         verdict = _stage("divisibility_verdict", divisibility_verdict, traj,
                          cfg.divisibility_tol, steps)
         report["verdict"] = _verdict_json(verdict)
-        _write_choi_csv(out_dir / f"{cfg.prefix}_choi_min_eig.csv", steps)
+        _write_csv(out_dir / f"{cfg.prefix}_choi_min_eig.csv",
+                   ["t_start", "t_end", "min_eigenvalue", "excluded"],
+                   ([_fmt(t0), _fmt(t1), "" if np.isnan(w) else _fmt(w), int(bad)]
+                    for t0, t1, w, bad in zip(steps.start_times, steps.end_times,
+                                              steps.min_eigenvalues, steps.excluded)))
         if not quiet:
             print(f"verdict: markovian={verdict.markovian} "
                   f"violations={len(verdict.violation_intervals)} "
@@ -171,7 +159,8 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
         if cfg.measure_rhp and cfg.model is not None:
             rate_values = _stage("measure:rhp", rhp_rate, cfg.model, traj.times)
             measures["rhp"] = float(np.trapezoid(rate_values, traj.times))
-            _write_rate_csv(out_dir / f"{cfg.prefix}_rhp_rate.csv", traj.times, rate_values)
+            _write_csv(out_dir / f"{cfg.prefix}_rhp_rate.csv", ["t", "value"],
+                       ([_fmt(t), _fmt(v)] for t, v in zip(traj.times, rate_values)))
         if cfg.measure_witness:
             wm = _stage("measure:witness", witness_measure, traj, cfg.search, steps)
             measures["witness"] = {
@@ -245,6 +234,8 @@ def main(argv=None) -> int:
         if args.command == "import":
             try:
                 traj = load_trajectory(args.trajectory)
+                if traj.nodes < MIN_NODES:
+                    raise ValueError(f"it has {traj.nodes} nodes, fewer than {MIN_NODES}")
             except (ValueError, OSError) as exc:
                 print(f"error: trajectory file rejected: {exc}", file=sys.stderr)
                 return 2

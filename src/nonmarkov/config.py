@@ -51,6 +51,10 @@ from .witnesses import (
 )
 
 
+# Fewest grid nodes a run accepts, from [grid] or from an imported trajectory.
+MIN_NODES = 16
+
+
 class ConfigError(ValueError):
     """Invalid configuration; carries the offending field name."""
 
@@ -137,6 +141,13 @@ def _split_args(body: str):
     return args, kwargs
 
 
+_PAULI_WITNESSES = {"trace_norm_extended": ExtendedTraceNormWitness,
+                    "dual_operator_norm": DualOperatorNormWitness}
+_STATE_PAIRS = {"blp": InformationFlowPair, "relative_entropy": RelativeEntropyPair,
+                "fidelity": FidelityPair}
+_SKEWS = {"skew_schrodinger": SchrodingerSkew, "skew_heisenberg": HeisenbergSkew}
+
+
 def parse_witness_descriptor(text: str, fieldname: str = "witnesses.specs"):
     """Build a witness spec from a descriptor such as ``blp(plus,minus)``."""
     match = _DESCRIPTOR_RE.match(text)
@@ -144,55 +155,26 @@ def parse_witness_descriptor(text: str, fieldname: str = "witnesses.specs"):
         raise ConfigError(fieldname, f"malformed witness descriptor {text!r}")
     kind, body = match.group(1), match.group(2)
     args, kwargs = _split_args(body)
+    state = lambda k: state_preset(args[k], fieldname)
     try:
-        if kind == "trace_norm_extended":
+        if kind in _PAULI_WITNESSES:
             code = args[0].split(":", 1)[1] if args and args[0].startswith("pauli:") else None
             if code is None:
                 raise ConfigError(fieldname, f"{kind} expects pauli:<xy>, got {text!r}")
-            return ExtendedTraceNormWitness(pauli_product(code, fieldname))
-        if kind == "dual_operator_norm":
-            code = args[0].split(":", 1)[1] if args and args[0].startswith("pauli:") else None
-            if code is None:
-                raise ConfigError(fieldname, f"{kind} expects pauli:<xy>, got {text!r}")
-            return DualOperatorNormWitness(pauli_product(code, fieldname))
+            return _PAULI_WITNESSES[kind](pauli_product(code, fieldname))
         if kind == "trace_norm_plain":
             return PlainTraceNormWitness(observable_preset(args[0], fieldname))
-        if kind == "blp":
-            return InformationFlowPair(
-                state_preset(args[0], fieldname), state_preset(args[1], fieldname)
-            )
-        if kind == "relative_entropy":
-            return RelativeEntropyPair(
-                state_preset(args[0], fieldname), state_preset(args[1], fieldname)
-            )
+        if kind in _STATE_PAIRS:
+            return _STATE_PAIRS[kind](state(0), state(1))
         if kind == "renyi":
-            return RenyiPair(
-                state_preset(args[0], fieldname), state_preset(args[1], fieldname),
-                alpha=float(kwargs.get("alpha", 0.5)),
-            )
+            return RenyiPair(state(0), state(1), alpha=float(kwargs.get("alpha", 0.5)))
         if kind == "tsallis":
-            return TsallisPair(
-                state_preset(args[0], fieldname), state_preset(args[1], fieldname),
-                q=float(kwargs.get("q", 0.5)),
-            )
-        if kind == "fidelity":
-            return FidelityPair(
-                state_preset(args[0], fieldname), state_preset(args[1], fieldname)
-            )
+            return TsallisPair(state(0), state(1), q=float(kwargs.get("q", 0.5)))
         if kind == "overlap":
-            return InvariantOverlap(
-                state_preset(args[0], fieldname), vector_preset(args[1], fieldname)
-            )
-        if kind == "skew_schrodinger":
-            return SchrodingerSkew(
-                state_preset(args[0], fieldname), observable_preset(args[1], fieldname),
-                exponent=float(kwargs.get("p", 0.5)),
-            )
-        if kind == "skew_heisenberg":
-            return HeisenbergSkew(
-                state_preset(args[0], fieldname), observable_preset(args[1], fieldname),
-                exponent=float(kwargs.get("p", 0.5)),
-            )
+            return InvariantOverlap(state(0), vector_preset(args[1], fieldname))
+        if kind in _SKEWS:
+            return _SKEWS[kind](state(0), observable_preset(args[1], fieldname),
+                                exponent=float(kwargs.get("p", 0.5)))
     except ConfigError:
         raise
     except (IndexError, KeyError) as exc:
@@ -335,7 +317,7 @@ def load_config(path, seed_override: int | None = None,
 
     grid = parser["grid"] if "grid" in parser else {}
     if not grid and for_import:
-        grid = {"t_max": "1.0", "nodes": "16"}  # placeholders, file supplies the grid
+        grid = {"t_max": "1.0", "nodes": str(MIN_NODES)}  # placeholders, file supplies the grid
     try:
         t_max = float(grid.get("t_max", "nan"))
     except ValueError as exc:
@@ -346,8 +328,8 @@ def load_config(path, seed_override: int | None = None,
         nodes = int(grid.get("nodes", "257"))
     except ValueError as exc:
         raise ConfigError("grid.nodes", "must be an integer") from exc
-    if nodes < 16:
-        raise ConfigError("grid.nodes", f"must be at least 16, got {nodes}")
+    if nodes < MIN_NODES:
+        raise ConfigError("grid.nodes", f"must be at least {MIN_NODES}, got {nodes}")
 
     backend = (backend_override or
                (parser["backend"].get("kind", "auto") if "backend" in parser else "auto")).lower()

@@ -4,6 +4,10 @@ Operators are vectorized by column stacking, so a map on d-dimensional states
 is a d^2 x d^2 complex matrix and vec(A X B) = (B^T kron A) vec(X).  The Choi
 matrix and the Heisenberg-picture dual are derived from that convention.
 
+Generators are built in GKSL form on one time or an array of times; rate
+functions and replacement targets are evaluated on arrays, so custom ones
+must accept arrays.
+
 Trajectories hold the map at every node of a time grid.  They are built either
 from closed-form solutions (pure dephasing, trace replacement, spin-boson from
 the memory-kernel amplitude) or by adaptive RK45 integration of
@@ -21,6 +25,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
 
+from .operators import _dagger
 from .volterra import (
     AmplitudeSolution,
     ExponentialKernel,
@@ -64,23 +69,33 @@ def unvec(vector: np.ndarray, dim: int | None = None) -> np.ndarray:
     return vector.reshape((d, d), order="F")
 
 
-def left_multiplication(a: np.ndarray) -> np.ndarray:
-    """Superoperator of X -> A X."""
-    return np.kron(np.eye(a.shape[0]), a)
-
-
-def right_multiplication(b: np.ndarray) -> np.ndarray:
-    """Superoperator of X -> X B."""
-    return np.kron(b.T, np.eye(b.shape[0]))
+def superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Superoperator B^T ⊗ A of X -> A X B.  Stacks (..., d, d) broadcast to a
+    stack (..., d^2, d^2)."""
+    a, b = np.asarray(a), np.asarray(b)
+    d = a.shape[-1]
+    prod = np.swapaxes(b, -1, -2)[..., :, None, :, None] * a[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], d * d, d * d)
 
 
 def sandwich(a: np.ndarray) -> np.ndarray:
     """Superoperator of X -> A X A†."""
-    return np.kron(a.conj(), a)
+    return superop(a, _dagger(a))
 
 
-def identity_superop(dim: int) -> np.ndarray:
-    return np.eye(dim * dim, dtype=complex)
+def dissipator(jumps: np.ndarray) -> np.ndarray:
+    """D[A] = A · A† − ½{A†A, ·} for one jump operator or a stack of them."""
+    jumps = np.asarray(jumps, dtype=complex)
+    eye = np.eye(jumps.shape[-1])
+    gram = _dagger(jumps) @ jumps
+    return sandwich(jumps) - 0.5 * (superop(gram, eye) + superop(eye, gram))
+
+
+def commutator(h: np.ndarray) -> np.ndarray:
+    """The Hamiltonian part −i[H, ·]."""
+    h = np.asarray(h, dtype=complex)
+    eye = np.eye(h.shape[-1])
+    return -1j * (superop(h, eye) - superop(eye, h))
 
 
 def apply_superop(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -125,8 +140,8 @@ def choi_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def dual_superop(m: np.ndarray) -> np.ndarray:
-    """Heisenberg-picture dual, the Hilbert-Schmidt adjoint Λ*."""
-    return m.conj().T
+    """Heisenberg-picture dual, the Hilbert-Schmidt adjoint Λ*, of one map or a stack."""
+    return _dagger(m)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +203,7 @@ class ConstantTarget:
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
 
     def __call__(self, t) -> np.ndarray:
-        return self.matrix
+        return np.broadcast_to(self.matrix, np.shape(t) + self.matrix.shape)
 
 
 @dataclass(frozen=True)
@@ -199,8 +214,8 @@ class BlochZSineTarget:
     angular_frequency: float = 1.0
 
     def __call__(self, t) -> np.ndarray:
-        z = self.scale * np.sin(self.angular_frequency * float(t))
-        return 0.5 * (np.eye(2, dtype=complex) + z * SIGMA_Z)
+        z = self.scale * np.sin(self.angular_frequency * np.asarray(t, dtype=float))
+        return 0.5 * (np.eye(2, dtype=complex) + z[..., None, None] * SIGMA_Z)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +238,11 @@ class TraceReplacement:
     """L_t(rho) = rate(t) (target(t) Tr(rho) - rho), Tr target(t) = 1."""
 
     rate: RateFunction
-    target: Callable[[float], np.ndarray]
+    target: Callable[[np.ndarray], np.ndarray]
 
     @property
     def dim(self) -> int:
-        return int(np.asarray(self.target(0.0)).shape[0])
+        return int(np.asarray(self.target(0.0)).shape[-1])
 
 
 @dataclass
@@ -244,70 +259,71 @@ class SpinBoson:
 
 @dataclass(frozen=True)
 class Lindblad:
-    """Generic GKSL generator with time-dependent rates.
+    """GKSL generator -i[H, .] + sum_k rate_k(t) D[A_k] with time-dependent,
+    possibly negative rates.
 
-    ``noise`` is a sequence of (operator, rate) pairs; ``hamiltonian`` may be a
-    constant matrix, a callable of time, or None.
+    ``hamiltonian`` is a constant matrix or None; ``noise`` is a sequence of
+    (jump operator A_k, rate_k) pairs, each rate a callable of an array of times.
     """
 
-    hamiltonian: np.ndarray | Callable[[float], np.ndarray] | None
+    hamiltonian: np.ndarray | None
     noise: tuple
     dim: int
-
-    def hamiltonian_at(self, t: float) -> np.ndarray | None:
-        if self.hamiltonian is None:
-            return None
-        if callable(self.hamiltonian):
-            return np.asarray(self.hamiltonian(t), dtype=complex)
-        return np.asarray(self.hamiltonian, dtype=complex)
 
 
 GeneratorModel = Union[Dephasing, TraceReplacement, SpinBoson, Lindblad]
 
 
-def _check_unit_trace(omega: np.ndarray, t: float) -> np.ndarray:
-    omega = np.asarray(omega, dtype=complex)
-    tr = complex(np.trace(omega))
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"replacement target at t={t} has trace {tr}, expected 1")
-    return omega
+def _eval_scalar(fn, t) -> np.ndarray:
+    """A rate function, which must accept arrays, on a time or an array of times."""
+    return np.broadcast_to(np.asarray(fn(t), dtype=float), np.shape(t))
 
 
-def generator_superoperator(model: GeneratorModel, t: float) -> np.ndarray:
-    """The d^2 x d^2 matrix of the time-local generator L_t."""
-    if isinstance(model, Dephasing):
-        g = float(model.rate(t))
-        return 0.5 * g * (sandwich(SIGMA_Z) - identity_superop(2))
+def _check_unit_trace(omegas: np.ndarray, times) -> np.ndarray:
+    """The target stack at ``times``, or an error naming the first non-unit trace."""
+    omegas = np.asarray(omegas, dtype=complex)
+    tr = np.trace(omegas, axis1=-2, axis2=-1).reshape(-1)
+    bad = np.abs(tr - 1.0) > 1e-10
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"replacement target at t={np.asarray(times).reshape(-1)[k]} "
+                         f"has trace {tr[k]}, expected 1")
+    return omegas
+
+
+def _replacement(omegas: np.ndarray) -> np.ndarray:
+    """|vec omega><vec I|, the map rho -> omega Tr(rho), for a stack of omegas."""
+    d = omegas.shape[-1]
+    vec_omegas = np.swapaxes(omegas, -1, -2).reshape(*omegas.shape[:-2], d * d)
+    return vec_omegas[..., :, None] * vec(np.eye(d, dtype=complex)).conj()
+
+
+def generator_superoperator(model: GeneratorModel, t: float | np.ndarray) -> np.ndarray:
+    """The d^2 x d^2 matrix of the time-local generator L_t at one time, or the
+    stack (..., d^2, d^2) at an array of times: constant GKSL superoperators
+    weighted by the rate arrays, or rate(t) (|vec target(t)><vec I| - id)."""
+    times = np.asarray(t, dtype=float)
     if isinstance(model, TraceReplacement):
-        g = float(model.rate(t))
-        omega = _check_unit_trace(model.target(t), t)
-        d = omega.shape[0]
-        return g * (np.outer(vec(omega), vec(np.eye(d, dtype=complex)).conj()) - identity_superop(d))
-    if isinstance(model, SpinBoson):
+        replacement = _replacement(_check_unit_trace(model.target(times), times))
+        g = _eval_scalar(model.rate, times)
+        return g[..., None, None] * (replacement - np.eye(replacement.shape[-1]))
+    if isinstance(model, Dephasing):
+        terms, rates = dissipator(SIGMA_Z[None]), [0.5 * _eval_scalar(model.rate, times)]
+    elif isinstance(model, SpinBoson):
         if model.solution is None:
             raise ValueError("spin-boson kernel solution unavailable; solve the memory kernel first")
-        shift, decay = model.solution.rates(t)
-        number = SIGMA_PLUS @ SIGMA_MINUS  # excited-state projector
-        lmul = left_multiplication(number)
-        rmul = right_multiplication(number)
-        return (-0.5j * shift) * (lmul - rmul) + decay * (sandwich(SIGMA_MINUS) - 0.5 * (lmul + rmul))
-    if isinstance(model, Lindblad):
+        shift, decay = model.solution.rates(times)
+        terms = np.stack([commutator(SIGMA_PLUS @ SIGMA_MINUS), dissipator(SIGMA_MINUS)])
+        rates = [0.5 * shift, decay]
+    elif isinstance(model, Lindblad):
         d = model.dim
-        out = np.zeros((d * d, d * d), dtype=complex)
-        h = model.hamiltonian_at(t)
-        if h is not None:
-            out += -1j * (left_multiplication(h) - right_multiplication(h))
-        for op, rate in model.noise:
-            op = np.asarray(op, dtype=complex)
-            g = float(rate(t)) if callable(rate) else float(rate)
-            gram = op.conj().T @ op
-            out += g * (sandwich(op) - 0.5 * (left_multiplication(gram) + right_multiplication(gram)))
-        return out
-    raise TypeError(f"unknown generator model {type(model).__name__}")
-
-
-def has_analytic_backend(model: GeneratorModel) -> bool:
-    return isinstance(model, (Dephasing, TraceReplacement, SpinBoson))
+        h = np.zeros((d, d)) if model.hamiltonian is None else model.hamiltonian
+        jumps = np.reshape([op for op, _ in model.noise], (-1, d, d))
+        terms = np.concatenate([commutator(h)[None], dissipator(jumps)])
+        rates = [np.ones(times.shape)] + [_eval_scalar(rate, times) for _, rate in model.noise]
+    else:
+        raise TypeError(f"unknown generator model {type(model).__name__}")
+    return np.einsum("...k,kij->...ij", np.stack(rates, axis=-1), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +331,8 @@ def has_analytic_backend(model: GeneratorModel) -> bool:
 # ---------------------------------------------------------------------------
 
 def _refined_grid(times: np.ndarray, refine: int) -> np.ndarray:
-    pieces = [np.asarray([times[0]])]
-    for k in range(times.size - 1):
-        pieces.append(np.linspace(times[k], times[k + 1], refine + 1)[1:])
-    return np.concatenate(pieces)
-
-
-def _eval_scalar(fn, tt: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(fn(tt), dtype=float)
-        if out.shape == tt.shape:
-            return out
-    except Exception:
-        pass
-    return np.asarray([float(fn(t)) for t in tt], dtype=float)
+    inner = np.linspace(times[:-1], times[1:], refine + 1, axis=-1)[:, 1:]
+    return np.concatenate([times[:1], inner.reshape(-1)])
 
 
 def cumulative_rate_integral(rate: RateFunction, times: np.ndarray, refine: int = 16) -> np.ndarray:
@@ -347,23 +351,20 @@ def averaged_target_series(model: TraceReplacement, times: np.ndarray, refine: i
     with the t -> 0 limit target(0).
     """
     times = np.asarray(times, dtype=float)
-    d = model.dim
     tt = _refined_grid(times, refine)
     rates = _eval_scalar(model.rate, tt)
     gammas = cumulative_simpson(rates, x=tt, initial=0.0)
-    targets = np.stack([_check_unit_trace(model.target(t), t) for t in tt])
+    targets = _check_unit_trace(model.target(tt), tt)
     integrand = (rates * np.exp(gammas))[:, None, None] * targets
     # cumulative_simpson handles real input only; integrate the parts separately
     cum = (cumulative_simpson(integrand.real, x=tt, initial=0.0, axis=0)
            + 1j * cumulative_simpson(integrand.imag, x=tt, initial=0.0, axis=0))
     node_gamma = gammas[::refine][: times.size]
     node_cum = cum[::refine][: times.size]
-    omegas = np.empty((times.size, d, d), dtype=complex)
-    for k, g in enumerate(node_gamma):
-        if g > 1e-12:
-            omegas[k] = node_cum[k] / (np.exp(g) - 1.0)
-        else:
-            omegas[k] = np.asarray(model.target(0.0), dtype=complex)
+    started = node_gamma > 1e-12
+    denom = np.where(started, np.exp(node_gamma) - 1.0, 1.0)[:, None, None]
+    omegas = np.where(started[:, None, None], node_cum / denom,
+                      np.asarray(model.target(0.0), dtype=complex))
     return node_gamma, omegas
 
 
@@ -398,6 +399,8 @@ class Trajectory:
         self.maps = np.asarray(self.maps, dtype=complex)
         if self.times.ndim != 1 or self.maps.ndim != 3 or self.maps.shape[0] != self.times.size:
             raise ValueError("need matching 1-d times and (N, d^2, d^2) maps")
+        if self.times.size == 0:
+            raise ValueError("trajectory grid is empty")
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("trajectory times must be strictly increasing")
         if abs(self.times[0]) > 1e-15:
@@ -453,9 +456,6 @@ class Trajectory:
         w = (t - self.times[lo]) / (self.times[hi] - self.times[lo])
         return (1.0 - w) * self.maps[lo] + w * self.maps[hi]
 
-    def dual_maps(self) -> np.ndarray:
-        return np.conj(np.transpose(self.maps, (0, 2, 1)))
-
 
 def _spin_boson_maps(amplitudes: np.ndarray) -> np.ndarray:
     """Map stack from the amplitude series: populations |G|^2, coherences G*."""
@@ -487,16 +487,10 @@ def _evolve_analytic(model: GeneratorModel, times: np.ndarray) -> np.ndarray:
         maps[:, 1, 1] = maps[:, 2, 2] = damping
         return maps
     if isinstance(model, TraceReplacement):
-        d = model.dim
         gammas, omegas = averaged_target_series(model, times)
-        decay = np.exp(-gammas)
-        ident = vec(np.eye(d, dtype=complex))
-        maps = decay[:, None, None] * np.eye(d * d)[None, :, :]
-        omission = (1.0 - decay)[:, None, None] * np.einsum(
-            "kn,m->knm", omegas.transpose(0, 2, 1).reshape(times.size, d * d), ident.conj()
-        )
-        maps = maps.astype(complex) + omission
-        maps[0] = np.eye(d * d)
+        decay = np.exp(-gammas)[:, None, None]
+        maps = decay * np.eye(model.dim ** 2) + (1.0 - decay) * _replacement(omegas)
+        maps[0] = np.eye(model.dim ** 2)
         return maps
     if isinstance(model, SpinBoson):
         if isinstance(model.kernel, ExponentialKernel):
@@ -546,7 +540,8 @@ def evolve(
     """
     times = np.asarray(times, dtype=float)
     if backend == "auto":
-        backend = "analytic" if has_analytic_backend(model) else "numeric"
+        closed_form = isinstance(model, (Dephasing, TraceReplacement, SpinBoson))
+        backend = "analytic" if closed_form else "numeric"
     if backend == "analytic":
         maps = _evolve_analytic(model, times)
     elif backend == "numeric":
@@ -575,18 +570,15 @@ def intermediate_map(traj: Trajectory, t: float, s: float) -> np.ndarray:
 # Model descriptors and trajectory files
 # ---------------------------------------------------------------------------
 
+_SCALAR_PRESETS = {Constant: "constant", Sine: "sine", OffsetSine: "offset_sine", Table: "table"}
+
+
 def _describe_scalar(fn) -> dict:
-    if isinstance(fn, Constant):
-        return {"preset": "constant", "value": fn.value}
-    if isinstance(fn, Sine):
-        return {"preset": "sine", "amplitude": fn.amplitude,
-                "angular_frequency": fn.angular_frequency, "phase": fn.phase}
-    if isinstance(fn, OffsetSine):
-        return {"preset": "offset_sine", "offset": fn.offset, "amplitude": fn.amplitude,
-                "angular_frequency": fn.angular_frequency, "phase": fn.phase}
-    if isinstance(fn, Table):
-        return {"preset": "table", "times": list(fn.times), "values": list(fn.values)}
-    return {"preset": "custom"}
+    """The preset name and the fields of a rate function; "custom" for a callable."""
+    if type(fn) not in _SCALAR_PRESETS:
+        return {"preset": "custom"}
+    fields = {k: list(v) if np.ndim(v) else v for k, v in vars(fn).items()}
+    return {"preset": _SCALAR_PRESETS[type(fn)], **fields}
 
 
 def describe_model(model: GeneratorModel | None) -> dict:

@@ -41,6 +41,9 @@ import numpy as np
 from . import operators as ops
 from .dynamics import (
     CONDITION_LIMIT,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     GeneratorModel,
     Trajectory,
     apply_extended,
@@ -171,7 +174,7 @@ def rhp_rate(model: GeneratorModel, t: float | np.ndarray) -> float | np.ndarray
     zero, so a GKSL generator with non-negative rates gives exactly 0.
     """
     times = np.asarray(t, dtype=float)
-    gens = np.stack([generator_superoperator(model, s) for s in times.reshape(-1)])
+    gens = generator_superoperator(model, times.reshape(-1))
     projector = ops.max_entangled_projector(model.dim)
     complement = np.eye(projector.shape[0]) - projector
     delta = apply_extended(gens, projector)
@@ -191,12 +194,7 @@ def rhp_measure(model: GeneratorModel, times: np.ndarray) -> float:
 # Witness-measure search
 # ---------------------------------------------------------------------------
 
-_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_PAULIS = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def gell_mann_basis(d: int) -> list:

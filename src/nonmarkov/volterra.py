@@ -114,6 +114,17 @@ class TabulatedKernel:
 MemoryKernel = ExponentialKernel | TabulatedKernel
 
 
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex a / b by Smith's formula with true divisions, as Python divides
+    complex numbers; numpy multiplies by a reciprocal, which differs in the last
+    bit, and RK45 amplifies that near the zeros of G."""
+    turn = np.where(np.abs(np.real(b)) >= np.abs(np.imag(b)), 1.0, 1j)
+    a, b = a * turn, b * turn  # exact; now |Re b| >= |Im b|
+    ratio = b.imag / b.real
+    denom = b.real + b.imag * ratio
+    return (a.real + a.imag * ratio) / denom + 1j * ((a.imag - a.real * ratio) / denom)
+
+
 @dataclass
 class AmplitudeSolution:
     """G and G' on a uniform grid, with cubic interpolation for off-grid queries."""
@@ -139,15 +150,18 @@ class AmplitudeSolution:
     def derivative(self, t: np.ndarray | float) -> np.ndarray:
         return self._deriv_spline(t)
 
-    def rates(self, t: float) -> tuple[float, float]:
-        """Time-local (shift, decay) rates; fails where |G| is singular."""
-        g = complex(self._value_spline(t))
-        if abs(g) < AMPLITUDE_FLOOR:
-            raise SingularAmplitudeError(
-                f"|G({t})| = {abs(g):.3e} below {AMPLITUDE_FLOOR}; rates diverge"
-            )
-        ratio = complex(self._deriv_spline(t)) / g
-        return -2.0 * ratio.imag, -2.0 * ratio.real
+    def rates(self, t: np.ndarray | float):
+        """Time-local (shift, decay) rates at one time (floats) or an array of
+        times (arrays); fails where |G| is singular."""
+        g = np.asarray(self._value_spline(t))
+        collapsed = (np.abs(g) < AMPLITUDE_FLOOR).reshape(-1)
+        if collapsed.any():
+            k = int(np.argmax(collapsed))
+            raise SingularAmplitudeError(f"|G({np.ravel(t)[k]})| = {abs(g.reshape(-1)[k]):.3e} "
+                                         f"below {AMPLITUDE_FLOOR}; rates diverge")
+        ratio = _quotient(self._deriv_spline(t), g)
+        shift, decay = -2.0 * ratio.imag, -2.0 * ratio.real
+        return (float(shift), float(decay)) if g.ndim == 0 else (shift, decay)
 
 
 def solve_memory_kernel(

@@ -32,6 +32,7 @@ from .dynamics import (
     Trajectory,
     apply_extended,
     apply_superop_batch,
+    dual_superop,
 )
 
 VIOLATION_ENTER = 1e-9
@@ -303,7 +304,7 @@ def _operator_norm_values(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _functional_on_maps(maps: np.ndarray, spec: WitnessSpec):
     """Underlying functional for a stack of maps, plus a kink-suspicion mask."""
-    duals = np.conj(np.transpose(maps, (0, 2, 1)))
+    duals = dual_superop(maps)
     none = np.zeros(maps.shape[0], dtype=bool)
     if isinstance(spec, ExtendedTraceNormWitness):
         return _trace_norm_values(apply_extended(maps, spec.witness))
@@ -393,15 +394,6 @@ def derivative_series(times: np.ndarray, values: np.ndarray,
 # Flows, series, violation intervals
 # ---------------------------------------------------------------------------
 
-def _invariance_requirements(spec: WitnessSpec):
-    if isinstance(spec, InvariantOverlap):
-        yield "state", np.outer(spec.psi0, spec.psi0.conj())
-    elif isinstance(spec, SchrodingerSkew):
-        yield "observable", spec.observable
-    elif isinstance(spec, HeisenbergSkew):
-        yield "state", spec.sigma0
-
-
 def verify_invariance(traj: Trajectory, state: np.ndarray | None = None,
                       observable: np.ndarray | None = None,
                       tol: float = INVARIANCE_TOL) -> tuple[bool, float]:
@@ -412,23 +404,27 @@ def verify_invariance(traj: Trajectory, state: np.ndarray | None = None,
         evolved = apply_superop_batch(traj.maps, np.asarray(state, dtype=complex))
         dev = float(np.abs(evolved - np.asarray(state)).max())
     else:
-        evolved = apply_superop_batch(traj.dual_maps(), np.asarray(observable, dtype=complex))
+        evolved = apply_superop_batch(dual_superop(traj.maps), np.asarray(observable, dtype=complex))
         dev = float(np.abs(evolved - np.asarray(observable)).max())
     return dev <= tol, dev
 
 
 def _ensure_invariance(traj: Trajectory, spec: WitnessSpec) -> None:
-    for kind, obj in _invariance_requirements(spec):
-        ok, dev = (
-            verify_invariance(traj, state=obj)
-            if kind == "state"
-            else verify_invariance(traj, observable=obj)
-        )
-        if not ok:
-            raise InvarianceError(
-                f"witness requires an invariant {kind}; max deviation {dev:.3e} "
-                f"exceeds {INVARIANCE_TOL}"
-            )
+    """Raise InvarianceError unless the invariant state or observable the spec
+    relies on is invariant along the trajectory."""
+    if isinstance(spec, InvariantOverlap):
+        required = {"state": np.outer(spec.psi0, spec.psi0.conj())}
+    elif isinstance(spec, HeisenbergSkew):
+        required = {"state": spec.sigma0}
+    elif isinstance(spec, SchrodingerSkew):
+        required = {"observable": spec.observable}
+    else:
+        return
+    ok, dev = verify_invariance(traj, **required)
+    if not ok:
+        (kind,) = required
+        raise InvarianceError(f"witness requires an invariant {kind}; max deviation "
+                              f"{dev:.3e} exceeds {INVARIANCE_TOL}")
 
 
 def flow_series(traj: Trajectory, spec: WitnessSpec) -> tuple[np.ndarray, np.ndarray]:

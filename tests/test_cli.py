@@ -214,6 +214,16 @@ class TestImport:
         assert main(["import", str(path), "--config", cfg_path, "--quiet"]) == 2
         assert "node 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodes", [1, 2])
+    def test_import_rejects_too_few_nodes(self, tmp_path, capsys, nodes):
+        traj = evolve(Dephasing(rate=Sine(1.0)), np.linspace(0, 1, 17))
+        short = Trajectory(times=traj.times[:nodes], maps=traj.maps[:nodes])
+        path = tmp_path / "short.traj"
+        save_trajectory(short, path)
+        cfg_path = _write(tmp_path, EXAMPLE1)
+        assert main(["import", str(path), "--config", cfg_path, "--quiet"]) == 2
+        assert f"{nodes} nodes, fewer than 16" in capsys.readouterr().err
+
     def test_import_without_model_section(self, tmp_path):
         traj = evolve(Dephasing(rate=Sine(1.0)), np.linspace(0, 2 * np.pi, 65))
         path = tmp_path / "t.traj"

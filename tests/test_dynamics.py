@@ -6,11 +6,15 @@ import pytest
 
 import nonmarkov.dynamics as dyn
 from nonmarkov.dynamics import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_Z,
     BlochZSineTarget,
     Constant,
     ConstantTarget,
     Dephasing,
     Lindblad,
+    OffsetSine,
     Sine,
     SingularPropagatorError,
     SpinBoson,
@@ -102,6 +106,85 @@ class TestGenerator:
             Lindblad(hamiltonian=None, noise=((PAULI_Z, Constant(0.5)),), dim=2), 0.0
         )
         np.testing.assert_allclose(a, b, atol=1e-14)
+
+
+def _kron_generator(model, t):
+    """Reference L_t at one time, from explicit Kronecker products."""
+    d = model.dim
+    eye = np.eye(d)
+    lmul = lambda a: np.kron(eye, a)
+    rmul = lambda b: np.kron(b.T, eye)
+    hamiltonian = lambda h: -1j * (lmul(h) - rmul(h))
+
+    def dissipator(a):
+        gram = a.conj().T @ a
+        return np.kron(a.conj(), a) - 0.5 * (lmul(gram) + rmul(gram))
+
+    if isinstance(model, Dephasing):
+        return 0.5 * float(model.rate(t)) * dissipator(PAULI_Z)
+    if isinstance(model, TraceReplacement):
+        omega = model.target(t)
+        return float(model.rate(t)) * (np.outer(vec(omega), vec(eye)) - np.eye(d * d))
+    if isinstance(model, SpinBoson):
+        shift, decay = model.solution.rates(t)
+        return hamiltonian(0.5 * shift * SIGMA_PLUS @ SIGMA_MINUS) + decay * dissipator(SIGMA_MINUS)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    if model.hamiltonian is not None:
+        out += hamiltonian(model.hamiltonian)
+    for op, rate in model.noise:
+        out += float(rate(t)) * dissipator(op)
+    return out
+
+
+def _spin_boson_with_solution():
+    model = SpinBoson(kernel=ExponentialKernel(1.0, 4.0))
+    model.solution = model.kernel.closed_form_solution(np.linspace(0, 5, 501))
+    return model
+
+
+GENERATOR_CASES = {
+    "sine_dephasing": (Dephasing(rate=Sine(1.0)), np.linspace(0, 2 * np.pi, 97)),
+    "bloch_z_replacement": (
+        TraceReplacement(rate=Constant(1.0), target=BlochZSineTarget(scale=1.2)),
+        np.linspace(0, 2 * np.pi, 97)),
+    # the driven GKSL qubit of perfbench/workloads/gksl_bank.ini
+    "gksl_bank": (
+        Lindblad(hamiltonian=0.5 * SIGMA_Z,
+                 noise=((SIGMA_MINUS, OffsetSine(0.2, 1.0)), (SIGMA_Z, Sine(0.5))), dim=2),
+        np.linspace(0, 4 * np.pi, 201)),
+    "hamiltonian_only": (Lindblad(hamiltonian=0.5 * PAULI_X, noise=(), dim=2),
+                         np.linspace(0, 1, 9)),
+    "qutrit": (Lindblad(hamiltonian=None,
+                        noise=((np.diag([1.0, 0, 0]).astype(complex), Constant(1.0)),), dim=3),
+               np.linspace(0, 1, 9)),
+    "spin_boson": (_spin_boson_with_solution(), np.linspace(0, 5, 101)),
+}
+
+
+class TestGeneratorStack:
+    @pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+    def test_stack_matches_scalar_and_kron_reference(self, name):
+        model, times = GENERATOR_CASES[name]
+        n = model.dim ** 2
+        stack = generator_superoperator(model, times)
+        assert stack.shape == (times.size, n, n)
+        for k, t in enumerate(times):
+            single = generator_superoperator(model, t)
+            assert single.shape == (n, n)
+            np.testing.assert_array_equal(single, stack[k])
+            np.testing.assert_allclose(stack[k], _kron_generator(model, t), rtol=0, atol=1e-14)
+        grid = generator_superoperator(model, times[: times.size // 2 * 2].reshape(2, -1))
+        np.testing.assert_array_equal(grid.reshape(-1, n, n), stack[: times.size // 2 * 2])
+
+    def test_first_bad_target_time_named(self):
+        def target(t):
+            late = (np.asarray(t) > 1.0)[..., None, None]
+            return 0.5 * np.eye(2, dtype=complex) * (1.0 + late)
+
+        model = TraceReplacement(rate=Constant(1.0), target=target)
+        assert generator_superoperator(model, np.linspace(0, 1, 5)).shape == (5, 4, 4)
+        with pytest.raises(ValueError, match=r"t=1\.5 has trace"):
+            generator_superoperator(model, np.linspace(0, 2, 5))
 
 
 class TestChoiAndDual:
@@ -315,6 +398,10 @@ class TestTrajectoryValidation:
         maps = np.stack([np.eye(4), np.eye(4)]).astype(complex)
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 0.0]), maps=maps)
+
+    def test_empty_grid(self):
+        with pytest.raises(ValueError, match="empty"):
+            Trajectory(times=np.array([]), maps=np.zeros((0, 4, 4)))
 
     def test_map_at_interpolates(self):
         traj = evolve(Dephasing(rate=Constant(1.0)), np.linspace(0, 1, 11))

@@ -94,6 +94,38 @@ def test_collapse_detection_and_singular_rates():
         sol.rates(0.5)
 
 
+def test_rates_on_an_array_of_times():
+    sol = solve_memory_kernel(OVERDAMPED, np.linspace(0, 5, 501))
+    times = np.linspace(0, 5, 37)
+    shift, decay = sol.rates(times)
+    assert shift.shape == decay.shape == times.shape
+    for k, t in enumerate(times):
+        one = sol.rates(t)
+        assert all(isinstance(x, float) for x in one)
+        assert one == (shift[k], decay[k])
+    collapsed = AmplitudeSolution(times=np.linspace(0, 1, 11),
+                                  values=np.where(np.arange(11) == 5, 1e-14, 1.0).astype(complex),
+                                  derivatives=np.zeros(11, complex))
+    assert collapsed.rates(np.array([0.1, 0.2]))[1].shape == (2,)
+    with pytest.raises(SingularAmplitudeError, match=r"\|G\(0\.5\)\|"):
+        collapsed.rates(np.array([0.1, 0.5, 0.7]))
+
+
+def test_rates_divide_as_python_complex():
+    # RK45 through the zeros of G amplifies last-bit changes of the rates, so
+    # the quotient G'/G must be the one Python's complex division gives
+    rng = np.random.default_rng(5)
+    times = np.linspace(0, 1, 41)
+    sol = AmplitudeSolution(times=times,
+                            values=rng.normal(size=41) + 1j * rng.normal(size=41),
+                            derivatives=rng.normal(size=41) + 1j * rng.normal(size=41))
+    probe = np.linspace(0, 1, 997)
+    shift, decay = sol.rates(probe)
+    for k, t in enumerate(probe):
+        ratio = complex(sol.derivative(t)) / complex(sol.amplitude(t))
+        assert (shift[k], decay[k]) == (-2.0 * ratio.imag, -2.0 * ratio.real)
+
+
 def test_no_collapse_for_overdamped():
     sol = solve_memory_kernel(OVERDAMPED, np.linspace(0, 10, 2001))
     assert sol.first_collapse is None
