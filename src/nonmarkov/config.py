@@ -167,14 +167,14 @@ def parse_witness_descriptor(text: str, fieldname: str = "witnesses.specs"):
         if kind in _STATE_PAIRS:
             return _STATE_PAIRS[kind](state(0), state(1))
         if kind == "renyi":
-            return RenyiPair(state(0), state(1), alpha=float(kwargs.get("alpha", 0.5)))
+            return RenyiPair(state(0), state(1), alpha=_number(kwargs.get("alpha", 0.5), fieldname))
         if kind == "tsallis":
-            return TsallisPair(state(0), state(1), q=float(kwargs.get("q", 0.5)))
+            return TsallisPair(state(0), state(1), q=_number(kwargs.get("q", 0.5), fieldname))
         if kind == "overlap":
             return InvariantOverlap(state(0), vector_preset(args[1], fieldname))
         if kind in _SKEWS:
             return _SKEWS[kind](state(0), observable_preset(args[1], fieldname),
-                                exponent=float(kwargs.get("p", 0.5)))
+                                exponent=_number(kwargs.get("p", 0.5), fieldname))
     except ConfigError:
         raise
     except (IndexError, KeyError) as exc:
@@ -188,23 +188,36 @@ def parse_witness_descriptor(text: str, fieldname: str = "witnesses.specs"):
 # Model parsing
 # ---------------------------------------------------------------------------
 
-def _floats(raw: str, fieldname: str):
+def _number(raw, fieldname: str) -> float:
+    """A finite number from a config value; ConfigError naming the field otherwise."""
     try:
-        return tuple(float(x) for x in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(fieldname, f"expected comma-separated numbers, got {raw!r}") from exc
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(fieldname, f"expected a number, got {raw!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(fieldname, f"must be finite, got {raw!r}")
+    return value
+
+
+def _floats(raw: str, fieldname: str):
+    return tuple(_number(x, fieldname) for x in raw.split(","))
+
+
+# Scalar presets: the class and its (parameter, default) pairs in argument order.
+_SCALARS = {
+    "constant": (Constant, (("value", 1.0),)),
+    "sine": (Sine, (("amplitude", 1.0), ("angular_frequency", 1.0), ("phase", 0.0))),
+    "offset_sine": (OffsetSine, (("offset", 0.0), ("amplitude", 1.0),
+                                 ("angular_frequency", 1.0), ("phase", 0.0))),
+}
 
 
 def _parse_scalar(section, prefix: str, fieldname: str):
     preset = section.get(prefix, "constant").strip().lower()
-    get = lambda key, default: float(section.get(f"{prefix}.{key}", default))
-    if preset == "constant":
-        return Constant(get("value", 1.0))
-    if preset == "sine":
-        return Sine(get("amplitude", 1.0), get("angular_frequency", 1.0), get("phase", 0.0))
-    if preset == "offset_sine":
-        return OffsetSine(get("offset", 0.0), get("amplitude", 1.0),
-                          get("angular_frequency", 1.0), get("phase", 0.0))
+    if preset in _SCALARS:
+        cls, params = _SCALARS[preset]
+        return cls(*(_number(section.get(f"{prefix}.{key}", default), f"{fieldname}.{key}")
+                     for key, default in params))
     if preset == "table":
         times = _floats(section.get(f"{prefix}.times", ""), f"{fieldname}.times")
         values = _floats(section.get(f"{prefix}.values", ""), f"{fieldname}.values")
@@ -227,34 +240,35 @@ def parse_model(section) -> GeneratorModel:
             v = _KET[target_name]
             target = ConstantTarget(np.outer(v, v.conj()))
         elif target_name == "bloch_z_sine":
-            target = BlochZSineTarget(
-                scale=float(section.get("omega.scale", 1.0)),
-                angular_frequency=float(section.get("omega.angular_frequency", 1.0)),
-            )
+            target = BlochZSineTarget(*(
+                _number(section.get(f"omega.{key}", 1.0), f"model.omega.{key}")
+                for key in ("scale", "angular_frequency")))
         else:
             raise ConfigError("model.omega", f"unknown target preset {target_name!r}")
         return TraceReplacement(rate=rate, target=target)
     if variant == "spin_boson":
         kind = section.get("kernel", "exponential").strip().lower()
         if kind == "exponential":
-            kernel = ExponentialKernel(
-                coupling=float(section.get("kernel.coupling", 1.0)),
-                rate=float(section.get("kernel.rate", 1.0)),
-            )
+            build = ExponentialKernel
+            args = [_number(section.get(f"kernel.{key}", 1.0), f"model.kernel.{key}")
+                    for key in ("coupling", "rate")]
         elif kind == "table":
-            kernel = TabulatedKernel(
-                times=np.asarray(_floats(section.get("kernel.times", ""), "model.kernel.times")),
-                values=np.asarray(_floats(section.get("kernel.values", ""), "model.kernel.values")),
-            )
+            build = TabulatedKernel
+            args = [np.asarray(_floats(section.get(f"kernel.{key}", ""), f"model.kernel.{key}"))
+                    for key in ("times", "values")]
         else:
             raise ConfigError("model.kernel", f"unknown kernel preset {kind!r}")
-        return SpinBoson(kernel=kernel)
+        try:
+            return SpinBoson(kernel=build(*args))
+        except ValueError as exc:
+            raise ConfigError("model.kernel", str(exc)) from exc
     if variant == "gksl":
         ham_spec = section.get("hamiltonian", "none").strip().lower()
         hamiltonian = None
         if ham_spec != "none":
             name, _, coef = ham_spec.partition(":")
-            hamiltonian = float(coef or 1.0) * observable_preset(name, "model.hamiltonian")
+            hamiltonian = _number(coef or 1.0, "model.hamiltonian") * observable_preset(
+                name, "model.hamiltonian")
         noise = []
         index = 1
         while f"noise.{index}.op" in section:
@@ -304,8 +318,11 @@ def load_config(path, seed_override: int | None = None,
     With ``for_import=True`` the [model] and [grid] sections become optional:
     the trajectory file supplies both, and generator-based outputs are skipped.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError("config", str(exc)) from exc
     if not read:
         raise ConfigError("config", f"cannot read config file {path!r}")
 
@@ -318,11 +335,8 @@ def load_config(path, seed_override: int | None = None,
     grid = parser["grid"] if "grid" in parser else {}
     if not grid and for_import:
         grid = {"t_max": "1.0", "nodes": str(MIN_NODES)}  # placeholders, file supplies the grid
-    try:
-        t_max = float(grid.get("t_max", "nan"))
-    except ValueError as exc:
-        raise ConfigError("grid.t_max", "must be a number") from exc
-    if not np.isfinite(t_max) or t_max <= 0:
+    t_max = _number(grid.get("t_max"), "grid.t_max")
+    if t_max <= 0:
         raise ConfigError("grid.t_max", f"must be positive, got {grid.get('t_max')!r}")
     try:
         nodes = int(grid.get("nodes", "257"))
@@ -349,10 +363,7 @@ def load_config(path, seed_override: int | None = None,
     meas = parser["measures"] if "measures" in parser else {}
     enabled = str(meas.get("enabled", "true")).lower() in ("1", "true", "yes", "on")
     flag = lambda key: str(meas.get(key, "true")).lower() in ("1", "true", "yes", "on")
-    try:
-        divisibility_tol = float(meas.get("divisibility_tol", "1e-8"))
-    except ValueError as exc:
-        raise ConfigError("measures.divisibility_tol", "must be a number") from exc
+    divisibility_tol = _number(meas.get("divisibility_tol", "1e-8"), "measures.divisibility_tol")
     if divisibility_tol <= 0:
         raise ConfigError("measures.divisibility_tol", "must be positive")
 
@@ -367,6 +378,8 @@ def load_config(path, seed_override: int | None = None,
         raise ConfigError("search", f"invalid search setting: {exc}") from exc
     if search.seeds < 1 or search.iterations < 0:
         raise ConfigError("search", "seeds must be >= 1 and iterations >= 0")
+    if search.rng_seed < 0:
+        raise ConfigError("search.rng_seed", f"must be non-negative, got {search.rng_seed}")
 
     out = parser["output"] if "output" in parser else {}
     out_dir = Path(out_override or out.get("directory", "."))

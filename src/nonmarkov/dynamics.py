@@ -401,14 +401,18 @@ class Trajectory:
             raise ValueError("need matching 1-d times and (N, d^2, d^2) maps")
         if self.times.size == 0:
             raise ValueError("trajectory grid is empty")
+        if self.validate:
+            self._validate_invariants()
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("trajectory times must be strictly increasing")
         if abs(self.times[0]) > 1e-15:
             raise ValueError("trajectory must start at t = 0")
-        if self.validate:
-            self._validate_invariants()
 
     def _validate_invariants(self) -> None:
+        finite = np.isfinite(self.times) & np.isfinite(self.maps).all(axis=(1, 2))
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"node {k} (t={self.times[k]}) has a non-finite time or map")
         n = self.maps.shape[1]
         ident_err = np.abs(self.maps[0] - np.eye(n)).max()
         if ident_err > IDENTITY_TOL:
@@ -430,12 +434,6 @@ class Trajectory:
     @property
     def nodes(self) -> int:
         return self.times.size
-
-    @property
-    def spacing(self) -> float | None:
-        steps = np.diff(self.times)
-        h = float(steps[0])
-        return h if np.allclose(steps, h, rtol=1e-8, atol=1e-14) else None
 
     def node_index(self, t: float) -> int | None:
         k = int(np.searchsorted(self.times, t))

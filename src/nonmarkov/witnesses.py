@@ -1,7 +1,11 @@
 """Witness functionals along a trajectory and violation-interval detection.
 
-Every witness is a time functional of the evolved maps whose derivative is
-sign-normalized so that positive values signal a breakdown of divisibility:
+A witness family is a functional of the evolved maps that CP-divisible
+evolution cannot raise (orientation +1) or cannot lower (-1), so a positive
+oriented flow signals a breakdown of divisibility.  Each family is one spec
+class, the only place it is defined: ``values(maps)`` is its functional on a
+map stack with a kink-suspicion mask, ``orientation`` its sign, and
+``invariant()`` the state or observable it needs left fixed, or None:
 
 * extended/plain trace-norm witnesses: d/dt of the evolved trace norm
   (witnesses are stored with unit trace norm, so the flow is scale-free);
@@ -17,12 +21,13 @@ sign-normalized so that positive values signal a breakdown of divisibility:
 Derivatives are estimated from the node values with a fourth-order central
 stencil on uniform interiors, falling back to plain central secants near the
 grid edges and to one-sided secants where the evolved spectrum approaches a
-zero crossing (trace norms are only piecewise smooth there).
+zero crossing (trace norms are only piecewise smooth there).  Between nodes
+the flow is the node series interpolated linearly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from math import isqrt
 
 import numpy as np
@@ -47,220 +52,7 @@ class InvarianceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Witness specifications
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExtendedTraceNormWitness:
-    """Hermitian, non-PSD operator on H ⊗ H, stored with unit trace norm."""
-
-    witness: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = ops.check_hermitian(self.witness, "witness")
-        eigs = np.linalg.eigvalsh(w)
-        if eigs.min() >= -NON_PSD_TOL:
-            raise ValueError("extended witness must not be PSD (min eigenvalue >= -1e-12)")
-        object.__setattr__(self, "witness", w / np.abs(eigs).sum())
-
-    @property
-    def system_dim(self) -> int:
-        return isqrt(self.witness.shape[0])
-
-
-@dataclass(frozen=True)
-class PlainTraceNormWitness:
-    """Hermitian operator on H, stored with unit trace norm."""
-
-    operator: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = ops.check_hermitian(self.operator, "operator")
-        object.__setattr__(self, "operator", x / ops.trace_norm(x))
-
-    @property
-    def system_dim(self) -> int:
-        return self.operator.shape[0]
-
-
-@dataclass(frozen=True)
-class InformationFlowPair:
-    """State pair for the distinguishability (information-flow) criterion."""
-
-    rho1: np.ndarray
-    rho2: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rho1", ops.check_density_matrix(self.rho1, "rho1"))
-        object.__setattr__(self, "rho2", ops.check_density_matrix(self.rho2, "rho2"))
-
-    @property
-    def system_dim(self) -> int:
-        return self.rho1.shape[0]
-
-
-@dataclass(frozen=True)
-class _StatePair:
-    rho: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", ops.check_density_matrix(self.rho, "rho"))
-        object.__setattr__(self, "sigma", ops.check_density_matrix(self.sigma, "sigma"))
-
-    @property
-    def system_dim(self) -> int:
-        return self.rho.shape[0]
-
-
-@dataclass(frozen=True)
-class RelativeEntropyPair(_StatePair):
-    pass
-
-
-@dataclass(frozen=True)
-class RenyiPair(_StatePair):
-    alpha: float = 0.5
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (0.0 <= self.alpha < 1.0 or 1.0 < self.alpha <= 2.0):
-            raise ValueError(f"alpha must lie in [0,1) u (1,2], got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class TsallisPair(_StatePair):
-    q: float = 0.5
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 <= self.q < 1.0:
-            raise ValueError(f"q must lie in [0,1), got {self.q}")
-
-
-@dataclass(frozen=True)
-class FidelityPair(_StatePair):
-    pass
-
-
-@dataclass(frozen=True)
-class InvariantOverlap:
-    """Overlap of the evolved state with an invariant pure state."""
-
-    rho: np.ndarray
-    psi0: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", ops.check_density_matrix(self.rho, "rho"))
-        psi = np.asarray(self.psi0, dtype=complex).reshape(-1)
-        object.__setattr__(self, "psi0", psi / np.linalg.norm(psi))
-
-    @property
-    def system_dim(self) -> int:
-        return self.rho.shape[0]
-
-
-@dataclass(frozen=True)
-class SchrodingerSkew:
-    """Skew information of the evolved state with a conserved observable."""
-
-    rho: np.ndarray
-    observable: np.ndarray
-    exponent: float = 0.5
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", ops.check_density_matrix(self.rho, "rho"))
-        object.__setattr__(self, "observable", ops.check_hermitian(self.observable, "observable"))
-        if not 0.0 < self.exponent < 1.0:
-            raise ValueError(f"exponent must lie in (0,1), got {self.exponent}")
-
-    @property
-    def system_dim(self) -> int:
-        return self.rho.shape[0]
-
-
-@dataclass(frozen=True)
-class HeisenbergSkew:
-    """Skew information of an invariant state with the dual-evolved observable."""
-
-    sigma0: np.ndarray
-    observable: np.ndarray
-    exponent: float = 0.5
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma0", ops.check_density_matrix(self.sigma0, "sigma0"))
-        object.__setattr__(self, "observable", ops.check_hermitian(self.observable, "observable"))
-        if not 0.0 < self.exponent < 1.0:
-            raise ValueError(f"exponent must lie in (0,1), got {self.exponent}")
-
-    @property
-    def system_dim(self) -> int:
-        return self.sigma0.shape[0]
-
-
-@dataclass(frozen=True)
-class DualOperatorNormWitness:
-    """Hermitian, non-PSD operator on H ⊗ H for the Heisenberg-picture
-    operator-norm criterion; stored with unit operator norm."""
-
-    witness: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = ops.check_hermitian(self.witness, "witness")
-        eigs = np.linalg.eigvalsh(w)
-        if eigs.min() >= -NON_PSD_TOL:
-            raise ValueError("dual witness must not be PSD (min eigenvalue >= -1e-12)")
-        object.__setattr__(self, "witness", w / np.abs(eigs).max())
-
-    @property
-    def system_dim(self) -> int:
-        return isqrt(self.witness.shape[0])
-
-
-WitnessSpec = (
-    ExtendedTraceNormWitness
-    | PlainTraceNormWitness
-    | InformationFlowPair
-    | RelativeEntropyPair
-    | RenyiPair
-    | TsallisPair
-    | FidelityPair
-    | InvariantOverlap
-    | SchrodingerSkew
-    | HeisenbergSkew
-    | DualOperatorNormWitness
-)
-
-# Sign convention: +1 when the Markovian constraint bounds the derivative above
-# zero (monotone decreasing functionals), -1 for monotone increasing ones.
-_ORIENTATION = {
-    ExtendedTraceNormWitness: 1.0,
-    PlainTraceNormWitness: 1.0,
-    InformationFlowPair: 1.0,
-    RelativeEntropyPair: 1.0,
-    RenyiPair: 1.0,
-    TsallisPair: 1.0,
-    FidelityPair: -1.0,
-    InvariantOverlap: -1.0,
-    SchrodingerSkew: -1.0,
-    HeisenbergSkew: 1.0,
-    DualOperatorNormWitness: 1.0,
-}
-
-
-def orientation(spec: WitnessSpec) -> float:
-    return _ORIENTATION[type(spec)]
-
-
-def _check_dims(traj: Trajectory, spec: WitnessSpec) -> None:
-    if spec.system_dim != traj.dim:
-        raise ValueError(
-            f"spec dimension {spec.system_dim} does not match trajectory dimension {traj.dim}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Functional evaluation
+# Functionals on map stacks
 # ---------------------------------------------------------------------------
 
 def _window_changes(series: np.ndarray) -> np.ndarray:
@@ -302,52 +94,221 @@ def _operator_norm_values(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, changed
 
 
-def _functional_on_maps(maps: np.ndarray, spec: WitnessSpec):
-    """Underlying functional for a stack of maps, plus a kink-suspicion mask."""
-    duals = dual_superop(maps)
-    none = np.zeros(maps.shape[0], dtype=bool)
-    if isinstance(spec, ExtendedTraceNormWitness):
-        return _trace_norm_values(apply_extended(maps, spec.witness))
-    if isinstance(spec, PlainTraceNormWitness):
-        return _trace_norm_values(apply_superop_batch(maps, spec.operator))
-    if isinstance(spec, InformationFlowPair):
-        values, kinks = _trace_norm_values(apply_superop_batch(maps, spec.rho1 - spec.rho2))
+def _smooth(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A functional with no suspected kinks."""
+    return values, np.zeros(values.shape[0], dtype=bool)
+
+
+def _non_psd_witness(witness: np.ndarray, kind: str, norm) -> np.ndarray:
+    """A Hermitian, non-PSD operator on H ⊗ H divided by ``norm`` of its
+    eigenvalue magnitudes."""
+    w = ops.check_hermitian(witness, "witness")
+    eigs = np.linalg.eigvalsh(w)
+    if eigs.min() >= -NON_PSD_TOL:
+        raise ValueError(f"{kind} witness must not be PSD (min eigenvalue >= -1e-12)")
+    return w / norm(np.abs(eigs))
+
+
+# ---------------------------------------------------------------------------
+# Witness families
+# ---------------------------------------------------------------------------
+
+class WitnessSpec:
+    """What the families share.  Each family is a frozen dataclass deriving
+    from this class (never from another family) and defines
+    ``values(maps) -> (values, kink_mask)``."""
+
+    orientation = 1.0  # -1 for functionals that CP-divisible evolution cannot lower
+    _doubled = False  # the first field is an operator on H ⊗ H
+
+    @property
+    def system_dim(self) -> int:
+        n = getattr(self, fields(self)[0].name).shape[0]
+        return isqrt(n) if self._doubled else n
+
+    def invariant(self) -> dict | None:
+        """``{"state": σ}`` or ``{"observable": X}`` the trajectory must leave
+        fixed, as keyword arguments of :func:`verify_invariance`; or None."""
+        return None
+
+
+@dataclass(frozen=True)
+class ExtendedTraceNormWitness(WitnessSpec):
+    """Hermitian, non-PSD operator on H ⊗ H, stored with unit trace norm."""
+
+    witness: np.ndarray
+    _doubled = True
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "witness", _non_psd_witness(self.witness, "extended", np.sum))
+
+    def values(self, maps: np.ndarray):
+        return _trace_norm_values(apply_extended(maps, self.witness))
+
+
+@dataclass(frozen=True)
+class PlainTraceNormWitness(WitnessSpec):
+    """Hermitian operator on H, stored with unit trace norm."""
+
+    operator: np.ndarray
+
+    def __post_init__(self) -> None:
+        x = ops.check_hermitian(self.operator, "operator")
+        object.__setattr__(self, "operator", x / ops.trace_norm(x))
+
+    def values(self, maps: np.ndarray):
+        return _trace_norm_values(apply_superop_batch(maps, self.operator))
+
+
+@dataclass(frozen=True)
+class InformationFlowPair(WitnessSpec):
+    """State pair for the distinguishability (information-flow) criterion."""
+
+    rho1: np.ndarray
+    rho2: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rho1", ops.check_density_matrix(self.rho1, "rho1"))
+        object.__setattr__(self, "rho2", ops.check_density_matrix(self.rho2, "rho2"))
+
+    def values(self, maps: np.ndarray):
+        values, kinks = _trace_norm_values(apply_superop_batch(maps, self.rho1 - self.rho2))
         return 0.5 * values, kinks
-    if isinstance(spec, DualOperatorNormWitness):
-        return _operator_norm_values(apply_extended(duals, spec.witness))
-    if isinstance(spec, InvariantOverlap):
-        evolved = apply_superop_batch(maps, spec.rho)
-        values = np.einsum("i,kij,j->k", spec.psi0.conj(), evolved, spec.psi0).real
-        return values, none
-    if isinstance(spec, (RelativeEntropyPair, RenyiPair, TsallisPair, FidelityPair)):
-        rho_t = ops.hermitian_part(apply_superop_batch(maps, spec.rho))
-        sigma_t = ops.hermitian_part(apply_superop_batch(maps, spec.sigma))
-        if isinstance(spec, RelativeEntropyPair):
-            return ops.relative_entropy(rho_t, sigma_t), none
-        if isinstance(spec, RenyiPair):
-            return ops.renyi_relative_entropy(rho_t, sigma_t, spec.alpha), none
-        if isinstance(spec, TsallisPair):
-            return ops.tsallis_relative_entropy(rho_t, sigma_t, spec.q), none
-        return ops.fidelity(rho_t, sigma_t), none
-    if isinstance(spec, SchrodingerSkew):
-        rho_t = ops.hermitian_part(apply_superop_batch(maps, spec.rho))
-        return ops.skew_information(rho_t, spec.observable, spec.exponent), none
-    if isinstance(spec, HeisenbergSkew):
-        obs_t = ops.hermitian_part(apply_superop_batch(duals, spec.observable))
-        return ops.skew_information(spec.sigma0, obs_t, spec.exponent), none
-    raise TypeError(f"unknown witness spec {type(spec).__name__}")
 
 
-def functional_series(traj: Trajectory, spec: WitnessSpec):
-    """Underlying functional at every grid node, plus a kink-suspicion mask."""
-    _check_dims(traj, spec)
-    return _functional_on_maps(traj.maps, spec)
+@dataclass(frozen=True)
+class _StatePair(WitnessSpec):
+    rho: np.ndarray
+    sigma: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rho", ops.check_density_matrix(self.rho, "rho"))
+        object.__setattr__(self, "sigma", ops.check_density_matrix(self.sigma, "sigma"))
+
+    def _evolved(self, maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (ops.hermitian_part(apply_superop_batch(maps, self.rho)),
+                ops.hermitian_part(apply_superop_batch(maps, self.sigma)))
 
 
-def _functional_at(traj: Trajectory, spec: WitnessSpec, t: float) -> float:
-    """Single off-grid functional evaluation through map interpolation."""
-    values, _ = _functional_on_maps(traj.map_at(t)[None, :, :], spec)
-    return float(values[0])
+@dataclass(frozen=True)
+class RelativeEntropyPair(_StatePair):
+    def values(self, maps: np.ndarray):
+        return _smooth(ops.relative_entropy(*self._evolved(maps)))
+
+
+@dataclass(frozen=True)
+class RenyiPair(_StatePair):
+    alpha: float = 0.5
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not (0.0 <= self.alpha < 1.0 or 1.0 < self.alpha <= 2.0):
+            raise ValueError(f"alpha must lie in [0,1) u (1,2], got {self.alpha}")
+
+    def values(self, maps: np.ndarray):
+        return _smooth(ops.renyi_relative_entropy(*self._evolved(maps), self.alpha))
+
+
+@dataclass(frozen=True)
+class TsallisPair(_StatePair):
+    q: float = 0.5
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0.0 <= self.q < 1.0:
+            raise ValueError(f"q must lie in [0,1), got {self.q}")
+
+    def values(self, maps: np.ndarray):
+        return _smooth(ops.tsallis_relative_entropy(*self._evolved(maps), self.q))
+
+
+@dataclass(frozen=True)
+class FidelityPair(_StatePair):
+    orientation = -1.0
+
+    def values(self, maps: np.ndarray):
+        return _smooth(ops.fidelity(*self._evolved(maps)))
+
+
+@dataclass(frozen=True)
+class InvariantOverlap(WitnessSpec):
+    """Overlap of the evolved state with an invariant pure state."""
+
+    rho: np.ndarray
+    psi0: np.ndarray
+    orientation = -1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rho", ops.check_density_matrix(self.rho, "rho"))
+        psi = np.asarray(self.psi0, dtype=complex).reshape(-1)
+        object.__setattr__(self, "psi0", psi / np.linalg.norm(psi))
+
+    def values(self, maps: np.ndarray):
+        evolved = apply_superop_batch(maps, self.rho)
+        return _smooth(np.einsum("i,kij,j->k", self.psi0.conj(), evolved, self.psi0).real)
+
+    def invariant(self) -> dict:
+        return {"state": np.outer(self.psi0, self.psi0.conj())}
+
+
+@dataclass(frozen=True)
+class SchrodingerSkew(WitnessSpec):
+    """Skew information of the evolved state with a conserved observable."""
+
+    rho: np.ndarray
+    observable: np.ndarray
+    exponent: float = 0.5
+    orientation = -1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rho", ops.check_density_matrix(self.rho, "rho"))
+        object.__setattr__(self, "observable", ops.check_hermitian(self.observable, "observable"))
+        if not 0.0 < self.exponent < 1.0:
+            raise ValueError(f"exponent must lie in (0,1), got {self.exponent}")
+
+    def values(self, maps: np.ndarray):
+        rho_t = ops.hermitian_part(apply_superop_batch(maps, self.rho))
+        return _smooth(ops.skew_information(rho_t, self.observable, self.exponent))
+
+    def invariant(self) -> dict:
+        return {"observable": self.observable}
+
+
+@dataclass(frozen=True)
+class HeisenbergSkew(WitnessSpec):
+    """Skew information of an invariant state with the dual-evolved observable."""
+
+    sigma0: np.ndarray
+    observable: np.ndarray
+    exponent: float = 0.5
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sigma0", ops.check_density_matrix(self.sigma0, "sigma0"))
+        object.__setattr__(self, "observable", ops.check_hermitian(self.observable, "observable"))
+        if not 0.0 < self.exponent < 1.0:
+            raise ValueError(f"exponent must lie in (0,1), got {self.exponent}")
+
+    def values(self, maps: np.ndarray):
+        obs_t = ops.hermitian_part(apply_superop_batch(dual_superop(maps), self.observable))
+        return _smooth(ops.skew_information(self.sigma0, obs_t, self.exponent))
+
+    def invariant(self) -> dict:
+        return {"state": self.sigma0}
+
+
+@dataclass(frozen=True)
+class DualOperatorNormWitness(WitnessSpec):
+    """Hermitian, non-PSD operator on H ⊗ H for the Heisenberg-picture
+    operator-norm criterion; stored with unit operator norm."""
+
+    witness: np.ndarray
+    _doubled = True
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "witness", _non_psd_witness(self.witness, "dual", np.max))
+
+    def values(self, maps: np.ndarray):
+        return _operator_norm_values(apply_extended(dual_superop(maps), self.witness))
 
 
 # ---------------------------------------------------------------------------
@@ -409,46 +370,29 @@ def verify_invariance(traj: Trajectory, state: np.ndarray | None = None,
     return dev <= tol, dev
 
 
-def _ensure_invariance(traj: Trajectory, spec: WitnessSpec) -> None:
-    """Raise InvarianceError unless the invariant state or observable the spec
-    relies on is invariant along the trajectory."""
-    if isinstance(spec, InvariantOverlap):
-        required = {"state": np.outer(spec.psi0, spec.psi0.conj())}
-    elif isinstance(spec, HeisenbergSkew):
-        required = {"state": spec.sigma0}
-    elif isinstance(spec, SchrodingerSkew):
-        required = {"observable": spec.observable}
-    else:
-        return
-    ok, dev = verify_invariance(traj, **required)
-    if not ok:
-        (kind,) = required
-        raise InvarianceError(f"witness requires an invariant {kind}; max deviation "
-                              f"{dev:.3e} exceeds {INVARIANCE_TOL}")
-
-
-def flow_series(traj: Trajectory, spec: WitnessSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Oriented witness flow at the interior nodes (times, values)."""
-    _ensure_invariance(traj, spec)
-    values, kinks = functional_series(traj, spec)
-    deriv = derivative_series(traj.times, values, kinks)
-    return traj.times[1:-1], orientation(spec) * deriv
+def _flow(traj: Trajectory, spec: WitnessSpec) -> np.ndarray:
+    """Oriented witness flow at the interior nodes times[1:-1]."""
+    if spec.system_dim != traj.dim:
+        raise ValueError(
+            f"spec dimension {spec.system_dim} does not match trajectory dimension {traj.dim}"
+        )
+    required = spec.invariant()
+    if required is not None:
+        ok, dev = verify_invariance(traj, **required)
+        if not ok:
+            (kind,) = required
+            raise InvarianceError(f"witness requires an invariant {kind}; max deviation "
+                                  f"{dev:.3e} exceeds {INVARIANCE_TOL}")
+    values, kinks = spec.values(traj.maps)
+    return spec.orientation * derivative_series(traj.times, values, kinks)
 
 
 def flow(traj: Trajectory, spec: WitnessSpec, t: float) -> float:
-    """Witness flow at a single interior time."""
+    """Witness flow at an interior time: the node series, interpolated
+    linearly between the interior nodes."""
     if not traj.times[0] < t < traj.times[-1]:
         raise ValueError(f"t={t} is not interior to the grid")
-    k = traj.node_index(t)
-    if k is not None and 1 <= k <= traj.nodes - 2:
-        times, vals = flow_series(traj, spec)
-        return float(vals[k - 1])
-    _ensure_invariance(traj, spec)
-    h = traj.spacing or float(np.diff(traj.times).min())
-    h = min(h, t - traj.times[0], traj.times[-1] - t)
-    f_plus = _functional_at(traj, spec, t + h)
-    f_minus = _functional_at(traj, spec, t - h)
-    return float(orientation(spec) * (f_plus - f_minus) / (2.0 * h))
+    return float(np.interp(t, traj.times[1:-1], _flow(traj, spec)))
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -483,12 +427,8 @@ class WitnessSeries:
     spec: WitnessSpec
     times: np.ndarray
     values: np.ndarray
-    violating: np.ndarray = field(default=None)
-    violation_intervals: list = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.violating is None:
-            self.violation_intervals, self.violating = detect_violations(self.times, self.values)
+    violating: np.ndarray
+    violation_intervals: list
 
     @property
     def total_violation(self) -> float:
@@ -498,8 +438,10 @@ class WitnessSeries:
 
 def series(traj: Trajectory, spec: WitnessSpec) -> WitnessSeries:
     """Evaluate the flow at every interior node and detect violations."""
-    times, values = flow_series(traj, spec)
-    return WitnessSeries(spec=spec, times=times, values=values)
+    times, values = traj.times[1:-1], _flow(traj, spec)
+    intervals, violating = detect_violations(times, values)
+    return WitnessSeries(spec=spec, times=times, values=values,
+                         violating=violating, violation_intervals=intervals)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,45 @@ class TestConfigParsing:
         cfg = load_config(_write(tmp_path, EXAMPLE1), seed_override=99)
         assert cfg.search.rng_seed == 99
 
+    MODEL = "variant = dephasing\nrate = sine\nrate.amplitude = 1.0"
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("enabled = true", "enabled = true\ndivisibility_tol = nan", "measures.divisibility_tol"),
+        ("enabled = true", "enabled = true\ndivisibility_tol = inf", "measures.divisibility_tol"),
+        ("rate.amplitude = 1.0", "rate.amplitude = abc", "model.rate.amplitude"),
+        ("rate.amplitude = 1.0", "rate.amplitude = nan", "model.rate.amplitude"),
+        (MODEL, "variant = trace_replacement\nomega = bloch_z_sine\nomega.scale = abc",
+         "model.omega.scale"),
+        (MODEL, "variant = spin_boson\nkernel.coupling = abc", "model.kernel.coupling"),
+        (MODEL, "variant = spin_boson\nkernel.coupling = -1", "model.kernel"),
+        (MODEL, "variant = gksl\nhamiltonian = sigma_z:abc", "model.hamiltonian"),
+        ("rate.amplitude = 1.0", "rate.amplitude = 1.0\nrate.amplitude = 2.0", "config"),
+        ("[model]\n", "", "config"),
+        ("rng_seed = 7", "rng_seed = -1", "search.rng_seed"),
+    ], ids=["tol_nan", "tol_inf", "amplitude_abc", "amplitude_nan", "omega_scale_abc",
+            "coupling_abc", "coupling_negative", "hamiltonian_abc", "duplicate_option",
+            "no_section_header", "negative_seed"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, old, new, field):
+        cfg_path = _write(tmp_path, EXAMPLE1.replace(old, new, 1))
+        assert main(["verdict", "--config", cfg_path, "--out", str(tmp_path), "--quiet"]) == 2
+        assert f"invalid configuration: {field}:" in capsys.readouterr().err
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.ini"
+        path.write_bytes(EXAMPLE1.encode().replace(b"run", b"r\xffn"))
+        assert main(["verdict", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+        assert "invalid configuration: config:" in capsys.readouterr().err
+
+    def test_values_read_literally(self, tmp_path):
+        cfg = load_config(_write(tmp_path, EXAMPLE1.replace("prefix = run", "prefix = 50%run")))
+        assert cfg.prefix == "50%run"
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, EXAMPLE1)
+        assert main(["verdict", "--config", cfg_path, "--out", str(tmp_path), "--seed", "-1",
+                     "--quiet"]) == 2
+        assert "search.rng_seed" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_example1_report(self, tmp_path):
@@ -212,6 +251,18 @@ class TestImport:
         save_trajectory(bad, path)
         cfg_path = _write(tmp_path, EXAMPLE1)
         assert main(["import", str(path), "--config", cfg_path, "--quiet"]) == 2
+        assert "node 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_import_rejects_non_finite_maps(self, tmp_path, capsys, bad):
+        traj = evolve(Dephasing(rate=Sine(1.0)), np.linspace(0, 1, 17))
+        maps = traj.maps.copy()
+        maps[7, 1, 2] = bad
+        path = tmp_path / "bad.traj"
+        save_trajectory(Trajectory(times=traj.times, maps=maps, validate=False), path)
+        cfg_path = _write(tmp_path, EXAMPLE1)
+        assert main(["import", str(path), "--config", cfg_path, "--out", str(tmp_path),
+                     "--quiet"]) == 2
         assert "node 7" in capsys.readouterr().err
 
     @pytest.mark.parametrize("nodes", [1, 2])

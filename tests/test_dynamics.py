@@ -403,6 +403,23 @@ class TestTrajectoryValidation:
         with pytest.raises(ValueError, match="empty"):
             Trajectory(times=np.array([]), maps=np.zeros((0, 4, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_map_rejected(self, bad):
+        traj = evolve(Dephasing(rate=Constant(1.0)), np.linspace(0, 1, 17))
+        maps = traj.maps.copy()
+        maps[5, 2, 1] = bad
+        with pytest.raises(ValueError, match="node 5 .*non-finite"):
+            Trajectory(times=traj.times, maps=maps)
+        Trajectory(times=traj.times, maps=maps, validate=False)  # no check without validate
+
+    @pytest.mark.parametrize("node, bad", [(9, np.nan), (16, np.inf)])
+    def test_non_finite_time_rejected(self, node, bad):
+        traj = evolve(Dephasing(rate=Constant(1.0)), np.linspace(0, 1, 17))
+        times = traj.times.copy()
+        times[node] = bad
+        with pytest.raises(ValueError, match=f"node {node} .*non-finite"):
+            Trajectory(times=times, maps=traj.maps)
+
     def test_map_at_interpolates(self):
         traj = evolve(Dephasing(rate=Constant(1.0)), np.linspace(0, 1, 11))
         mid = 0.5 * (traj.times[3] + traj.times[4])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nonmarkov.operators as ops
 import nonmarkov.witnesses as wit
 from nonmarkov.dynamics import (
     Constant,
@@ -9,6 +10,9 @@ from nonmarkov.dynamics import (
     Sine,
     SpinBoson,
     TraceReplacement,
+    apply_extended,
+    apply_superop,
+    dual_superop,
     evolve,
     sandwich,
 )
@@ -31,7 +35,7 @@ from nonmarkov.witnesses import (
     verify_invariance,
 )
 
-from conftest import KET0, KET1, KET_PLUS, PAULI_X, PAULI_Z, projector
+from conftest import KET0, KET1, KET_MINUS, KET_PLUS, PAULI_X, PAULI_Z, projector
 
 SINE_GRID = np.linspace(0, 2 * np.pi, 257)
 
@@ -129,6 +133,69 @@ class TestFlows:
         primal = series(sine_traj, ExtendedTraceNormWitness(0.5 * np.kron(PAULI_X, PAULI_X)))
         dual = series(sine_traj, DualOperatorNormWitness(0.5 * np.kron(PAULI_X, PAULI_X)))
         assert np.abs(primal.values - dual.values).max() < 1e-10
+
+
+@pytest.fixture(scope="module")
+def spin_boson_traj():
+    return evolve(SpinBoson(kernel=ExponentialKernel(coupling=4.0, rate=1.0)),
+                  np.linspace(0, 10, 2001), backend="analytic")
+
+
+PLUS, MINUS, MIXED = projector(KET_PLUS), projector(KET_MINUS), 0.5 * np.eye(2, dtype=complex)
+XX = 0.5 * np.kron(PAULI_X, PAULI_X)
+
+# Per family: the spec, a trajectory on which its flow is not zero, the sign
+# (+1 where CP-divisible evolution cannot raise the functional, -1 where it
+# cannot lower it) and the functional of one map from single-matrix calls.
+FAMILY_REFERENCES = {
+    "trace_norm_extended": (
+        lambda: ExtendedTraceNormWitness(XX), "sine_traj", 1.0,
+        lambda s, m: ops.trace_norm(apply_extended(m, s.witness))),
+    "trace_norm_plain": (
+        lambda: PlainTraceNormWitness(PAULI_X), "sine_traj", 1.0,
+        lambda s, m: ops.trace_norm(apply_superop(m, s.operator))),
+    "blp": (
+        lambda: InformationFlowPair(PLUS, MINUS), "sine_traj", 1.0,
+        lambda s, m: ops.trace_distance(apply_superop(m, s.rho1), apply_superop(m, s.rho2))),
+    "relative_entropy": (
+        lambda: wit.RelativeEntropyPair(PLUS, MIXED), "sine_traj", 1.0,
+        lambda s, m: ops.relative_entropy(apply_superop(m, s.rho), apply_superop(m, s.sigma))),
+    "renyi": (
+        lambda: wit.RenyiPair(PLUS, MIXED, alpha=1.5), "sine_traj", 1.0,
+        lambda s, m: ops.renyi_relative_entropy(apply_superop(m, s.rho),
+                                                apply_superop(m, s.sigma), s.alpha)),
+    "tsallis": (
+        lambda: wit.TsallisPair(PLUS, MIXED, q=0.5), "sine_traj", 1.0,
+        lambda s, m: ops.tsallis_relative_entropy(apply_superop(m, s.rho),
+                                                  apply_superop(m, s.sigma), s.q)),
+    "fidelity": (
+        lambda: wit.FidelityPair(PLUS, MIXED), "sine_traj", -1.0,
+        lambda s, m: ops.fidelity(apply_superop(m, s.rho), apply_superop(m, s.sigma))),
+    "overlap": (
+        lambda: InvariantOverlap(projector(KET1), KET0), "spin_boson_traj", -1.0,
+        lambda s, m: (s.psi0.conj() @ apply_superop(m, s.rho) @ s.psi0).real),
+    "skew_schrodinger": (
+        lambda: SchrodingerSkew(PLUS, PAULI_Z, 0.5), "sine_traj", -1.0,
+        lambda s, m: ops.skew_information(apply_superop(m, s.rho), s.observable, s.exponent)),
+    "skew_heisenberg": (
+        lambda: HeisenbergSkew(projector(KET0), PAULI_X, 0.5), "spin_boson_traj", 1.0,
+        lambda s, m: ops.skew_information(s.sigma0, apply_superop(dual_superop(m), s.observable),
+                                          s.exponent)),
+    "dual_operator_norm": (
+        lambda: DualOperatorNormWitness(XX), "sine_traj", 1.0,
+        lambda s, m: ops.operator_norm(apply_extended(dual_superop(m), s.witness))),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_REFERENCES)
+def test_family_matches_single_matrix_reference(family, request):
+    make, traj_name, sign, functional = FAMILY_REFERENCES[family]
+    spec, traj = make(), request.getfixturevalue(traj_name)
+    values = np.array([functional(spec, m) for m in traj.maps])
+    # none of these functionals kinks on its trajectory, so no kink mask
+    reference = sign * derivative_series(traj.times, values)
+    assert np.abs(reference).max() > 1e-3
+    np.testing.assert_allclose(series(traj, spec).values, reference, rtol=0, atol=1e-12)
 
 
 class TestSeries:
