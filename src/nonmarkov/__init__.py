@@ -48,6 +48,7 @@ from .dynamics import (
     choi_matrix,
     dual_superop,
     evolve,
+    generator,
     generator_superoperator,
     intermediate_map,
     load_trajectory,

@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 configuration or file-format error, 3 numeric failure
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -54,10 +53,6 @@ def _stage(name: str, fn, *args, **kwargs):
         raise PipelineError(name, exc) from exc
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _slug(text: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", text.lower()).strip("_")
 
@@ -67,11 +62,13 @@ def _matrix_json(m: np.ndarray) -> dict:
     return {"real": m.real.tolist(), "imag": m.imag.tolist()}
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
+def _write_csv(path: Path, header: list, row_format: str, *columns) -> None:
+    """Write the header line and one ``row_format % row`` line per row of the
+    columns (arrays or lists), rendered whole and written once."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    lines = [",".join(header), *(row_format % row for row in rows)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\n".join(lines) + "\n")
 
 
 def _verdict_json(verdict) -> dict:
@@ -129,9 +126,8 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
         ):
             ws = _stage(f"witness:{descriptor}", witness_series, traj, spec)
             name = f"{cfg.prefix}_witness_{idx}_{_slug(descriptor)}.csv"
-            _write_csv(out_dir / name, ["t", "value", "violating"],
-                       ([_fmt(t), _fmt(v), int(bad)]
-                        for t, v, bad in zip(ws.times, ws.values, ws.violating)))
+            _write_csv(out_dir / name, ["t", "value", "violating"], "%.17g,%.17g,%d",
+                       ws.times, ws.values, ws.violating)
             report["witness_series_files"].append(name)
             if not quiet:
                 print(f"wrote {name} ({len(ws.violation_intervals)} violation intervals)")
@@ -144,11 +140,11 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
         verdict = _stage("divisibility_verdict", divisibility_verdict, traj,
                          cfg.divisibility_tol, steps)
         report["verdict"] = _verdict_json(verdict)
+        # an excluded step has no eigenvalue: its cell is left empty
+        min_eigs = ["" if w != w else "%.17g" % w for w in steps.min_eigenvalues.tolist()]
         _write_csv(out_dir / f"{cfg.prefix}_choi_min_eig.csv",
-                   ["t_start", "t_end", "min_eigenvalue", "excluded"],
-                   ([_fmt(t0), _fmt(t1), "" if np.isnan(w) else _fmt(w), int(bad)]
-                    for t0, t1, w, bad in zip(steps.start_times, steps.end_times,
-                                              steps.min_eigenvalues, steps.excluded)))
+                   ["t_start", "t_end", "min_eigenvalue", "excluded"], "%.17g,%.17g,%s,%d",
+                   steps.start_times, steps.end_times, min_eigs, steps.excluded)
         if not quiet:
             print(f"verdict: markovian={verdict.markovian} "
                   f"violations={len(verdict.violation_intervals)} "
@@ -159,8 +155,8 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
         if cfg.measure_rhp and cfg.model is not None:
             rate_values = _stage("measure:rhp", rhp_rate, cfg.model, traj.times)
             measures["rhp"] = float(np.trapezoid(rate_values, traj.times))
-            _write_csv(out_dir / f"{cfg.prefix}_rhp_rate.csv", ["t", "value"],
-                       ([_fmt(t), _fmt(v)] for t, v in zip(traj.times, rate_values)))
+            _write_csv(out_dir / f"{cfg.prefix}_rhp_rate.csv", ["t", "value"], "%.17g,%.17g",
+                       traj.times, rate_values)
         if cfg.measure_witness:
             wm = _stage("measure:witness", witness_measure, traj, cfg.search, steps)
             measures["witness"] = {

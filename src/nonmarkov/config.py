@@ -129,13 +129,15 @@ def pauli_product(code: str, fieldname: str) -> np.ndarray:
 _DESCRIPTOR_RE = re.compile(r"^\s*([a-z_]+)\s*\(([^()]*)\)\s*$")
 
 
-def _split_args(body: str):
+def _split_args(body: str, fieldname: str):
     args = []
     kwargs = {}
     for token in filter(None, (p.strip() for p in body.split(","))):
         if "=" in token:
-            key, val = token.split("=", 1)
-            kwargs[key.strip()] = val.strip()
+            key, val = (part.strip() for part in token.split("=", 1))
+            if key in kwargs:
+                raise ConfigError(fieldname, f"argument {key!r} given twice in {body!r}")
+            kwargs[key] = val
         else:
             args.append(token)
     return args, kwargs
@@ -147,6 +149,15 @@ _STATE_PAIRS = {"blp": InformationFlowPair, "relative_entropy": RelativeEntropyP
                 "fidelity": FidelityPair}
 _SKEWS = {"skew_schrodinger": SchrodingerSkew, "skew_heisenberg": HeisenbergSkew}
 
+# Witness kind -> (number of positional arguments, keyword arguments it takes).
+_SIGNATURES = {
+    **{kind: (1, ()) for kind in (*_PAULI_WITNESSES, "trace_norm_plain")},
+    **{kind: (2, ()) for kind in (*_STATE_PAIRS, "overlap")},
+    "renyi": (2, ("alpha",)),
+    "tsallis": (2, ("q",)),
+    **{kind: (2, ("p",)) for kind in _SKEWS},
+}
+
 
 def parse_witness_descriptor(text: str, fieldname: str = "witnesses.specs"):
     """Build a witness spec from a descriptor such as ``blp(plus,minus)``."""
@@ -154,7 +165,16 @@ def parse_witness_descriptor(text: str, fieldname: str = "witnesses.specs"):
     if not match:
         raise ConfigError(fieldname, f"malformed witness descriptor {text!r}")
     kind, body = match.group(1), match.group(2)
-    args, kwargs = _split_args(body)
+    if kind not in _SIGNATURES:
+        raise ConfigError(fieldname, f"unknown witness kind {kind!r}")
+    args, kwargs = _split_args(body, fieldname)
+    positional, keywords = _SIGNATURES[kind]
+    if len(args) > positional:
+        raise ConfigError(fieldname, f"too many arguments in {text!r}: {kind} takes "
+                          f"{positional}, got {len(args)}")
+    unknown = sorted(set(kwargs) - set(keywords))
+    if unknown:
+        raise ConfigError(fieldname, f"unknown argument {unknown[0]!r} to {kind} in {text!r}")
     state = lambda k: state_preset(args[k], fieldname)
     try:
         if kind in _PAULI_WITNESSES:
@@ -181,7 +201,6 @@ def parse_witness_descriptor(text: str, fieldname: str = "witnesses.specs"):
         raise ConfigError(fieldname, f"missing argument in {text!r}") from exc
     except ValueError as exc:
         raise ConfigError(fieldname, f"invalid witness {text!r}: {exc}") from exc
-    raise ConfigError(fieldname, f"unknown witness kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

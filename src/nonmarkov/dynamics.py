@@ -6,7 +6,9 @@ matrix and the Heisenberg-picture dual are derived from that convention.
 
 Generators are built in GKSL form on one time or an array of times; rate
 functions and replacement targets are evaluated on arrays, so custom ones
-must accept arrays.
+must accept arrays.  :func:`generator` builds the constant GKSL
+superoperators of a model once and returns L_t as a function of time, so a
+numeric ``evolve`` builds them once, not at every RK45 right-hand side.
 
 Trajectories hold the map at every node of a time grid.  They are built either
 from closed-form solutions (pure dephasing, trace replacement, spin-boson from
@@ -276,7 +278,8 @@ GeneratorModel = Union[Dephasing, TraceReplacement, SpinBoson, Lindblad]
 
 def _eval_scalar(fn, t) -> np.ndarray:
     """A rate function, which must accept arrays, on a time or an array of times."""
-    return np.broadcast_to(np.asarray(fn(t), dtype=float), np.shape(t))
+    values = np.asarray(fn(t), dtype=float)
+    return values if values.shape == np.shape(t) else np.broadcast_to(values, np.shape(t))
 
 
 def _check_unit_trace(omegas: np.ndarray, times) -> np.ndarray:
@@ -298,32 +301,49 @@ def _replacement(omegas: np.ndarray) -> np.ndarray:
     return vec_omegas[..., :, None] * vec(np.eye(d, dtype=complex)).conj()
 
 
-def generator_superoperator(model: GeneratorModel, t: float | np.ndarray) -> np.ndarray:
-    """The d^2 x d^2 matrix of the time-local generator L_t at one time, or the
-    stack (..., d^2, d^2) at an array of times: constant GKSL superoperators
-    weighted by the rate arrays, or rate(t) (|vec target(t)><vec I| - id)."""
-    times = np.asarray(t, dtype=float)
+def generator(model: GeneratorModel) -> Callable[[float | np.ndarray], np.ndarray]:
+    """L_t as a function of one time (one d^2 x d^2 matrix back) or of an
+    array of times (the stack (..., d^2, d^2) back).  The constant GKSL
+    superoperators are built here, once; each call weights them by the rate
+    arrays at its times.  Trace replacement is rate(t) (|vec target(t)><vec I| - id)."""
     if isinstance(model, TraceReplacement):
-        replacement = _replacement(_check_unit_trace(model.target(times), times))
-        g = _eval_scalar(model.rate, times)
-        return g[..., None, None] * (replacement - np.eye(replacement.shape[-1]))
+        def replacement_generator(t):
+            times = np.asarray(t, dtype=float)
+            replacement = _replacement(_check_unit_trace(model.target(times), times))
+            g = _eval_scalar(model.rate, times)
+            return g[..., None, None] * (replacement - np.eye(replacement.shape[-1]))
+        return replacement_generator
     if isinstance(model, Dephasing):
-        terms, rates = dissipator(SIGMA_Z[None]), [0.5 * _eval_scalar(model.rate, times)]
+        terms = dissipator(SIGMA_Z[None])
+        rates = lambda times: [0.5 * _eval_scalar(model.rate, times)]
     elif isinstance(model, SpinBoson):
         if model.solution is None:
             raise ValueError("spin-boson kernel solution unavailable; solve the memory kernel first")
-        shift, decay = model.solution.rates(times)
         terms = np.stack([commutator(SIGMA_PLUS @ SIGMA_MINUS), dissipator(SIGMA_MINUS)])
-        rates = [0.5 * shift, decay]
+
+        def rates(times):
+            shift, decay = model.solution.rates(times)
+            return [0.5 * shift, decay]
     elif isinstance(model, Lindblad):
         d = model.dim
         h = np.zeros((d, d)) if model.hamiltonian is None else model.hamiltonian
         jumps = np.reshape([op for op, _ in model.noise], (-1, d, d))
         terms = np.concatenate([commutator(h)[None], dissipator(jumps)])
-        rates = [np.ones(times.shape)] + [_eval_scalar(rate, times) for _, rate in model.noise]
+        rates = lambda times: ([np.ones(times.shape)]
+                               + [_eval_scalar(rate, times) for _, rate in model.noise])
     else:
         raise TypeError(f"unknown generator model {type(model).__name__}")
-    return np.einsum("...k,kij->...ij", np.stack(rates, axis=-1), terms)
+
+    def gksl_generator(t):
+        times = np.asarray(t, dtype=float)
+        return np.einsum("...k,kij->...ij", np.stack(rates(times), axis=-1), terms)
+    return gksl_generator
+
+
+def generator_superoperator(model: GeneratorModel, t: float | np.ndarray) -> np.ndarray:
+    """The generator L_t of ``model`` at one time or an array of times; see
+    :func:`generator`."""
+    return generator(model)(t)
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +526,11 @@ def _evolve_numeric(model: GeneratorModel, times: np.ndarray, atol: float, rtol:
     n = d * d
     y0 = np.eye(n, dtype=complex).reshape(-1)
     y0_real = np.concatenate([y0.real, y0.imag])
+    gen_at = generator(model)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         lam = (y[: n * n] + 1j * y[n * n:]).reshape(n, n)
-        gen = generator_superoperator(model, t)
+        gen = gen_at(t)
         dy = (gen @ lam).reshape(-1)
         return np.concatenate([dy.real, dy.imag])
 

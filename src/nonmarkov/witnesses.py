@@ -28,6 +28,7 @@ the flow is the node series interpolated linearly.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -422,13 +423,24 @@ def detect_violations(times: np.ndarray, values: np.ndarray,
 
 @dataclass
 class WitnessSeries:
-    """Oriented flow series with detected positive-violation intervals."""
+    """Oriented flow series with detected positive-violation intervals; the
+    intervals are detected on first access, not by every search candidate."""
 
     spec: WitnessSpec
     times: np.ndarray
     values: np.ndarray
-    violating: np.ndarray
-    violation_intervals: list
+
+    @cached_property
+    def _violations(self) -> tuple:
+        return detect_violations(self.times, self.values)
+
+    @property
+    def violating(self) -> np.ndarray:
+        return self._violations[1]
+
+    @property
+    def violation_intervals(self) -> list:
+        return self._violations[0]
 
     @property
     def total_violation(self) -> float:
@@ -437,11 +449,8 @@ class WitnessSeries:
 
 
 def series(traj: Trajectory, spec: WitnessSpec) -> WitnessSeries:
-    """Evaluate the flow at every interior node and detect violations."""
-    times, values = traj.times[1:-1], _flow(traj, spec)
-    intervals, violating = detect_violations(times, values)
-    return WitnessSeries(spec=spec, times=times, values=values,
-                         violating=violating, violation_intervals=intervals)
+    """Evaluate the flow at every interior node."""
+    return WitnessSeries(spec=spec, times=traj.times[1:-1], values=_flow(traj, spec))
 
 
 # ---------------------------------------------------------------------------

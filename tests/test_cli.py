@@ -1,12 +1,16 @@
+import csv
 import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nonmarkov import measures
+from nonmarkov import __version__, cli, measures
 from nonmarkov.cli import main
 from nonmarkov.config import ConfigError, load_config, parse_witness_descriptor
 from nonmarkov.dynamics import Dephasing, Sine, evolve, load_trajectory, save_trajectory, Trajectory
@@ -39,6 +43,8 @@ rng_seed = 7
 prefix = run
 """
 
+ROOT = Path(__file__).resolve().parent.parent
+
 MARKOVIAN = EXAMPLE1.replace(
     "rate = sine\nrate.amplitude = 1.0", "rate = constant\nrate.value = 1.0"
 )
@@ -62,6 +68,42 @@ class TestConfigParsing:
             parse_witness_descriptor("blp(plus)")
         with pytest.raises(ConfigError):
             parse_witness_descriptor("blp(plus,not_a_state)")
+
+    @pytest.mark.parametrize("descriptor", [
+        "renyi(plus,maxmixed,alhpa=1.5)",
+        "tsallis(plus,maxmixed,alpha=0.9)",
+        "blp(plus,minus,foo=3)",
+        "blp(plus,minus,zero)",
+        "trace_norm_plain(sigma_x,sigma_z)",
+        "trace_norm_extended(pauli:xx,pauli:yy)",
+        "skew_heisenberg(ground,sigma_x,q=0.3)",
+        "renyi(plus,maxmixed,alpha=1.5,alpha=0.9)",
+    ])
+    def test_unknown_or_surplus_argument_exits_2(self, tmp_path, capsys, descriptor):
+        with pytest.raises(ConfigError, match="witnesses.specs"):
+            parse_witness_descriptor(descriptor)
+        text = EXAMPLE1.replace("blp(plus,minus)", descriptor, 1)
+        assert main(["verdict", "--config", _write(tmp_path, text), "--out", str(tmp_path),
+                     "--quiet"]) == 2
+        assert "invalid configuration: witnesses.specs:" in capsys.readouterr().err
+
+    def test_documented_descriptors_parse(self):
+        texts = [ROOT.joinpath("README.md").read_text()]
+        texts += [p.read_text() for p in sorted(ROOT.glob("perfbench/workloads/*.ini"))]
+        specs = [spec for text in texts
+                 for line in re.findall(r"^specs = (.*)$", text, flags=re.M)
+                 for spec in line.split(";")]
+        specs += re.findall(r"^\| `([a-z_]+\(.*\))` \|", texts[0], flags=re.M)
+        assert len(specs) > 20
+        for spec in specs:
+            parse_witness_descriptor(spec.strip())
+
+    def test_readme_configuration_example_runs(self, tmp_path):
+        block = re.search(r"```ini\n(.*?)```", ROOT.joinpath("README.md").read_text(),
+                          flags=re.S).group(1)
+        cfg_path = _write(tmp_path, block)
+        assert main(["verdict", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
 
     def test_node_floor(self, tmp_path):
         bad = EXAMPLE1.replace("nodes = 257", "nodes = 8")
@@ -213,6 +255,31 @@ prefix = sb
         assert float(t_str) == float(f"{float(t_str):.17g}")
         assert re.fullmatch(r"-?\d+(\.\d+)?(e[+-]?\d+)?", value_str)
 
+    def test_csv_writer_matches_csv_module(self, tmp_path):
+        fmt = lambda x: f"{float(x):.17g}"
+        values = np.array([0.1, np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1 / 3, 2.0])
+        times = np.linspace(0, 1, values.size)
+        flags = values > 0
+        cells = ["" if w != w else "%.17g" % w for w in values.tolist()]
+        cases = [  # (row format, columns, the same rows as csv-module cells)
+            ("%.17g,%s,%d", (times, cells, flags),
+             [[fmt(t), "" if np.isnan(w) else fmt(w), int(bad)]
+              for t, w, bad in zip(times, values, flags)]),
+            ("%.17g,%.17g,%d", (times, values, flags),
+             [[fmt(t), fmt(v), int(bad)] for t, v, bad in zip(times, values, flags)]),
+            ("%.17g,%.17g,%d", (times[:0], values[:0], flags[:0]), []),
+        ]
+        header = ["t", "value", "flag"]
+        for row_format, columns, rows in cases:
+            cli._write_csv(tmp_path / "new.csv", header, row_format, *columns)
+            with open(tmp_path / "reference.csv", "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+            written = (tmp_path / "new.csv").read_bytes()
+            assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written == b"t,value,flag\n"
+
     def test_simulate_writes_trajectory_only(self, tmp_path):
         cfg_path = _write(tmp_path, EXAMPLE1)
         out = tmp_path / "out"
@@ -295,3 +362,11 @@ prefix = imp
                      "--out", str(out), "--quiet"]) == 0
         report = json.loads((out / "imp_report.json").read_text())
         assert report["verdict"]["markovian"] is False
+
+
+def test_python_m_nonmarkov_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "nonmarkov", "--version"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"nonmarkov {__version__}"

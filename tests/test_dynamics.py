@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import nonmarkov.dynamics as dyn
 from nonmarkov.dynamics import (
@@ -323,6 +324,73 @@ class TestEvolve:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             evolve(Dephasing(rate=Constant(1.0)), np.linspace(0, 1, 17), backend="magic")
+
+
+def _reference_numeric_maps(model, times):
+    """RK45 with the settings of the numeric ``evolve``, calling
+    ``generator_superoperator`` at every right-hand side: maps and nfev."""
+    n = model.dim ** 2
+    y0 = np.eye(n, dtype=complex).reshape(-1)
+
+    def rhs(t, y):
+        lam = (y[: n * n] + 1j * y[n * n:]).reshape(n, n)
+        dy = (generator_superoperator(model, t) @ lam).reshape(-1)
+        return np.concatenate([dy.real, dy.imag])
+
+    sol = solve_ivp(rhs, (times[0], times[-1]), np.concatenate([y0.real, y0.imag]),
+                    method="RK45", t_eval=times, atol=dyn.DEFAULT_ATOL, rtol=dyn.DEFAULT_RTOL)
+    y = sol.y[: n * n] + 1j * sol.y[n * n:]
+    return y.T.reshape(times.size, n, n), sol.nfev
+
+
+NUMERIC_CASES = {
+    # perfbench/workloads/gksl_bank.ini: 1028 right-hand-side evaluations
+    "gksl_bank": (GENERATOR_CASES["gksl_bank"][0], np.linspace(0, 4 * np.pi, 2001), 1028),
+    "qutrit": (Lindblad(hamiltonian=np.diag([0.0, 1.0, 3.0]).astype(complex),
+                        noise=((np.diag([1.0, 1.0], k=1).astype(complex), Sine(1.0)),
+                               (np.diag([1.0, 0, -1.0]).astype(complex), Constant(0.2))),
+                        dim=3),
+               np.linspace(0, 4.0, 201), None),
+    # the spin-boson probe's kernel, integrated through the zeros of G
+    "spin_boson": (SpinBoson(kernel=ExponentialKernel(coupling=4.0, rate=1.0)),
+                   np.linspace(0, 4.0, 401), None),
+}
+
+
+class TestNumericEvolve:
+    @pytest.mark.parametrize("name", sorted(NUMERIC_CASES))
+    def test_matches_per_call_generator_reference(self, name, monkeypatch):
+        model, times, nfev = NUMERIC_CASES[name]
+        results = []
+
+        def recording_solve_ivp(*args, **kwargs):
+            results.append(solve_ivp(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(dyn, "solve_ivp", recording_solve_ivp)
+        traj = evolve(model, times, backend="numeric")
+        reference, reference_nfev = _reference_numeric_maps(model, times)
+        assert np.array_equal(traj.maps, reference)
+        assert results[0].nfev == reference_nfev
+        if nfev is not None:
+            assert reference_nfev == nfev
+
+    def test_constant_terms_built_once(self, monkeypatch):
+        model, times, _ = NUMERIC_CASES["gksl_bank"]
+        calls = {"commutator": 0, "dissipator": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(dyn, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(dyn, name, counted)
+        evolve(model, times[:257], backend="numeric")
+        assert calls == {"commutator": 1, "dissipator": 1}
+
+    def test_generator_errors(self):
+        with pytest.raises(TypeError, match="unknown generator model"):
+            dyn.generator(object())
+        with pytest.raises(ValueError, match="solution unavailable"):
+            dyn.generator(SpinBoson(kernel=ExponentialKernel(1.0, 4.0)))
 
 
 class TestIntermediateMap:

@@ -245,6 +245,22 @@ class TestSeries:
             assert mask.tolist() == expected_mask
 
 
+    def test_violations_detected_on_first_access(self, sine_traj, monkeypatch):
+        calls = []
+
+        def counted(times, values):
+            calls.append(1)
+            return detect_violations(times, values)
+
+        monkeypatch.setattr(wit, "detect_violations", counted)
+        ws = series(sine_traj, ExtendedTraceNormWitness(0.5 * np.kron(PAULI_X, PAULI_X)))
+        assert ws.total_violation > 0 and calls == []
+        intervals, mask = detect_violations(ws.times, ws.values)
+        assert ws.violation_intervals == intervals
+        np.testing.assert_array_equal(ws.violating, mask)
+        assert calls == [1]
+
+
 class TestInvariance:
     def test_maximally_mixed_invariant_under_dephasing(self, sine_traj):
         ok, dev = verify_invariance(sine_traj, state=0.5 * np.eye(2))
