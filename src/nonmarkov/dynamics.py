@@ -25,7 +25,6 @@ from math import isqrt
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
 
 from .operators import _dagger
 from .volterra import (
@@ -53,6 +52,14 @@ SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)
 
 class SingularPropagatorError(RuntimeError):
     """Raised when Lambda_s is too ill-conditioned to invert."""
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call so that importing
+    this module, and the closed-form backends, never load scipy."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +355,50 @@ def generator_superoperator(model: GeneratorModel, t: float | np.ndarray) -> np.
 
 # ---------------------------------------------------------------------------
 # Quadrature helpers for the closed-form backends
+#
+# The closed forms need running integrals of sampled rates and of the
+# weighted target stack.  _cumulative_simpson is scipy's
+# cumulative_simpson(y, x=x, initial=0.0, axis=0) in numpy, operation for
+# operation, so the closed-form backends need no scipy and their results are
+# bit-identical to scipy's.  Each interval gets the three-point formula for
+# unequal spacing (Cartwright, eq. 8): from the triple to its right ("h1") on
+# even intervals, from the triple to its left ("h2") on odd ones and on the
+# last.  The pieces are summed with cumsum.  Complex samples are integrated
+# in one call.
 # ---------------------------------------------------------------------------
+
+def _simpson_h1(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """The integral over [x_k, x_{k+1}] from the quadratic through nodes
+    k, k+1, k+2, for every k; ``dx`` broadcasts against ``y`` along axis 0."""
+    x21, x32 = dx[:-1], dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running integral of samples ``y`` (axis 0) over the increasing 1-d
+    grid ``x``, starting at 0; the trapezoid rule below three nodes."""
+    y = np.asarray(y)
+    dx = np.diff(np.asarray(x, dtype=float)).reshape((-1,) + (1,) * (y.ndim - 1))
+    if y.shape[0] < 3:
+        res = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0, axis=0)
+    else:
+        h1 = _simpson_h1(y, dx)
+        h2 = _simpson_h1(y[::-1], dx[::-1])[::-1]
+        pieces = np.empty((y.shape[0] - 1,) + y.shape[1:], dtype=np.result_type(y, dx))
+        pieces[:-1:2] = h1[::2]
+        pieces[1::2] = h2[::2]
+        pieces[-1] = h2[-1]
+        res = np.cumsum(pieces, axis=0)
+    res += 0.0  # scipy adds initial=0.0, which turns -0.0 into 0.0
+    return np.concatenate([np.zeros((1,) + y.shape[1:], dtype=res.dtype), res])
+
 
 def _refined_grid(times: np.ndarray, refine: int) -> np.ndarray:
     inner = np.linspace(times[:-1], times[1:], refine + 1, axis=-1)[:, 1:]
@@ -359,29 +409,25 @@ def cumulative_rate_integral(rate: RateFunction, times: np.ndarray, refine: int 
     """Gamma(t_k) = int_0^{t_k} rate, by composite Simpson on a refined grid."""
     times = np.asarray(times, dtype=float)
     tt = _refined_grid(times, refine)
-    vals = _eval_scalar(rate, tt)
-    cum = cumulative_simpson(vals, x=tt, initial=0.0)
-    return cum[:: refine][: times.size] if times.size > 1 else np.zeros(1)
+    return _cumulative_simpson(_eval_scalar(rate, tt), tt)[::refine]
 
 
 def averaged_target_series(model: TraceReplacement, times: np.ndarray, refine: int = 16):
     """Gamma(t_k) and the weighted target average Omega(t_k) on a grid.
 
     Omega(t) = int_0^t rate e^{Gamma(tau)} target(tau) dtau / (e^{Gamma(t)} - 1),
-    with the t -> 0 limit target(0).
+    and target(0) where Gamma vanishes: the t -> 0 limit, and at a later zero
+    of Gamma the map is the identity whatever Omega is.  Gamma may be negative.
     """
     times = np.asarray(times, dtype=float)
     tt = _refined_grid(times, refine)
     rates = _eval_scalar(model.rate, tt)
-    gammas = cumulative_simpson(rates, x=tt, initial=0.0)
+    gammas = _cumulative_simpson(rates, tt)
     targets = _check_unit_trace(model.target(tt), tt)
-    integrand = (rates * np.exp(gammas))[:, None, None] * targets
-    # cumulative_simpson handles real input only; integrate the parts separately
-    cum = (cumulative_simpson(integrand.real, x=tt, initial=0.0, axis=0)
-           + 1j * cumulative_simpson(integrand.imag, x=tt, initial=0.0, axis=0))
-    node_gamma = gammas[::refine][: times.size]
-    node_cum = cum[::refine][: times.size]
-    started = node_gamma > 1e-12
+    cum = _cumulative_simpson((rates * np.exp(gammas))[:, None, None] * targets, tt)
+    node_gamma = gammas[::refine]
+    node_cum = cum[::refine]
+    started = np.abs(node_gamma) > 1e-12
     denom = np.where(started, np.exp(node_gamma) - 1.0, 1.0)[:, None, None]
     omegas = np.where(started[:, None, None], node_cum / denom,
                       np.asarray(model.target(0.0), dtype=complex))

@@ -11,14 +11,20 @@ an independent cross-check.  The time-local rates driving the master equation
 are read off the same derivative series the stepper produced:
 
     shift s(t) = -2 Im G'(t)/G(t),   decay gamma(t) = -2 Re G'(t)/G(t).
+
+The off-grid interpolation uses scipy's CubicSpline, imported when the first
+solution is built, so importing this module does not load scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 # |G| below this means the time-local rates are singular.
 AMPLITUDE_FLOOR = 1e-12
@@ -138,6 +144,8 @@ class AmplitudeSolution:
     _deriv_spline: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        from scipy.interpolate import CubicSpline
+
         below = np.abs(self.values) < AMPLITUDE_FLOOR
         if self.first_collapse is None and below.any():
             self.first_collapse = float(self.times[np.argmax(below)])

@@ -370,3 +370,39 @@ def test_python_m_nonmarkov_runs_the_cli(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"nonmarkov {__version__}"
+
+
+SCIPY_GUARD = """
+import json, sys
+from pathlib import Path
+
+def loaded():
+    return {name: name in sys.modules for name in ("scipy.integrate", "scipy.interpolate")}
+
+import nonmarkov.cli as cli
+seen = {"import": loaded()}
+config, out = sys.argv[1], Path(sys.argv[2])
+assert cli.main(["report", "--config", config, "--out", str(out / "analytic"), "--quiet"]) == 0
+seen["analytic_report"] = loaded()
+assert cli.main(["import", str(out / "analytic" / "run_trajectory.traj"), "--config", config,
+                 "--out", str(out / "imported"), "--quiet"]) == 0
+seen["import_trajectory"] = loaded()
+assert cli.main(["report", "--config", config, "--out", str(out / "numeric"),
+                 "--backend", "numeric", "--quiet"]) == 0
+seen["numeric_report"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loaded_only_by_the_numeric_backend(tmp_path):
+    cfg_path = _write(tmp_path, EXAMPLE1.replace("enabled = true", "enabled = false"))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", SCIPY_GUARD, cfg_path, str(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    neither = {"scipy.integrate": False, "scipy.interpolate": False}
+    assert seen["import"] == neither
+    assert seen["analytic_report"] == neither
+    assert seen["import_trajectory"] == neither
+    assert seen["numeric_report"]["scipy.integrate"]

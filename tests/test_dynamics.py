@@ -3,7 +3,9 @@ import struct
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson, solve_ivp
 
 import nonmarkov.dynamics as dyn
 from nonmarkov.dynamics import (
@@ -547,3 +549,98 @@ class TestTrajectoryFile:
         save_trajectory(bad, path)
         with pytest.raises(ValueError, match="node 3"):
             load_trajectory(path)
+
+
+def _refined_uniform_grid(length):
+    """A grid of ``length`` points built by ``_refined_grid`` from a coarse
+    uniform grid, refine 16 where the length allows it."""
+    refine = 16 if (length - 1) % 16 == 0 else length - 1
+    return dyn._refined_grid(np.linspace(0.0, 2.0, (length - 1) // refine + 1), refine)
+
+
+SIMPSON_GRIDS = {
+    "uniform": lambda length: np.linspace(0.0, 2.0, length),
+    "refined_uniform": _refined_uniform_grid,
+    "non_uniform": lambda length: np.cumsum(
+        np.random.default_rng(length).uniform(0.05, 1.0, length)) - 0.05,
+}
+
+
+class TestCumulativeSimpson:
+    """The numpy port against scipy.integrate.cumulative_simpson(y, x=x,
+    initial=0.0, axis=0), byte for byte."""
+
+    @pytest.mark.parametrize("shape", [(), (2, 2)])
+    @pytest.mark.parametrize("length", [1, 3, 4, 17, 18, 4097])
+    @pytest.mark.parametrize("grid", sorted(SIMPSON_GRIDS))
+    def test_bit_identical_to_scipy(self, grid, length, shape):
+        x = SIMPSON_GRIDS[grid](length)
+        assert x.size == length and np.all(np.diff(x) > 0)
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=(length, *shape))
+        expected = cumulative_simpson(y, x=x, initial=0.0, axis=0)
+        got = dyn._cumulative_simpson(y, x)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+        z = y + 1j * rng.normal(size=y.shape)
+        got = dyn._cumulative_simpson(z, x)
+        assert got.dtype == complex and got.shape == z.shape
+        assert got.real.tobytes() == cumulative_simpson(z.real, x=x, initial=0.0,
+                                                        axis=0).tobytes()
+        assert got.imag.tobytes() == cumulative_simpson(z.imag, x=x, initial=0.0,
+                                                        axis=0).tobytes()
+
+    def test_one_node_grid(self):
+        model = TraceReplacement(rate=Constant(1.0), target=BlochZSineTarget(scale=1.2))
+        gammas, omegas = dyn.averaged_target_series(model, np.zeros(1))
+        assert gammas.tolist() == [0.0]
+        np.testing.assert_array_equal(omegas, [model.target(0.0)])
+        assert dyn.cumulative_rate_integral(Sine(1.0), np.zeros(1)).tolist() == [0.0]
+
+
+_amplitudes = st.floats(-1.5, 1.5)
+_frequencies = st.floats(0.2, 3.0)
+_offsets = st.floats(-1.0, 1.0)
+_rates = st.one_of(
+    st.builds(Constant, _amplitudes),
+    st.builds(Sine, _amplitudes, _frequencies),
+    st.builds(OffsetSine, _offsets, _amplitudes, _frequencies),
+)
+_replacement_rates = st.one_of(
+    st.builds(Constant, _amplitudes),
+    st.builds(OffsetSine, _offsets, _amplitudes, _frequencies),
+)
+_targets = st.one_of(
+    st.builds(lambda x, z: ConstantTarget(0.5 * (np.eye(2) + x * PAULI_X + z * PAULI_Z)),
+              st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
+    st.builds(BlochZSineTarget, st.floats(0.0, 1.5), _frequencies),
+)
+_grids = st.builds(lambda t_max, nodes: np.linspace(0.0, t_max, nodes),
+                   st.floats(0.5, 2 * np.pi), st.integers(33, 257))
+
+
+def _assert_backends_agree(model, times):
+    """Closed form and RK45 agree to 1e-5, relative to the map scale where a
+    negative integrated rate makes the maps grow."""
+    analytic = evolve(model, times, backend="analytic").maps
+    numeric = evolve(model, times, backend="numeric").maps
+    scale = max(1.0, float(np.abs(analytic).max()))
+    assert np.abs(analytic - numeric).max() <= 1e-5 * scale
+
+
+class TestBackendAgreement:
+    """The ported quadrature of the closed forms against RK45 on the generator."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rate=_rates, times=_grids)
+    def test_dephasing(self, rate, times):
+        _assert_backends_agree(Dephasing(rate=rate), times)
+
+    @settings(max_examples=25, deadline=None)
+    @given(rate=_replacement_rates, target=_targets, times=_grids)
+    # Gamma < 0 after t = 0: Omega is the integral quotient there, not target(0)
+    @example(rate=OffsetSine(-0.3, 1.0), target=BlochZSineTarget(1.2),
+             times=np.linspace(0.0, 3.0, 65))
+    def test_trace_replacement(self, rate, target, times):
+        _assert_backends_agree(TraceReplacement(rate=rate, target=target), times)
