@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import MIN_NODES, ConfigError, RunConfig, load_config
-from .dynamics import evolve, load_trajectory, save_trajectory
+from .dynamics import describe_model, evolve, load_trajectory, save_trajectory
 from .measures import (
     blp_measure,
     divisibility_verdict,
@@ -105,7 +105,7 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
         "command": args.command,
         "seed": cfg.search.rng_seed,
         "backend": traj.backend,
-        "model": cfg.model_descriptor or traj.meta,
+        "model": describe_model(cfg.model) or traj.meta,
         "grid": {"t_max": float(traj.times[-1]), "nodes": int(traj.nodes)},
         "witness_series_files": [],
         "verdict": None,
@@ -121,9 +121,7 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
             return 0
 
     if do_witness:
-        for idx, (descriptor, spec) in enumerate(
-            zip(cfg.witness_descriptors, cfg.witness_specs)
-        ):
+        for idx, (descriptor, spec) in enumerate(cfg.witnesses):
             ws = _stage(f"witness:{descriptor}", witness_series, traj, spec)
             name = f"{cfg.prefix}_witness_{idx}_{_slug(descriptor)}.csv"
             _write_csv(out_dir / name, ["t", "value", "violating"], "%.17g,%.17g,%d",

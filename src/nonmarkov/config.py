@@ -1,16 +1,20 @@
 """Run configuration: a flat INI file with sections model/grid/witnesses/
 measures/search/output/backend, presets only (no expression evaluation).
 
-The documented schema lives in the README.  Witness descriptors are short
-strings like ``trace_norm_extended(pauli:xx)`` or ``blp(plus,minus)`` built
-from named qubit presets.
+The documented schema lives in the README.  Named qubit presets come from one
+table per vocabulary: states (``maxmixed`` and the kets), pure states and
+observables; each lookup returns a fresh array.  A witness descriptor such as
+``trace_norm_extended(pauli:xx)`` or ``renyi(plus,maxmixed,alpha=1.5)`` is one
+row of ``_WITNESS_KINDS``: the spec class, one parser per positional argument
+and the spec field each keyword sets.
 """
 
 from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +36,6 @@ from .dynamics import (
     SpinBoson,
     Table,
     TraceReplacement,
-    describe_model,
 )
 from .measures import SearchConfig
 from .volterra import ExponentialKernel, TabulatedKernel
@@ -63,7 +66,7 @@ class ConfigError(ValueError):
         super().__init__(f"{fieldname}: {message}")
 
 
-_KET = {
+_KETS = {
     "ground": np.array([1, 0], dtype=complex),
     "excited": np.array([0, 1], dtype=complex),
     "zero": np.array([1, 0], dtype=complex),
@@ -74,7 +77,10 @@ _KET = {
     "minus_i": np.array([1, -1j], dtype=complex) / np.sqrt(2),
 }
 
-_OBSERVABLE = {
+_STATES = {"maxmixed": 0.5 * np.eye(2, dtype=complex),
+           **{name: np.outer(v, v.conj()) for name, v in _KETS.items()}}
+
+_OBSERVABLES = {
     "sigma_x": SIGMA_X,
     "sigma_y": SIGMA_Y,
     "sigma_z": SIGMA_Z,
@@ -83,43 +89,30 @@ _OBSERVABLE = {
     "sigma_plus": SIGMA_PLUS,
 }
 
-_PAULI_LETTER = {
-    "i": np.eye(2, dtype=complex),
-    "x": SIGMA_X,
-    "y": SIGMA_Y,
-    "z": SIGMA_Z,
-}
+_PAULI_LETTERS = {"i": np.eye(2, dtype=complex), "x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
-def state_preset(name: str, fieldname: str) -> np.ndarray:
-    name = name.strip().lower()
-    if name == "maxmixed":
-        return 0.5 * np.eye(2, dtype=complex)
-    if name in _KET:
-        v = _KET[name]
-        return np.outer(v, v.conj())
-    raise ConfigError(fieldname, f"unknown state preset {name!r}")
+def _preset(table: dict, vocabulary: str, name: str, fieldname: str) -> np.ndarray:
+    """A fresh copy of ``table[name]``; ConfigError naming the field otherwise."""
+    key = name.strip().lower()
+    if key not in table:
+        raise ConfigError(fieldname, f"unknown {vocabulary} preset {key!r}")
+    return table[key].copy()
 
 
-def vector_preset(name: str, fieldname: str) -> np.ndarray:
-    name = name.strip().lower()
-    if name in _KET:
-        return _KET[name]
-    raise ConfigError(fieldname, f"unknown pure-state preset {name!r}")
+state_preset = partial(_preset, _STATES, "state")
+vector_preset = partial(_preset, _KETS, "pure-state")
+observable_preset = partial(_preset, _OBSERVABLES, "observable")
 
 
-def observable_preset(name: str, fieldname: str) -> np.ndarray:
-    name = name.strip().lower()
-    if name in _OBSERVABLE:
-        return _OBSERVABLE[name]
-    raise ConfigError(fieldname, f"unknown observable preset {name!r}")
-
-
-def pauli_product(code: str, fieldname: str) -> np.ndarray:
+def pauli_product(arg: str, fieldname: str) -> np.ndarray:
+    """(a ⊗ b)/2 from a ``pauli:<ab>`` argument, a and b each one of i/x/y/z."""
+    prefix, _, code = arg.partition(":")
     code = code.strip().lower()
-    if len(code) != 2 or any(c not in _PAULI_LETTER for c in code):
-        raise ConfigError(fieldname, f"pauli product must be two of i/x/y/z, got {code!r}")
-    return 0.5 * np.kron(_PAULI_LETTER[code[0]], _PAULI_LETTER[code[1]])
+    if prefix != "pauli" or len(code) != 2 or any(c not in _PAULI_LETTERS for c in code):
+        raise ConfigError(fieldname, f"expected pauli:<ab> with a, b each one of i/x/y/z, "
+                                     f"got {arg!r}")
+    return 0.5 * np.kron(_PAULI_LETTERS[code[0]], _PAULI_LETTERS[code[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +120,22 @@ def pauli_product(code: str, fieldname: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _DESCRIPTOR_RE = re.compile(r"^\s*([a-z_]+)\s*\(([^()]*)\)\s*$")
+
+# Witness kind -> (spec class, one parser per positional argument,
+# {descriptor keyword: spec field}).  A keyword left out takes the field's default.
+_WITNESS_KINDS = {
+    "trace_norm_extended": (ExtendedTraceNormWitness, (pauli_product,), {}),
+    "dual_operator_norm": (DualOperatorNormWitness, (pauli_product,), {}),
+    "trace_norm_plain": (PlainTraceNormWitness, (observable_preset,), {}),
+    "blp": (InformationFlowPair, (state_preset, state_preset), {}),
+    "relative_entropy": (RelativeEntropyPair, (state_preset, state_preset), {}),
+    "renyi": (RenyiPair, (state_preset, state_preset), {"alpha": "alpha"}),
+    "tsallis": (TsallisPair, (state_preset, state_preset), {"q": "q"}),
+    "fidelity": (FidelityPair, (state_preset, state_preset), {}),
+    "overlap": (InvariantOverlap, (state_preset, vector_preset), {}),
+    "skew_schrodinger": (SchrodingerSkew, (state_preset, observable_preset), {"p": "exponent"}),
+    "skew_heisenberg": (HeisenbergSkew, (state_preset, observable_preset), {"p": "exponent"}),
+}
 
 
 def _split_args(body: str, fieldname: str):
@@ -143,62 +152,27 @@ def _split_args(body: str, fieldname: str):
     return args, kwargs
 
 
-_PAULI_WITNESSES = {"trace_norm_extended": ExtendedTraceNormWitness,
-                    "dual_operator_norm": DualOperatorNormWitness}
-_STATE_PAIRS = {"blp": InformationFlowPair, "relative_entropy": RelativeEntropyPair,
-                "fidelity": FidelityPair}
-_SKEWS = {"skew_schrodinger": SchrodingerSkew, "skew_heisenberg": HeisenbergSkew}
-
-# Witness kind -> (number of positional arguments, keyword arguments it takes).
-_SIGNATURES = {
-    **{kind: (1, ()) for kind in (*_PAULI_WITNESSES, "trace_norm_plain")},
-    **{kind: (2, ()) for kind in (*_STATE_PAIRS, "overlap")},
-    "renyi": (2, ("alpha",)),
-    "tsallis": (2, ("q",)),
-    **{kind: (2, ("p",)) for kind in _SKEWS},
-}
-
-
 def parse_witness_descriptor(text: str, fieldname: str = "witnesses.specs"):
     """Build a witness spec from a descriptor such as ``blp(plus,minus)``."""
     match = _DESCRIPTOR_RE.match(text)
     if not match:
         raise ConfigError(fieldname, f"malformed witness descriptor {text!r}")
-    kind, body = match.group(1), match.group(2)
-    if kind not in _SIGNATURES:
+    kind, body = match.groups()
+    if kind not in _WITNESS_KINDS:
         raise ConfigError(fieldname, f"unknown witness kind {kind!r}")
+    cls, parsers, keywords = _WITNESS_KINDS[kind]
     args, kwargs = _split_args(body, fieldname)
-    positional, keywords = _SIGNATURES[kind]
-    if len(args) > positional:
-        raise ConfigError(fieldname, f"too many arguments in {text!r}: {kind} takes "
-                          f"{positional}, got {len(args)}")
+    if len(args) != len(parsers):
+        problem = "too many" if len(args) > len(parsers) else "missing"
+        raise ConfigError(fieldname, f"{problem} arguments in {text!r}: {kind} takes "
+                          f"{len(parsers)}, got {len(args)}")
     unknown = sorted(set(kwargs) - set(keywords))
     if unknown:
         raise ConfigError(fieldname, f"unknown argument {unknown[0]!r} to {kind} in {text!r}")
-    state = lambda k: state_preset(args[k], fieldname)
+    values = [parse(arg, fieldname) for parse, arg in zip(parsers, args)]
+    numbers = {keywords[key]: _number(raw, fieldname) for key, raw in kwargs.items()}
     try:
-        if kind in _PAULI_WITNESSES:
-            code = args[0].split(":", 1)[1] if args and args[0].startswith("pauli:") else None
-            if code is None:
-                raise ConfigError(fieldname, f"{kind} expects pauli:<xy>, got {text!r}")
-            return _PAULI_WITNESSES[kind](pauli_product(code, fieldname))
-        if kind == "trace_norm_plain":
-            return PlainTraceNormWitness(observable_preset(args[0], fieldname))
-        if kind in _STATE_PAIRS:
-            return _STATE_PAIRS[kind](state(0), state(1))
-        if kind == "renyi":
-            return RenyiPair(state(0), state(1), alpha=_number(kwargs.get("alpha", 0.5), fieldname))
-        if kind == "tsallis":
-            return TsallisPair(state(0), state(1), q=_number(kwargs.get("q", 0.5), fieldname))
-        if kind == "overlap":
-            return InvariantOverlap(state(0), vector_preset(args[1], fieldname))
-        if kind in _SKEWS:
-            return _SKEWS[kind](state(0), observable_preset(args[1], fieldname),
-                                exponent=_number(kwargs.get("p", 0.5), fieldname))
-    except ConfigError:
-        raise
-    except (IndexError, KeyError) as exc:
-        raise ConfigError(fieldname, f"missing argument in {text!r}") from exc
+        return cls(*values, **numbers)
     except ValueError as exc:
         raise ConfigError(fieldname, f"invalid witness {text!r}: {exc}") from exc
 
@@ -252,18 +226,13 @@ def parse_model(section) -> GeneratorModel:
         return Dephasing(rate=_parse_scalar(section, "rate", "model.rate"))
     if variant == "trace_replacement":
         rate = _parse_scalar(section, "rate", "model.rate")
-        target_name = section.get("omega", "maxmixed").strip().lower()
-        if target_name == "maxmixed":
-            target = ConstantTarget(0.5 * np.eye(2, dtype=complex))
-        elif target_name in _KET:
-            v = _KET[target_name]
-            target = ConstantTarget(np.outer(v, v.conj()))
-        elif target_name == "bloch_z_sine":
+        omega = section.get("omega", "maxmixed")
+        if omega.strip().lower() == "bloch_z_sine":
             target = BlochZSineTarget(*(
                 _number(section.get(f"omega.{key}", 1.0), f"model.omega.{key}")
                 for key in ("scale", "angular_frequency")))
         else:
-            raise ConfigError("model.omega", f"unknown target preset {target_name!r}")
+            target = ConstantTarget(state_preset(omega, "model.omega"))
         return TraceReplacement(rate=rate, target=target)
     if variant == "spin_boson":
         kind = section.get("kernel", "exponential").strip().lower()
@@ -311,8 +280,7 @@ class RunConfig:
     t_max: float
     nodes: int
     backend: str
-    witness_descriptors: list
-    witness_specs: list
+    witnesses: list  # (descriptor, spec) pairs in the order given
     measures_enabled: bool
     measure_rhp: bool
     measure_witness: bool
@@ -321,7 +289,6 @@ class RunConfig:
     out_dir: Path
     prefix: str
     divisibility_tol: float = 1e-8
-    model_descriptor: dict = field(default_factory=dict)
 
     @property
     def times(self) -> np.ndarray:
@@ -369,18 +336,10 @@ def load_config(path, seed_override: int | None = None,
     if backend not in ("auto", "analytic", "numeric"):
         raise ConfigError("backend.kind", f"must be auto/analytic/numeric, got {backend!r}")
 
-    descriptors = []
-    specs = []
-    if "witnesses" in parser and parser["witnesses"].get("specs", "").strip():
-        for token in parser["witnesses"]["specs"].split(";"):
-            token = token.strip()
-            if not token:
-                continue
-            descriptors.append(token)
-            specs.append(parse_witness_descriptor(token))
+    specs = parser["witnesses"].get("specs", "") if "witnesses" in parser else ""
+    witnesses = [(d, parse_witness_descriptor(d)) for d in map(str.strip, specs.split(";")) if d]
 
     meas = parser["measures"] if "measures" in parser else {}
-    enabled = str(meas.get("enabled", "true")).lower() in ("1", "true", "yes", "on")
     flag = lambda key: str(meas.get(key, "true")).lower() in ("1", "true", "yes", "on")
     divisibility_tol = _number(meas.get("divisibility_tol", "1e-8"), "measures.divisibility_tol")
     if divisibility_tol <= 0:
@@ -409,9 +368,8 @@ def load_config(path, seed_override: int | None = None,
         t_max=t_max,
         nodes=nodes,
         backend=backend,
-        witness_descriptors=descriptors,
-        witness_specs=specs,
-        measures_enabled=enabled,
+        witnesses=witnesses,
+        measures_enabled=flag("enabled"),
         measure_rhp=flag("rhp"),
         measure_witness=flag("witness"),
         measure_blp=flag("blp"),
@@ -419,5 +377,4 @@ def load_config(path, seed_override: int | None = None,
         out_dir=out_dir,
         prefix=prefix,
         divisibility_tol=divisibility_tol,
-        model_descriptor=describe_model(model),
     )

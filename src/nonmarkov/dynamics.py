@@ -418,18 +418,24 @@ def averaged_target_series(model: TraceReplacement, times: np.ndarray, refine: i
     Omega(t) = int_0^t rate e^{Gamma(tau)} target(tau) dtau / (e^{Gamma(t)} - 1),
     and target(0) where Gamma vanishes: the t -> 0 limit, and at a later zero
     of Gamma the map is the identity whatever Omega is.  Gamma may be negative.
+    The denominator is the same quadrature of rate e^Gamma as the numerator,
+    not the exact e^Gamma - 1, so Tr Omega = 1 to rounding whatever the
+    quadrature error: the map multiplies that error by 1 - e^{-Gamma}.
     """
     times = np.asarray(times, dtype=float)
     tt = _refined_grid(times, refine)
     rates = _eval_scalar(model.rate, tt)
     gammas = _cumulative_simpson(rates, tt)
     targets = _check_unit_trace(model.target(tt), tt)
-    cum = _cumulative_simpson((rates * np.exp(gammas))[:, None, None] * targets, tt)
+    n, d = targets.shape[0], targets.shape[-1]
+    weights = (rates * np.exp(gammas))[:, None]
+    # channels: the d*d target entries weighted by rate e^Gamma, then the weight
+    cum = _cumulative_simpson(np.hstack([weights * targets.reshape(n, d * d), weights]),
+                              tt)[::refine]
     node_gamma = gammas[::refine]
-    node_cum = cum[::refine]
     started = np.abs(node_gamma) > 1e-12
-    denom = np.where(started, np.exp(node_gamma) - 1.0, 1.0)[:, None, None]
-    omegas = np.where(started[:, None, None], node_cum / denom,
+    denom = np.where(started, cum[:, -1].real, 1.0)[:, None, None]
+    omegas = np.where(started[:, None, None], cum[:, :-1].reshape(-1, d, d) / denom,
                       np.asarray(model.target(0.0), dtype=complex))
     return node_gamma, omegas
 
@@ -617,18 +623,30 @@ def evolve(
                       meta=describe_model(model))
 
 
+def propagators(later: np.ndarray, earlier: np.ndarray):
+    """V = later earlier^{-1} for stacks ``(N, n, n)`` of maps, skipping each
+    earlier map whose condition number is beyond ``CONDITION_LIMIT``.
+
+    Returns the propagators of the kept pairs, the excluded mask and the
+    condition numbers."""
+    cond = np.linalg.cond(earlier)
+    excluded = ~np.isfinite(cond) | (cond > CONDITION_LIMIT)
+    kept = ~excluded
+    props = np.linalg.solve(earlier[kept].transpose(0, 2, 1),
+                            later[kept].transpose(0, 2, 1)).transpose(0, 2, 1)
+    return props, excluded, cond
+
+
 def intermediate_map(traj: Trajectory, t: float, s: float) -> np.ndarray:
     """Propagator V_{t,s} = Lambda_t Lambda_s^{-1} between two grid times."""
     if t < s:
         raise ValueError(f"need t >= s, got t={t}, s={s}")
-    m_t = traj.map_at(t)
-    m_s = traj.map_at(s)
-    cond = float(np.linalg.cond(m_s))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    props, excluded, cond = propagators(traj.map_at(t)[None], traj.map_at(s)[None])
+    if excluded[0]:
         raise SingularPropagatorError(
-            f"map at s={s} has condition number {cond:.3e} beyond {CONDITION_LIMIT:.0e}"
+            f"map at s={s} has condition number {cond[0]:.3e} beyond {CONDITION_LIMIT:.0e}"
         )
-    return np.linalg.solve(m_s.T, m_t.T).T
+    return props[0]
 
 
 # ---------------------------------------------------------------------------

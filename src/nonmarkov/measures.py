@@ -40,15 +40,12 @@ import numpy as np
 
 from . import operators as ops
 from .dynamics import (
-    CONDITION_LIMIT,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     GeneratorModel,
     Trajectory,
     apply_extended,
     choi_matrix,
     generator_superoperator,
+    propagators,
 )
 from .witnesses import (
     ExtendedTraceNormWitness,
@@ -116,16 +113,11 @@ class BlpMeasureResult:
 def step_choi_data(traj: Trajectory) -> StepChoiData:
     """Choi spectra of V_{t_{k+1}, t_k} = Λ_{k+1} Λ_k^{-1} for every grid step;
     a step whose Λ_k has condition number beyond ``CONDITION_LIMIT`` is excluded."""
-    maps = traj.maps
-    cond = np.linalg.cond(maps[:-1])
-    excluded = ~np.isfinite(cond) | (cond > CONDITION_LIMIT)
-    kept = np.flatnonzero(~excluded)
-    props = np.linalg.solve(maps[kept].transpose(0, 2, 1),
-                            maps[kept + 1].transpose(0, 2, 1)).transpose(0, 2, 1)
+    props, excluded, _ = propagators(traj.maps[1:], traj.maps[:-1])
     w, v = np.linalg.eigh(ops.hermitian_part(choi_matrix(props)))
     min_eigs = np.full(excluded.size, np.nan)
-    min_eigs[kept] = w[:, 0]
-    worst = int(np.argmin(w[:, 0])) if kept.size else None
+    min_eigs[~excluded] = w[:, 0]
+    worst = int(np.argmin(w[:, 0])) if len(w) else None
     return StepChoiData(
         start_times=traj.times[:-1],
         end_times=traj.times[1:],
@@ -194,9 +186,6 @@ def rhp_measure(model: GeneratorModel, times: np.ndarray) -> float:
 # Witness-measure search
 # ---------------------------------------------------------------------------
 
-_PAULIS = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-
 def gell_mann_basis(d: int) -> list:
     """Generalized Gell-Mann matrices (traceless Hermitian basis of su(d))."""
     mats = []
@@ -221,7 +210,7 @@ def gell_mann_basis(d: int) -> list:
 def _product_candidates(d: int, cap: int) -> list:
     """Tensor products of single-system basis elements (identity included),
     skipping the PSD identity x identity direction."""
-    basis = list(_PAULIS) if d == 2 else [np.eye(d, dtype=complex)] + gell_mann_basis(d)
+    basis = [np.eye(d, dtype=complex)] + gell_mann_basis(d)
     out = []
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):

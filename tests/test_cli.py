@@ -5,15 +5,31 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nonmarkov import __version__, cli, measures
+from nonmarkov import __version__, cli, config, measures
 from nonmarkov.cli import main
 from nonmarkov.config import ConfigError, load_config, parse_witness_descriptor
 from nonmarkov.dynamics import Dephasing, Sine, evolve, load_trajectory, save_trajectory, Trajectory
+from nonmarkov.witnesses import (
+    DualOperatorNormWitness,
+    ExtendedTraceNormWitness,
+    FidelityPair,
+    HeisenbergSkew,
+    InformationFlowPair,
+    InvariantOverlap,
+    PlainTraceNormWitness,
+    RelativeEntropyPair,
+    RenyiPair,
+    SchrodingerSkew,
+    TsallisPair,
+)
+
+from conftest import KET0, KET1, KET_MINUS, KET_PLUS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, projector
 
 EXAMPLE1 = """
 [model]
@@ -152,6 +168,103 @@ class TestConfigParsing:
         assert main(["verdict", "--config", cfg_path, "--out", str(tmp_path), "--seed", "-1",
                      "--quiet"]) == 2
         assert "search.rng_seed" in capsys.readouterr().err
+
+
+def _readme_descriptors():
+    """The descriptors of the README witness table, in table order."""
+    return re.findall(r"^\| `([a-z_]+\(.*\))` \|", ROOT.joinpath("README.md").read_text(),
+                      flags=re.M)
+
+
+def _assert_same_spec(got, want):
+    assert type(got) is type(want)
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
+        np.testing.assert_array_equal(a, b, err_msg=f.name)
+
+
+class TestWitnessKindTable:
+    """Every row of the descriptor table against the README."""
+
+    P_PLUS, P_MINUS = projector(KET_PLUS), projector(KET_MINUS)
+    MAXMIXED = 0.5 * PAULI_I
+    XY = 0.5 * np.kron(PAULI_X, PAULI_Y)
+    # The spec each README example builds: the class and its arguments, spelled out.
+    EXPECTED = {
+        "trace_norm_extended": ExtendedTraceNormWitness(XY),
+        "dual_operator_norm": DualOperatorNormWitness(XY),
+        "trace_norm_plain": PlainTraceNormWitness(PAULI_X),
+        "blp": InformationFlowPair(P_PLUS, P_MINUS),
+        "relative_entropy": RelativeEntropyPair(P_PLUS, MAXMIXED),
+        "renyi": RenyiPair(P_PLUS, MAXMIXED, alpha=0.5),
+        "tsallis": TsallisPair(P_PLUS, MAXMIXED, q=0.5),
+        "fidelity": FidelityPair(P_PLUS, MAXMIXED),
+        "overlap": InvariantOverlap(projector(KET1), KET0),
+        "skew_schrodinger": SchrodingerSkew(P_PLUS, PAULI_Z, exponent=0.5),
+        "skew_heisenberg": HeisenbergSkew(projector(KET0), PAULI_X, exponent=0.5),
+    }
+
+    def test_readme_table_names_every_kind_once(self):
+        kinds = [d.split("(")[0] for d in _readme_descriptors()]
+        assert sorted(kinds) == sorted(set(kinds)) == sorted(config._WITNESS_KINDS)
+        assert set(self.EXPECTED) == set(config._WITNESS_KINDS)
+
+    @pytest.mark.parametrize("descriptor", _readme_descriptors())
+    def test_readme_example_builds_the_spec(self, descriptor):
+        kind = descriptor.split("(")[0]
+        _assert_same_spec(parse_witness_descriptor(descriptor), self.EXPECTED[kind])
+
+    @pytest.mark.parametrize("descriptor", _readme_descriptors())
+    def test_omitted_keyword_takes_the_readme_value(self, descriptor):
+        keywords = config._WITNESS_KINDS[descriptor.split("(")[0]][2]
+        shown = dict(re.findall(r"([a-z]+)=([0-9.]+)", descriptor))
+        assert set(shown) == set(keywords)
+        bare = re.sub(r",[a-z]+=[0-9.]+", "", descriptor)
+        spec = parse_witness_descriptor(bare)
+        for key, value in shown.items():
+            assert getattr(spec, keywords[key]) == float(value)
+
+    @pytest.mark.parametrize("descriptor", _readme_descriptors())
+    def test_missing_positional_argument_exits_2(self, tmp_path, capsys, descriptor):
+        kind, body = descriptor[:-1].split("(")
+        tokens = body.split(",")
+        last = max(i for i, token in enumerate(tokens) if "=" not in token)
+        short = f"{kind}({','.join(tokens[:last] + tokens[last + 1:])})"
+        with pytest.raises(ConfigError, match="witnesses.specs: missing"):
+            parse_witness_descriptor(short)
+        text = EXAMPLE1.replace("blp(plus,minus)", short, 1)
+        assert main(["verdict", "--config", _write(tmp_path, text), "--out", str(tmp_path),
+                     "--quiet"]) == 2
+        assert "invalid configuration: witnesses.specs:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["trace_norm_extended", "dual_operator_norm"])
+    def test_pauli_argument_needs_its_prefix(self, tmp_path, capsys, kind):
+        text = EXAMPLE1.replace("blp(plus,minus)", f"{kind}(xx)", 1)
+        assert main(["verdict", "--config", _write(tmp_path, text), "--out", str(tmp_path),
+                     "--quiet"]) == 2
+        assert "invalid configuration: witnesses.specs:" in capsys.readouterr().err
+
+    REPLACEMENT = EXAMPLE1.replace("variant = dephasing", "variant = trace_replacement")
+
+    def test_omega_takes_any_state_preset(self, tmp_path):
+        text = self.REPLACEMENT.replace("rate = sine", "omega = plus\nrate = sine")
+        cfg = load_config(_write(tmp_path, text))
+        np.testing.assert_array_equal(cfg.model.target.matrix, self.P_PLUS)
+
+    def test_unknown_omega_exits_2(self, tmp_path, capsys):
+        text = self.REPLACEMENT.replace("rate = sine", "omega = bogus\nrate = sine")
+        assert main(["verdict", "--config", _write(tmp_path, text), "--out", str(tmp_path),
+                     "--quiet"]) == 2
+        assert "invalid configuration: model.omega:" in capsys.readouterr().err
+
+    def test_readme_preset_lists_match_the_tables(self):
+        text = " ".join(ROOT.joinpath("README.md").read_text().split())
+        listed = lambda head: set(re.findall(r"`([a-z_]+)`", text.split(head, 1)[1]
+                                             .split(".", 1)[0]))
+        assert listed("State presets:") == set(config._STATES)
+        assert listed("Observable presets:") == set(config._OBSERVABLES)
+        assert set(config._KETS) == set(config._STATES) - {"maxmixed"}
 
 
 class TestPipeline:

@@ -642,5 +642,8 @@ class TestBackendAgreement:
     # Gamma < 0 after t = 0: Omega is the integral quotient there, not target(0)
     @example(rate=OffsetSine(-0.3, 1.0), target=BlochZSineTarget(1.2),
              times=np.linspace(0.0, 3.0, 65))
+    # Gamma < 0: the map multiplies the quadrature error of Tr Omega by 1 - e^{-Gamma}
+    @example(rate=Constant(-1.5), target=ConstantTarget(0.5 * np.eye(2)),
+             times=np.linspace(0.0, 4.0, 33))
     def test_trace_replacement(self, rate, target, times):
         _assert_backends_agree(TraceReplacement(rate=rate, target=target), times)
