@@ -119,14 +119,24 @@ def apply_superop_batch(ms: np.ndarray, x: np.ndarray) -> np.ndarray:
     return w.reshape(-1, d, d).transpose(0, 2, 1)
 
 
+# OpenBLAS spreads a GEMM over its threads from m·n·k = 2**16 on, and the
+# woken helper thread then spins through the rest of a search candidate, on
+# the CPU of another search worker.  Row blocks below that stay on one thread.
+_SERIAL_GEMM_MNK = 2**16 - 1
+
+
 def apply_extended(m: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Apply (id ⊗ Λ) to an operator on the doubled space H ⊗ H.  A stack of
     maps (..., d^2, d^2) gives the stack of results."""
     n = m.shape[-1]
     d = isqrt(n)
-    blocks = y.reshape(d, d, d, d).transpose(0, 2, 3, 1).reshape(d * d, n)
-    w = np.einsum("...nm,bm->...bn", m, blocks)
-    return w.reshape(-1, d, d, d, d).transpose(0, 1, 4, 2, 3).reshape(*m.shape[:-2], n, n)
+    blocks = y.reshape(d, d, d, d).transpose(0, 2, 3, 1).reshape(d * d, n).T
+    rows = m.reshape(-1, n)
+    w = np.empty(rows.shape, dtype=np.result_type(rows, blocks))
+    step = max(_SERIAL_GEMM_MNK // (n * n), 1)
+    for start in range(0, rows.shape[0], step):
+        np.matmul(rows[start:start + step], blocks, out=w[start:start + step])
+    return w.reshape(-1, d, d, d, d).transpose(0, 3, 2, 4, 1).reshape(*m.shape[:-2], n, n)
 
 
 def extended_superop(m: np.ndarray) -> np.ndarray:

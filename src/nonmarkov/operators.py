@@ -4,8 +4,9 @@ Everything here operates on plain complex numpy arrays.  States are density
 matrices (Hermitian, PSD, unit trace), observables and witnesses are Hermitian
 matrices.  Spectral functions take one matrix or a stack ``(..., d, d)``,
 broadcast over the leading axes, and act on each matrix on its own: one matrix
-gives a ``float``, a stack an array.  All spectral work goes through
-``numpy.linalg.eigh``; eigenvalues below the support cutoff are treated as
+gives a ``float``, a stack an array.  Spectra of 2 × 2 Hermitian parts have a
+closed form (:func:`eigvalsh`); all other spectral work goes through
+``numpy.linalg.eigh``.  Eigenvalues below the support cutoff are treated as
 exact zeros so that logarithms and fractional powers stay finite near rank
 deficiency.  Divergences use the natural logarithm throughout.
 """
@@ -49,7 +50,25 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     """Check A = A† within ``tol`` relative to the largest entry magnitude."""
     a = np.asarray(a)
     scale = max(np.abs(a).max(), 1.0) if a.size else 1.0
-    return bool(np.abs(a - a.conj().T).max() <= tol * scale)
+    return bool(np.abs(a - _dagger(a)).max() <= tol * scale)
+
+
+_DOWN_UP = np.array([-1.0, 1.0])
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of each matrix in ``a``.
+
+    For 2 × 2 matrices this is the closed form m ± hypot((a - c)/2, |b|) of
+    [[a, b], [b*, c]], m = (a + c)/2; larger matrices go to LAPACK.
+    """
+    a = np.asarray(a)
+    if a.shape[-2:] != (2, 2):
+        return np.linalg.eigvalsh(hermitian_part(a))
+    p, c = a[..., 0, 0].real, a[..., 1, 1].real
+    m = 0.5 * p + 0.5 * c
+    r = np.hypot(0.5 * p - 0.5 * c, 0.5 * np.abs(a[..., 0, 1] + a[..., 1, 0].conj()))
+    return m[..., None] + r[..., None] * _DOWN_UP
 
 
 def check_hermitian(a: np.ndarray, name: str = "operator") -> np.ndarray:
@@ -64,7 +83,7 @@ def check_hermitian(a: np.ndarray, name: str = "operator") -> np.ndarray:
 def check_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
     """Validate Hermiticity, positivity (≥ -1e-10) and unit trace (±1e-10)."""
     rho = check_hermitian(rho, name)
-    w = np.linalg.eigvalsh(hermitian_part(rho))
+    w = eigvalsh(rho)
     if w.min() < -DENSITY_TOL:
         raise ValueError(f"{name} has negative eigenvalue {w.min():.3e}")
     tr = float(np.trace(rho).real)
@@ -90,13 +109,13 @@ def spectral_decomposition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def trace_norm(a: np.ndarray) -> float | np.ndarray:
     """Trace norm ||A||_1; for Hermitian A this is the sum of |eigenvalues|."""
-    w = np.linalg.eigvalsh(hermitian_part(a))
+    w = eigvalsh(a)
     return _float_if_single(np.abs(w).sum(axis=-1))
 
 
 def operator_norm(a: np.ndarray) -> float | np.ndarray:
     """Operator norm ||A||; for Hermitian A this is max |eigenvalue|."""
-    w = np.linalg.eigvalsh(hermitian_part(a))
+    w = eigvalsh(a)
     return _float_if_single(np.abs(w).max(axis=-1))
 
 
@@ -160,7 +179,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
     rho, sigma = _pair(rho, sigma)
     s = matrix_function(rho, "sqrt")
-    w = np.clip(np.linalg.eigvalsh(hermitian_part(s @ sigma @ s)), 0.0, None)
+    w = np.clip(eigvalsh(s @ sigma @ s), 0.0, None)
     return _float_if_single(np.sqrt(w).sum(axis=-1) ** 2)
 
 
@@ -233,7 +252,7 @@ def tsallis_relative_entropy(rho: np.ndarray, sigma: np.ndarray, q: float) -> fl
 
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """S(rho) = -Tr rho log rho with 0 log 0 := 0."""
-    w = np.linalg.eigvalsh(hermitian_part(rho))
+    w = eigvalsh(rho)
     return _float_if_single(-np.sum(_xlogx(w), axis=-1))
 
 

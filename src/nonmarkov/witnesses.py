@@ -67,7 +67,7 @@ def _window_changes(series: np.ndarray) -> np.ndarray:
 
 
 def _trace_norm_values(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    eigs = np.linalg.eigvalsh(ops.hermitian_part(stack))
+    eigs = ops.eigvalsh(stack)
     values = np.abs(eigs).sum(axis=1)
     # the trace norm kinks exactly where an eigenvalue crosses zero, i.e. the
     # count of (dead-banded) negative eigenvalues changes; persistent zero
@@ -78,7 +78,7 @@ def _trace_norm_values(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _operator_norm_values(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    eigs = np.linalg.eigvalsh(ops.hermitian_part(stack))
+    eigs = ops.eigvalsh(stack)
     values = np.abs(eigs).max(axis=1)
     # the operator norm kinks where the leading branch flips between the
     # largest and the most negative eigenvalue; exact persistent ties are smooth
@@ -331,24 +331,20 @@ def derivative_series(times: np.ndarray, values: np.ndarray,
     if n < 3:
         raise ValueError("need at least three nodes for interior derivatives")
     steps = np.diff(times)
-    h = float(steps[0])
-    uniform = bool(np.allclose(steps, h, rtol=1e-8, atol=1e-14))
-
+    h = steps[0]
     out = (values[2:] - values[:-2]) / (times[2:] - times[:-2])
-    if uniform and n >= 5:
+    # uniform within rtol 1e-8, atol 1e-14, as np.allclose(steps, h) judges it
+    if n >= 5 and (np.abs(steps - h) <= 1e-14 + 1e-8 * abs(h)).all():
         five = (-values[4:] + 8.0 * values[3:-1] - 8.0 * values[1:-3] + values[:-4]) / (12.0 * h)
-        inner = np.ones(n - 2, dtype=bool)
-        inner[0] = inner[-1] = False
         if kinks is not None and kinks.any():
             # a kink anywhere inside the 5-point window invalidates the stencil
-            reach = np.convolve(kinks.astype(int), np.ones(5, dtype=int), mode="same") > 0
-            inner &= ~reach[1:-1]
-        out[inner] = five[np.flatnonzero(inner) - 1]
-    if kinks is not None:
-        for k in np.flatnonzero(kinks[1:-1]) + 1:
-            left = (values[k] - values[k - 1]) / (times[k] - times[k - 1])
-            right = (values[k + 1] - values[k]) / (times[k + 1] - times[k])
-            out[k - 1] = left if abs(left) >= abs(right) else right
+            reach = np.convolve(kinks, np.ones(5, dtype=int), mode="same") > 0
+            five = np.where(reach[2:-2], out[1:-1], five)
+        out[1:-1] = five
+    if kinks is not None and kinks[1:-1].any():
+        secants = np.diff(values) / steps
+        left, right = secants[:-1], secants[1:]
+        out = np.where(kinks[1:-1], np.where(np.abs(left) >= np.abs(right), left, right), out)
     return out
 
 
@@ -532,7 +528,7 @@ def qubit_entropy_flow(traj: Trajectory, rho: np.ndarray,
         raise ValueError("qubit entropy flow requires a two-level trajectory")
     rho = ops.check_density_matrix(rho, "rho")
     evolved = ops.hermitian_part(apply_superop_batch(traj.maps, rho))
-    eigs = np.linalg.eigvalsh(evolved)
+    eigs = ops.eigvalsh(evolved)
     lam_minus = np.clip(eigs[:, 0], 0.0, None)
     lam_plus = np.clip(eigs[:, 1], 0.0, None)
 

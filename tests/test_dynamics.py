@@ -647,3 +647,34 @@ class TestBackendAgreement:
              times=np.linspace(0.0, 4.0, 33))
     def test_trace_replacement(self, rate, target, times):
         _assert_backends_agree(TraceReplacement(rate=rate, target=target), times)
+
+
+class TestApplyExtendedStack:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 3))
+    def test_matches_materialized_superop(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        n = dim * dim
+        maps = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        stacked = apply_extended(maps, y)
+        assert stacked.shape == (5, n, n)
+        for m, got in zip(maps, stacked):
+            want = unvec(extended_superop(m) @ vec(y), n)
+            tol = 1e-13 * np.abs(m).max() * np.abs(y).max() * n
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+            np.testing.assert_array_equal(apply_extended(m, y), got)
+
+    @pytest.mark.parametrize("dim, size", [(2, 1100), (3, 100)])
+    def test_stack_spanning_several_row_blocks(self, dim, size):
+        # more rows than one GEMM block takes, split inside a map for dim 3
+        rng = np.random.default_rng(dim)
+        n = dim * dim
+        maps = rng.normal(size=(size, n, n)) + 1j * rng.normal(size=(size, n, n))
+        y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert size * n * n * n > dyn._SERIAL_GEMM_MNK
+        stacked = apply_extended(maps, y)
+        tol = 1e-13 * np.abs(maps).max() * np.abs(y).max() * n
+        for k in range(size):
+            want = unvec(extended_superop(maps[k]) @ vec(y), n)
+            np.testing.assert_allclose(stacked[k], want, rtol=0, atol=tol)

@@ -299,3 +299,69 @@ class TestStacks:
                 fn(bad[violating], b[violating])
             with pytest.raises(NotPSDError):
                 fn(bad, b)
+
+
+class TestHermitianStacks:
+    def test_two_hermitian_qubit_matrices(self):
+        # N = d = 2: reversing every axis instead of the matrix axes mixes them up
+        stack = np.stack([PAULI_X, np.array([[0.3, 1j], [-1j, 0.7]])])
+        assert ops.is_hermitian(stack)
+
+    def test_stack_of_three(self, rng):
+        stack = np.stack([ops.random_hermitian(2, rng) for _ in range(3)])
+        assert ops.is_hermitian(stack)
+        stack[1, 0, 1] += 1.0
+        assert not ops.is_hermitian(stack)
+
+
+def _assert_spectrum(got, a):
+    """``got`` equals the LAPACK spectrum of the Hermitian part of ``a`` to a
+    few ulp of each matrix's scale."""
+    want = np.linalg.eigvalsh(ops.hermitian_part(a))
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)[..., None]
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * scale)
+
+
+class TestEigvalsh:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6), hermitian=st.booleans())
+    def test_random_qubit_stacks(self, seed, size, hermitian):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))
+        a = ops.hermitian_part(a) if hermitian else a  # otherwise its Hermitian part counts
+        got = ops.eigvalsh(a)
+        _assert_spectrum(got, a)
+        assert np.all(np.diff(got, axis=-1) >= 0)
+
+    def test_single_matrix_shape(self):
+        assert ops.eigvalsh(PAULI_X).shape == (2,)
+        np.testing.assert_array_equal(ops.eigvalsh(PAULI_X), [-1.0, 1.0])
+
+    def test_exact_degeneracy(self):
+        np.testing.assert_array_equal(ops.eigvalsh(0.7 * np.eye(2)), [0.7, 0.7])
+
+    def test_zero_matrix(self):
+        np.testing.assert_array_equal(ops.eigvalsh(np.zeros((3, 2, 2))), np.zeros((3, 2)))
+
+    def test_diagonal(self, rng):
+        a = np.stack([np.diag(rng.normal(size=2)) for _ in range(8)]).astype(complex)
+        _assert_spectrum(ops.eigvalsh(a), a)
+
+    def test_rank_one_pure_states(self, rng):
+        a = np.stack([projector(ops.random_pure_state(2, rng)) for _ in range(8)])
+        _assert_spectrum(ops.eigvalsh(a), a)
+        np.testing.assert_allclose(ops.eigvalsh(a), [[0.0, 1.0]] * 8, atol=4e-16)
+
+    @pytest.mark.parametrize("magnitude", [1e150, 1e-150, 1e160, 1e-160])
+    def test_extreme_scales(self, rng, magnitude):
+        a = magnitude * (rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2)))
+        got = ops.eigvalsh(a)
+        assert np.all(np.isfinite(got)) and np.all(got != 0.0)
+        _assert_spectrum(got, a)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_larger_matrices_go_to_lapack(self, rng, dim):
+        a = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+        np.testing.assert_array_equal(ops.eigvalsh(a),
+                                      np.linalg.eigvalsh(ops.hermitian_part(a)))

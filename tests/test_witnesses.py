@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nonmarkov.operators as ops
 import nonmarkov.witnesses as wit
@@ -409,3 +411,57 @@ class TestDerivativeEstimator:
         est = derivative_series(t, values)
         expected = (values[2:] - values[:-2]) / (t[2:] - t[:-2])
         np.testing.assert_allclose(est, expected)
+
+
+def _reference_derivative(times, values, kinks):
+    """derivative_series node by node, as its docstring states it."""
+    steps = np.diff(times)
+    uniform = np.allclose(steps, steps[0], rtol=1e-8, atol=1e-14)
+    n = times.size
+    out = []
+    for k in range(1, n - 1):
+        if kinks is not None and kinks[k]:
+            left = (values[k] - values[k - 1]) / (times[k] - times[k - 1])
+            right = (values[k + 1] - values[k]) / (times[k + 1] - times[k])
+            out.append(left if abs(left) >= abs(right) else right)
+        elif (uniform and 2 <= k <= n - 3
+              and (kinks is None or not kinks[k - 2:k + 3].any())):
+            out.append((-values[k + 2] + 8.0 * values[k + 1] - 8.0 * values[k - 1]
+                        + values[k - 2]) / (12.0 * steps[0]))
+        else:
+            out.append((values[k + 1] - values[k - 1]) / (times[k + 1] - times[k - 1]))
+    return np.array(out)
+
+
+@st.composite
+def _grids(draw):
+    """(times, values, kinks): a uniform, nearly uniform or irregular grid of
+    3 to 9 nodes, random values and a sparse random kink mask (edges included) or None."""
+    n = draw(st.integers(3, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["linspace", "exact", "jitter", "irregular"]))
+    h = rng.uniform(1e-3, 1.0)
+    if kind == "linspace":
+        times = np.linspace(0.0, h * (n - 1), n)
+    elif kind == "exact":
+        times = h * np.arange(n)
+    elif kind == "jitter":  # steps on both sides of the uniformity tolerance
+        times = np.concatenate([[0.0], np.cumsum(h * (1 + rng.uniform(-2e-8, 2e-8, n - 1)))])
+    else:
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n - 1))])
+    # small integers on an exact grid make equal one-sided secants likely
+    values = rng.integers(-2, 3, n).astype(float) if draw(st.booleans()) else rng.normal(size=n)
+    kinks = None
+    if draw(st.booleans()):
+        kinks = np.zeros(n, dtype=bool)
+        kinks[draw(st.lists(st.integers(0, n - 1), max_size=3))] = True
+    return times, values, kinks
+
+
+class TestDerivativeReference:
+    @settings(max_examples=300, deadline=None)
+    @given(grid=_grids())
+    def test_bit_equal_to_per_node_reference(self, grid):
+        times, values, kinks = grid
+        np.testing.assert_array_equal(derivative_series(times, values, kinks),
+                                      _reference_derivative(times, values, kinks))
