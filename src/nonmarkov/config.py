@@ -324,6 +324,10 @@ def load_config(path, seed_override: int | None = None,
     t_max = _number(grid.get("t_max"), "grid.t_max")
     if t_max <= 0:
         raise ConfigError("grid.t_max", f"must be positive, got {grid.get('t_max')!r}")
+    kernel = getattr(model, "kernel", None)
+    if not for_import and isinstance(kernel, TabulatedKernel) and t_max > kernel.times[-1]:
+        raise ConfigError("model.kernel.times", f"the table ends at t={kernel.times[-1]:.6g}, "
+                                                f"before grid.t_max = {t_max:.6g}")
     try:
         nodes = int(grid.get("nodes", "257"))
     except ValueError as exc:

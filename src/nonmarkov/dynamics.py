@@ -10,10 +10,12 @@ must accept arrays.  :func:`generator` builds the constant GKSL
 superoperators of a model once and returns L_t as a function of time, so a
 numeric ``evolve`` builds them once, not at every RK45 right-hand side.
 
-Trajectories hold the map at every node of a time grid.  They are built either
-from closed-form solutions (pure dephasing, trace replacement, spin-boson from
-the memory-kernel amplitude) or by adaptive RK45 integration of
-dLambda/dt = L_t Lambda.
+Trajectories hold the map at every node of a time grid.  The analytic backend
+builds them from closed-form solutions (pure dephasing, trace replacement,
+spin-boson from the memory-kernel amplitude).  The numeric backend integrates
+dLambda/dt = L_t Lambda by adaptive RK45, except for spin-boson, whose maps it
+builds from the amplitude G of the memory-kernel stepper: the time-local
+rates diverge at every zero of G, so no integrator may step through them.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ import numpy as np
 
 from .operators import _dagger
 from .volterra import (
-    AmplitudeSolution,
     ExponentialKernel,
     MemoryKernel,
     TabulatedKernel,
+    amplitude,
     solve_memory_kernel,
+    time_local_rates,
 )
 
 IDENTITY_TOL = 1e-12
@@ -40,6 +43,10 @@ TRACE_PRESERVATION_TOL = 1e-8
 CONDITION_LIMIT = 1e10
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
+# Simpson subintervals per grid step of the closed-form running integrals.
+REFINE = 16
+# Grid nodes of the single-time averaged target.
+AVERAGED_TARGET_NODES = 513
 
 TRAJECTORY_MAGIC = b"NMTRAJ01"
 
@@ -264,12 +271,11 @@ class TraceReplacement:
         return int(np.asarray(self.target(0.0)).shape[-1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpinBoson:
     """Qubit amplitude damping driven by the memory-kernel amplitude G(t)."""
 
     kernel: MemoryKernel
-    solution: AmplitudeSolution | None = None
 
     @property
     def dim(self) -> int:
@@ -322,7 +328,10 @@ def generator(model: GeneratorModel) -> Callable[[float | np.ndarray], np.ndarra
     """L_t as a function of one time (one d^2 x d^2 matrix back) or of an
     array of times (the stack (..., d^2, d^2) back).  The constant GKSL
     superoperators are built here, once; each call weights them by the rate
-    arrays at its times.  Trace replacement is rate(t) (|vec target(t)><vec I| - id)."""
+    arrays at its times.  Trace replacement is rate(t) (|vec target(t)><vec I| - id).
+    Spin-boson rates come from G at the given times (see
+    :func:`volterra.amplitude`) and raise SingularAmplitudeError across a
+    zero of G; a tabulated kernel needs a uniform grid from 0."""
     if isinstance(model, TraceReplacement):
         def replacement_generator(t):
             times = np.asarray(t, dtype=float)
@@ -334,12 +343,10 @@ def generator(model: GeneratorModel) -> Callable[[float | np.ndarray], np.ndarra
         terms = dissipator(SIGMA_Z[None])
         rates = lambda times: [0.5 * _eval_scalar(model.rate, times)]
     elif isinstance(model, SpinBoson):
-        if model.solution is None:
-            raise ValueError("spin-boson kernel solution unavailable; solve the memory kernel first")
         terms = np.stack([commutator(SIGMA_PLUS @ SIGMA_MINUS), dissipator(SIGMA_MINUS)])
 
         def rates(times):
-            shift, decay = model.solution.rates(times)
+            shift, decay = time_local_rates(times, *amplitude(model.kernel, times))
             return [0.5 * shift, decay]
     elif isinstance(model, Lindblad):
         d = model.dim
@@ -415,14 +422,14 @@ def _refined_grid(times: np.ndarray, refine: int) -> np.ndarray:
     return np.concatenate([times[:1], inner.reshape(-1)])
 
 
-def cumulative_rate_integral(rate: RateFunction, times: np.ndarray, refine: int = 16) -> np.ndarray:
+def cumulative_rate_integral(rate: RateFunction, times: np.ndarray) -> np.ndarray:
     """Gamma(t_k) = int_0^{t_k} rate, by composite Simpson on a refined grid."""
     times = np.asarray(times, dtype=float)
-    tt = _refined_grid(times, refine)
-    return _cumulative_simpson(_eval_scalar(rate, tt), tt)[::refine]
+    tt = _refined_grid(times, REFINE)
+    return _cumulative_simpson(_eval_scalar(rate, tt), tt)[::REFINE]
 
 
-def averaged_target_series(model: TraceReplacement, times: np.ndarray, refine: int = 16):
+def averaged_target_series(model: TraceReplacement, times: np.ndarray):
     """Gamma(t_k) and the weighted target average Omega(t_k) on a grid.
 
     Omega(t) = int_0^t rate e^{Gamma(tau)} target(tau) dtau / (e^{Gamma(t)} - 1),
@@ -433,7 +440,7 @@ def averaged_target_series(model: TraceReplacement, times: np.ndarray, refine: i
     quadrature error: the map multiplies that error by 1 - e^{-Gamma}.
     """
     times = np.asarray(times, dtype=float)
-    tt = _refined_grid(times, refine)
+    tt = _refined_grid(times, REFINE)
     rates = _eval_scalar(model.rate, tt)
     gammas = _cumulative_simpson(rates, tt)
     targets = _check_unit_trace(model.target(tt), tt)
@@ -441,8 +448,8 @@ def averaged_target_series(model: TraceReplacement, times: np.ndarray, refine: i
     weights = (rates * np.exp(gammas))[:, None]
     # channels: the d*d target entries weighted by rate e^Gamma, then the weight
     cum = _cumulative_simpson(np.hstack([weights * targets.reshape(n, d * d), weights]),
-                              tt)[::refine]
-    node_gamma = gammas[::refine]
+                              tt)[::REFINE]
+    node_gamma = gammas[::REFINE]
     started = np.abs(node_gamma) > 1e-12
     denom = np.where(started, cum[:, -1].real, 1.0)[:, None, None]
     omegas = np.where(started[:, None, None], cum[:, :-1].reshape(-1, d, d) / denom,
@@ -450,13 +457,13 @@ def averaged_target_series(model: TraceReplacement, times: np.ndarray, refine: i
     return node_gamma, omegas
 
 
-def averaged_target(model: TraceReplacement, t: float, nodes: int = 513) -> np.ndarray:
+def averaged_target(model: TraceReplacement, t: float) -> np.ndarray:
     """Weighted target average Omega(t) for a single time."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return np.asarray(model.target(0.0), dtype=complex)
-    grid = np.linspace(0.0, float(t), nodes)
+    grid = np.linspace(0.0, float(t), AVERAGED_TARGET_NODES)
     _, omegas = averaged_target_series(model, grid)
     return omegas[-1]
 
@@ -550,14 +557,6 @@ def _spin_boson_maps(amplitudes: np.ndarray) -> np.ndarray:
     return maps
 
 
-def _amplitude_solution(model: SpinBoson, times: np.ndarray) -> AmplitudeSolution:
-    """The model's memory-kernel solution, solved again on ``times`` unless
-    the cached one reaches the grid's end (its spline must not extrapolate)."""
-    if model.solution is None or model.solution.times[-1] < times[-1]:
-        model.solution = solve_memory_kernel(model.kernel, times)
-    return model.solution
-
-
 def _evolve_analytic(model: GeneratorModel, times: np.ndarray) -> np.ndarray:
     if isinstance(model, Dephasing):
         gammas = cumulative_rate_integral(model.rate, times)
@@ -573,17 +572,13 @@ def _evolve_analytic(model: GeneratorModel, times: np.ndarray) -> np.ndarray:
         maps[0] = np.eye(model.dim ** 2)
         return maps
     if isinstance(model, SpinBoson):
-        if isinstance(model.kernel, ExponentialKernel):
-            g = model.kernel.closed_form_amplitude(times).astype(complex)
-        else:
-            g = _amplitude_solution(model, times).amplitude(times)
-        return _spin_boson_maps(g)
+        return _spin_boson_maps(amplitude(model.kernel, times)[0])
     raise ValueError(f"no analytic backend for {type(model).__name__}")
 
 
-def _evolve_numeric(model: GeneratorModel, times: np.ndarray, atol: float, rtol: float) -> np.ndarray:
+def _evolve_numeric(model: GeneratorModel, times: np.ndarray) -> np.ndarray:
     if isinstance(model, SpinBoson):
-        _amplitude_solution(model, times)
+        return _spin_boson_maps(solve_memory_kernel(model.kernel, times).values)
     d = model.dim
     n = d * d
     y0 = np.eye(n, dtype=complex).reshape(-1)
@@ -597,27 +592,23 @@ def _evolve_numeric(model: GeneratorModel, times: np.ndarray, atol: float, rtol:
         return np.concatenate([dy.real, dy.imag])
 
     sol = solve_ivp(rhs, (times[0], times[-1]), y0_real, method="RK45",
-                    t_eval=times, atol=atol, rtol=rtol)
+                    t_eval=times, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL)
     if not sol.success:
         raise RuntimeError(f"trajectory integration failed: {sol.message}")
     y = sol.y[: n * n, :] + 1j * sol.y[n * n:, :]
     return y.T.reshape(times.size, n, n)
 
 
-def evolve(
-    model: GeneratorModel,
-    times: np.ndarray,
-    backend: str = "auto",
-    atol: float = DEFAULT_ATOL,
-    rtol: float = DEFAULT_RTOL,
-) -> Trajectory:
+def evolve(model: GeneratorModel, times: np.ndarray, backend: str = "auto") -> Trajectory:
     """Build the trajectory of dynamical maps on a grid starting at t = 0.
 
     ``backend='analytic'`` uses the closed-form solution (dephasing, trace
-    replacement, spin-boson from the amplitude), ``backend='numeric'``
-    integrates dLambda/dt = L_t Lambda with RK45 (for the spin-boson model the
-    rates come from the numerically solved memory kernel).  ``'auto'`` picks
-    the analytic form when one exists.
+    replacement, spin-boson from the amplitude G: the closed form of an
+    exponential kernel, the memory-kernel stepper for a table).
+    ``backend='numeric'`` integrates dLambda/dt = L_t Lambda with RK45 to
+    ``DEFAULT_ATOL``/``DEFAULT_RTOL``; for spin-boson it builds the maps from
+    the stepper's G on the grid instead.  ``'auto'`` picks the analytic form
+    when one exists.
     """
     times = np.asarray(times, dtype=float)
     if backend == "auto":
@@ -626,7 +617,7 @@ def evolve(
     if backend == "analytic":
         maps = _evolve_analytic(model, times)
     elif backend == "numeric":
-        maps = _evolve_numeric(model, times, atol, rtol)
+        maps = _evolve_numeric(model, times)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return Trajectory(times=times, maps=maps, model=model, backend=backend,

@@ -6,30 +6,29 @@ Solves the non-local equation
 
 on a uniform grid with trapezoidal product quadrature of the memory integral
 inside a predictor-corrector step (second order).  For the exponential kernel
-f(t) = gamma0 * lam * exp(-lam t) / 2 the closed-form solution is available as
-an independent cross-check.  The time-local rates driving the master equation
-are read off the same derivative series the stepper produced:
+f(t) = gamma0 * lam * exp(-lam t) / 2 the closed form is exact at any times.
+Both kernel types are real, so G is real.  G alone fixes the spin-boson maps
+(populations |G|^2, coherences G*) and the time-local rates
 
-    shift s(t) = -2 Im G'(t)/G(t),   decay gamma(t) = -2 Re G'(t)/G(t).
+    shift s(t) = -2 Im G'(t)/G(t),   decay gamma(t) = -2 Re G'(t)/G(t),
 
-The off-grid interpolation uses scipy's CubicSpline, imported when the first
-solution is built, so importing this module does not load scipy.
+which diverge at every zero of G.  :func:`amplitude` gives (G, G') on a
+stack of times and :func:`time_local_rates` turns them into the rates, or
+raises :class:`SingularAmplitudeError` where G vanishes or changes sign.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 # |G| below this means the time-local rates are singular.
 AMPLITUDE_FLOOR = 1e-12
 # Stability guard for the explicit part of the stepper.
 MAX_STEP_KERNEL_PRODUCT = 0.5
+# Corrector passes per step of the memory-kernel stepper.
+CORRECTOR_ITERATIONS = 2
 
 
 class VolterraStepError(ValueError):
@@ -37,7 +36,7 @@ class VolterraStepError(ValueError):
 
 
 class SingularAmplitudeError(RuntimeError):
-    """Raised when rates are requested where |G| has collapsed."""
+    """Raised when rates are requested where G vanishes or changes sign."""
 
 
 @dataclass(frozen=True)
@@ -80,19 +79,11 @@ class ExponentialKernel:
         out = -(g0 * lam / d) * np.exp(-lam * t / 2.0) * np.sinh(d * t / 2.0)
         return np.asarray(out.real, dtype=float)
 
-    def closed_form_solution(self, times: np.ndarray) -> "AmplitudeSolution":
-        """Amplitude solution built from the closed form instead of the stepper."""
-        times = np.asarray(times, dtype=float)
-        return AmplitudeSolution(
-            times=times,
-            values=self.closed_form_amplitude(times).astype(complex),
-            derivatives=self.closed_form_derivative(times).astype(complex),
-        )
-
 
 @dataclass(frozen=True)
 class TabulatedKernel:
-    """Piecewise-linear kernel given by sample points."""
+    """Piecewise-linear kernel given by sample points from t = 0; it is not
+    extrapolated past its last time."""
 
     times: np.ndarray
     values: np.ndarray
@@ -102,6 +93,8 @@ class TabulatedKernel:
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape:
             raise ValueError("times and values must be matching 1-d arrays")
+        if times.size == 0 or times[0] != 0.0:
+            raise ValueError("kernel times must start at t = 0")
         if not np.all(np.diff(times) > 0):
             raise ValueError("kernel times must be strictly increasing")
         if not np.all(np.isfinite(values)):
@@ -120,63 +113,22 @@ class TabulatedKernel:
 MemoryKernel = ExponentialKernel | TabulatedKernel
 
 
-def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex a / b by Smith's formula with true divisions, as Python divides
-    complex numbers; numpy multiplies by a reciprocal, which differs in the last
-    bit, and RK45 amplifies that near the zeros of G."""
-    turn = np.where(np.abs(np.real(b)) >= np.abs(np.imag(b)), 1.0, 1j)
-    a, b = a * turn, b * turn  # exact; now |Re b| >= |Im b|
-    ratio = b.imag / b.real
-    denom = b.real + b.imag * ratio
-    return (a.real + a.imag * ratio) / denom + 1j * ((a.imag - a.real * ratio) / denom)
-
-
-@dataclass
+@dataclass(frozen=True)
 class AmplitudeSolution:
-    """G and G' on a uniform grid, with cubic interpolation for off-grid queries."""
+    """G and G' at the nodes of a uniform grid from t = 0."""
 
     times: np.ndarray
-    values: np.ndarray       # G(t_k), complex
-    derivatives: np.ndarray  # G'(t_k), complex
-    first_collapse: float | None = None  # first node time with |G| < AMPLITUDE_FLOOR
+    values: np.ndarray       # G(t_k)
+    derivatives: np.ndarray  # G'(t_k)
 
-    _value_spline: CubicSpline = field(init=False, repr=False)
-    _deriv_spline: CubicSpline = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        from scipy.interpolate import CubicSpline
-
+    @property
+    def first_collapse(self) -> float | None:
+        """The first node time with |G| < AMPLITUDE_FLOOR, or None."""
         below = np.abs(self.values) < AMPLITUDE_FLOOR
-        if self.first_collapse is None and below.any():
-            self.first_collapse = float(self.times[np.argmax(below)])
-        self._value_spline = CubicSpline(self.times, self.values)
-        self._deriv_spline = CubicSpline(self.times, self.derivatives)
-
-    def amplitude(self, t: np.ndarray | float) -> np.ndarray:
-        return self._value_spline(t)
-
-    def derivative(self, t: np.ndarray | float) -> np.ndarray:
-        return self._deriv_spline(t)
-
-    def rates(self, t: np.ndarray | float):
-        """Time-local (shift, decay) rates at one time (floats) or an array of
-        times (arrays); fails where |G| is singular."""
-        g = np.asarray(self._value_spline(t))
-        collapsed = (np.abs(g) < AMPLITUDE_FLOOR).reshape(-1)
-        if collapsed.any():
-            k = int(np.argmax(collapsed))
-            raise SingularAmplitudeError(f"|G({np.ravel(t)[k]})| = {abs(g.reshape(-1)[k]):.3e} "
-                                         f"below {AMPLITUDE_FLOOR}; rates diverge")
-        ratio = _quotient(self._deriv_spline(t), g)
-        shift, decay = -2.0 * ratio.imag, -2.0 * ratio.real
-        return (float(shift), float(decay)) if g.ndim == 0 else (shift, decay)
+        return float(self.times[np.argmax(below)]) if below.any() else None
 
 
-def solve_memory_kernel(
-    kernel: MemoryKernel,
-    times: np.ndarray,
-    corrector_iterations: int = 2,
-) -> AmplitudeSolution:
+def solve_memory_kernel(kernel: MemoryKernel, times: np.ndarray) -> AmplitudeSolution:
     """Integrate the memory-kernel equation on a uniform grid starting at 0."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
@@ -192,11 +144,14 @@ def solve_memory_kernel(
             f"step {h:.3e} too large for kernel peak {kernel.peak:.3e} "
             f"(h*max|f| = {h * kernel.peak:.3e} > {MAX_STEP_KERNEL_PRODUCT})"
         )
+    if isinstance(kernel, TabulatedKernel) and times[-1] > kernel.times[-1]:
+        raise ValueError(f"grid runs to t={times[-1]:.6g}, past the kernel table's "
+                         f"last time t={kernel.times[-1]:.6g}")
 
     n = times.size
     fv = np.asarray(kernel(times), dtype=float)  # f(t_k - t_j) = fv[k - j]
-    g = np.zeros(n, dtype=complex)
-    gd = np.zeros(n, dtype=complex)
+    g = np.zeros(n)
+    gd = np.zeros(n)
     g[0] = 1.0
     for k in range(1, n):
         # Trapezoidal history: f(t_k)G_0/2 + sum_{j=1}^{k-1} f(t_k - t_j) G_j
@@ -204,9 +159,42 @@ def solve_memory_kernel(
         if k > 1:
             hist = hist + fv[k - 1:0:-1] @ g[1:k]
         predicted = g[k - 1] + h * gd[k - 1]
-        for _ in range(corrector_iterations):
+        for _ in range(CORRECTOR_ITERATIONS):
             slope = -h * (hist + 0.5 * fv[0] * predicted)
             predicted = g[k - 1] + 0.5 * h * (gd[k - 1] + slope)
         g[k] = predicted
         gd[k] = -h * (hist + 0.5 * fv[0] * g[k])
     return AmplitudeSolution(times=times, values=g, derivatives=gd)
+
+
+def amplitude(kernel: MemoryKernel, times) -> tuple[np.ndarray, np.ndarray]:
+    """(G, G') at ``times``: the closed form of an exponential kernel at any
+    times, or the memory-kernel stepper's nodes for a table, where ``times``
+    must be a uniform grid from 0."""
+    if isinstance(kernel, ExponentialKernel):
+        return kernel.closed_form_amplitude(times), kernel.closed_form_derivative(times)
+    solution = solve_memory_kernel(kernel, times)
+    return solution.values, solution.derivatives
+
+
+def time_local_rates(times, g, dg):
+    """(shift, decay) = (-2 Im G'/G, -2 Re G'/G) at one time (floats) or a
+    stack of times (arrays).
+
+    Raises SingularAmplitudeError at the first time, in the order given, where
+    |G| < AMPLITUDE_FLOOR, or the first pair of consecutive times between
+    which Re G changes sign: the rates diverge at the zero of G in between.
+    """
+    t, flat = np.ravel(times), np.ravel(g)
+    collapsed = np.abs(flat) < AMPLITUDE_FLOOR
+    flips = np.append((flat.real[:-1] < 0) != (flat.real[1:] < 0), False)
+    if (collapsed | flips).any():
+        k = int(np.argmax(collapsed | flips))
+        if collapsed[k]:
+            raise SingularAmplitudeError(f"|G({t[k]:.6g})| = {abs(flat[k]):.3e} "
+                                         f"below {AMPLITUDE_FLOOR}; rates diverge")
+        raise SingularAmplitudeError(f"G changes sign between t={t[k]:.6g} and "
+                                     f"t={t[k + 1]:.6g}; rates diverge at its zero")
+    ratio = np.asarray(dg) / np.asarray(g)
+    shift, decay = -2.0 * np.imag(ratio), -2.0 * np.real(ratio)
+    return (float(shift), float(decay)) if np.ndim(g) == 0 else (shift, decay)

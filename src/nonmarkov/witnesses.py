@@ -46,6 +46,12 @@ VIOLATION_EXIT = 0.0
 INVARIANCE_TOL = 1e-8
 KINK_GAP_TOL = 1e-6
 NON_PSD_TOL = 1e-12
+# Largest deviation of M v from mu v for an eigenoperator v of every map.
+SPECTRAL_RESIDUAL_TOL = 1e-6
+# Seed of the random node combination that spectral_modes diagonalizes.
+SPECTRAL_SEED = 1234
+# Agreement required between the closed-form and generic entropy flows.
+ENTROPY_CROSS_CHECK_TOL = 1e-6
 
 
 class InvarianceError(RuntimeError):
@@ -353,8 +359,7 @@ def derivative_series(times: np.ndarray, values: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def verify_invariance(traj: Trajectory, state: np.ndarray | None = None,
-                      observable: np.ndarray | None = None,
-                      tol: float = INVARIANCE_TOL) -> tuple[bool, float]:
+                      observable: np.ndarray | None = None) -> tuple[bool, float]:
     """Check Λ_t σ0 = σ0 (or Λ*_t X0 = X0) across the grid; returns (ok, max dev)."""
     if (state is None) == (observable is None):
         raise ValueError("pass exactly one of state or observable")
@@ -364,7 +369,7 @@ def verify_invariance(traj: Trajectory, state: np.ndarray | None = None,
     else:
         evolved = apply_superop_batch(dual_superop(traj.maps), np.asarray(observable, dtype=complex))
         dev = float(np.abs(evolved - np.asarray(observable)).max())
-    return dev <= tol, dev
+    return dev <= INVARIANCE_TOL, dev
 
 
 def _flow(traj: Trajectory, spec: WitnessSpec) -> np.ndarray:
@@ -399,16 +404,14 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
                     (np.flatnonzero(edges == -1) - 1).tolist()))
 
 
-def detect_violations(times: np.ndarray, values: np.ndarray,
-                      enter: float = VIOLATION_ENTER,
-                      exit_level: float = VIOLATION_EXIT):
-    """Maximal runs of positive flow with hysteresis (enter above ``enter``,
-    leave once the flow drops to ``exit_level`` or below; ``enter`` must not
-    lie below ``exit_level``).  A NaN neither enters nor leaves a run."""
+def detect_violations(times: np.ndarray, values: np.ndarray):
+    """Maximal runs of positive flow with hysteresis (enter above
+    ``VIOLATION_ENTER``, leave once the flow drops to ``VIOLATION_EXIT`` or
+    below).  A NaN neither enters nor leaves a run."""
     intervals: list[tuple[float, float, float]] = []
     mask = np.zeros(values.size, dtype=bool)
-    for first, last in _runs(~(values <= exit_level)):
-        entered = np.flatnonzero(values[first:last + 1] > enter)
+    for first, last in _runs(~(values <= VIOLATION_EXIT)):
+        entered = np.flatnonzero(values[first:last + 1] > VIOLATION_ENTER)
         if entered.size:
             start = first + int(entered[0])
             mask[start:last + 1] = True
@@ -470,13 +473,12 @@ class SpectralModesResult:
     unmatched: int  # eigenvector candidates that failed time-independence
 
 
-def spectral_modes(traj: Trajectory, residual_tol: float = 1e-6,
-                   seed: int = 1234) -> SpectralModesResult:
+def spectral_modes(traj: Trajectory) -> SpectralModesResult:
     """Diagonalize the map family by a random linear combination of nodes and
     verify the eigenoperators are time independent across the grid."""
     if traj.nodes < 3:
         raise ValueError("need at least three nodes to identify spectral modes")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SPECTRAL_SEED)
     idx = np.unique(np.linspace(1, traj.nodes - 1, min(16, traj.nodes - 1)).astype(int))
     weights = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
     combo = np.einsum("k,kij->ij", weights, traj.maps[idx])
@@ -490,7 +492,7 @@ def spectral_modes(traj: Trajectory, residual_tol: float = 1e-6,
         mv = traj.maps @ v
         mu = np.einsum("i,ki->k", v.conj(), mv)
         residual = float(np.abs(mv - mu[:, None] * v[None, :]).max())
-        if residual > residual_tol:
+        if residual > SPECTRAL_RESIDUAL_TOL:
             unmatched += 1
             continue
         mods = np.abs(mu)
@@ -510,8 +512,7 @@ def spectral_modes(traj: Trajectory, residual_tol: float = 1e-6,
 # Qubit entropy flow
 # ---------------------------------------------------------------------------
 
-def qubit_entropy_flow(traj: Trajectory, rho: np.ndarray,
-                       cross_check_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def qubit_entropy_flow(traj: Trajectory, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropy production rate dS/dt of an evolved qubit state.
 
     Uses the closed form dS/dt = -(d lambda_+/dt) log(lambda_+/lambda_-) with
@@ -519,9 +520,9 @@ def qubit_entropy_flow(traj: Trajectory, rho: np.ndarray,
     cross-checks it against the generic relative-entropy flow toward the
     maximally mixed state: the values must satisfy the log-2-offset identity
     S(rho_t || I/2) = log 2 - S(rho_t), the flows must be sign-opposite, and
-    their magnitudes must agree to ``cross_check_tol`` wherever the state is
-    mixed enough (smaller eigenvalue above 0.05) for finite differences of the
-    entropy itself to be reliable.  Near purity only the closed form keeps its
+    their magnitudes must agree to ``ENTROPY_CROSS_CHECK_TOL`` wherever the
+    state is mixed enough (smaller eigenvalue above 0.05) for finite
+    differences of the entropy itself to be reliable.  Near purity only the closed form keeps its
     accuracy, which is the reason it exists.
     """
     if traj.dim != 2:
@@ -542,7 +543,7 @@ def qubit_entropy_flow(traj: Trajectory, rho: np.ndarray,
     relent = ops.relative_entropy(evolved, 0.5 * np.eye(2))
     entropy = ops.von_neumann_entropy(evolved)
     offset_identity = float(np.abs(relent - (np.log(2.0) - entropy)).max())
-    if offset_identity > cross_check_tol:
+    if offset_identity > ENTROPY_CROSS_CHECK_TOL:
         raise RuntimeError(
             f"entropy-flow cross-check failed: S(rho||I/2) and log 2 - S(rho) "
             f"disagree by {offset_identity:.3e}"
@@ -558,7 +559,7 @@ def qubit_entropy_flow(traj: Trajectory, rho: np.ndarray,
     trustworthy[0] = trustworthy[-1] = False
     if trustworthy.any():
         mismatch = float(np.abs(flow_values[trustworthy] + generic[trustworthy]).max())
-        if mismatch > cross_check_tol:
+        if mismatch > ENTROPY_CROSS_CHECK_TOL:
             raise RuntimeError(
                 f"entropy-flow cross-check failed: closed form and relative-entropy "
                 f"flow disagree by {mismatch:.3e} on mixed-state nodes"

@@ -141,12 +141,17 @@ class TestConfigParsing:
          "model.omega.scale"),
         (MODEL, "variant = spin_boson\nkernel.coupling = abc", "model.kernel.coupling"),
         (MODEL, "variant = spin_boson\nkernel.coupling = -1", "model.kernel"),
+        (MODEL, "variant = spin_boson\nkernel = table\nkernel.times = 0.5,9\nkernel.values = 1,1",
+         "model.kernel"),
+        (MODEL, "variant = spin_boson\nkernel = table\nkernel.times = 0,1\nkernel.values = 1,1",
+         "model.kernel.times"),
         (MODEL, "variant = gksl\nhamiltonian = sigma_z:abc", "model.hamiltonian"),
         ("rate.amplitude = 1.0", "rate.amplitude = 1.0\nrate.amplitude = 2.0", "config"),
         ("[model]\n", "", "config"),
         ("rng_seed = 7", "rng_seed = -1", "search.rng_seed"),
     ], ids=["tol_nan", "tol_inf", "amplitude_abc", "amplitude_nan", "omega_scale_abc",
-            "coupling_abc", "coupling_negative", "hamiltonian_abc", "duplicate_option",
+            "coupling_abc", "coupling_negative", "table_after_zero", "table_before_t_max",
+            "hamiltonian_abc", "duplicate_option",
             "no_section_header", "negative_seed"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, old, new, field):
         cfg_path = _write(tmp_path, EXAMPLE1.replace(old, new, 1))
@@ -320,6 +325,15 @@ prefix = sb
 """
         assert main(["report", "--config", _write(tmp_path, config), "--quiet"]) == 3
         assert "evolve" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["analytic", "numeric"])
+    def test_spin_boson_probe_stops_at_the_first_zero_of_g(self, tmp_path, capsys, backend):
+        # the INI of perfbench/workloads/spin_boson_probe.ini
+        cfg_path = _write(tmp_path, SPIN_BOSON_PROBE)
+        assert main(["report", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                     "--backend", backend, "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure in measure:rhp: G changes sign between t=1.46 and t=1.465" in err
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the seed climbs run in process without fork")
@@ -505,6 +519,49 @@ assert cli.main(["report", "--config", config, "--out", str(out / "numeric"),
 seen["numeric_report"] = loaded()
 print(json.dumps(seen))
 """
+
+
+SPIN_BOSON_PROBE = """
+[model]
+variant = spin_boson
+kernel = exponential
+kernel.coupling = 4.0
+kernel.rate = 1.0
+
+[grid]
+t_max = 10.0
+nodes = 2001
+
+[witnesses]
+specs = trace_norm_extended(pauli:xx); blp(plus,minus); relative_entropy(plus,maxmixed); fidelity(plus,maxmixed)
+
+[measures]
+witness = false
+blp = false
+
+[output]
+prefix = spin_boson
+"""
+
+
+def test_spin_boson_reports_load_no_scipy(tmp_path):
+    # an overdamped kernel: G never vanishes, so both backends report
+    config = SPIN_BOSON_PROBE.replace("coupling = 4.0", "coupling = 1.0").replace(
+        "rate = 1.0", "rate = 4.0")
+    script = """
+import sys
+import nonmarkov.cli as cli
+config, out = sys.argv[1], sys.argv[2]
+for backend in ("analytic", "numeric"):
+    assert cli.main(["report", "--config", config, "--out", f"{out}/{backend}",
+                     "--backend", backend, "--quiet"]) == 0
+print(sorted(name for name in ("scipy.integrate", "scipy.interpolate") if name in sys.modules))
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script, _write(tmp_path, config), str(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_scipy_loaded_only_by_the_numeric_backend(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -39,7 +40,7 @@ from nonmarkov.dynamics import (
     vec,
 )
 from nonmarkov.operators import max_entangled_projector, random_hermitian
-from nonmarkov.volterra import ExponentialKernel, TabulatedKernel
+from nonmarkov.volterra import ExponentialKernel, TabulatedKernel, solve_memory_kernel
 
 from conftest import PAULI_X, PAULI_Z, projector, KET0, KET1
 
@@ -97,10 +98,11 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generator_superoperator(model, 0.0)
 
-    def test_spin_boson_needs_solution(self):
+    def test_spin_boson_is_its_kernel_alone(self):
         model = SpinBoson(kernel=ExponentialKernel(1.0, 4.0))
-        with pytest.raises(ValueError):
-            generator_superoperator(model, 0.5)
+        assert [f.name for f in dataclasses.fields(model)] == ["kernel"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.kernel = ExponentialKernel(4.0, 1.0)
 
     def test_gksl_matches_dephasing(self):
         # sigma_z noise at half rate reproduces the pure-dephasing generator
@@ -129,20 +131,15 @@ def _kron_generator(model, t):
         omega = model.target(t)
         return float(model.rate(t)) * (np.outer(vec(omega), vec(eye)) - np.eye(d * d))
     if isinstance(model, SpinBoson):
-        shift, decay = model.solution.rates(t)
-        return hamiltonian(0.5 * shift * SIGMA_PLUS @ SIGMA_MINUS) + decay * dissipator(SIGMA_MINUS)
+        # G is real, so the shift -2 Im G'/G vanishes
+        ratio = model.kernel.closed_form_derivative(t) / model.kernel.closed_form_amplitude(t)
+        return -2.0 * float(ratio) * dissipator(SIGMA_MINUS)
     out = np.zeros((d * d, d * d), dtype=complex)
     if model.hamiltonian is not None:
         out += hamiltonian(model.hamiltonian)
     for op, rate in model.noise:
         out += float(rate(t)) * dissipator(op)
     return out
-
-
-def _spin_boson_with_solution():
-    model = SpinBoson(kernel=ExponentialKernel(1.0, 4.0))
-    model.solution = model.kernel.closed_form_solution(np.linspace(0, 5, 501))
-    return model
 
 
 GENERATOR_CASES = {
@@ -160,7 +157,7 @@ GENERATOR_CASES = {
     "qutrit": (Lindblad(hamiltonian=None,
                         noise=((np.diag([1.0, 0, 0]).astype(complex), Constant(1.0)),), dim=3),
                np.linspace(0, 1, 9)),
-    "spin_boson": (_spin_boson_with_solution(), np.linspace(0, 5, 101)),
+    "spin_boson": (SpinBoson(kernel=ExponentialKernel(1.0, 4.0)), np.linspace(0, 5, 101)),
 }
 
 
@@ -286,28 +283,37 @@ class TestEvolve:
     def test_spin_boson_ode_reproduces_populations(self):
         times = np.linspace(0, 10, 501)
         kernel = ExponentialKernel(coupling=1.0, rate=4.0)
-        model = SpinBoson(kernel=kernel)
-        model.solution = kernel.closed_form_solution(times)
-        traj = evolve(model, times, backend="numeric")
+        maps, _ = _reference_numeric_maps(SpinBoson(kernel=kernel), times)
         g = kernel.closed_form_amplitude(times)
         rho = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]], dtype=complex)
-        evolved = apply_superop_batch(traj.maps, rho)
+        evolved = apply_superop_batch(maps, rho)
         assert np.abs(evolved[:, 1, 1] - np.abs(g) ** 2 * rho[1, 1]).max() < 1e-6
         assert np.abs(evolved[:, 0, 1] - np.conj(g) * rho[0, 1]).max() < 1e-6
 
     def test_spin_boson_numeric_self_consistent(self):
-        # with numerically solved G the agreement is bounded by the kernel
-        # solver's own O(h^2) consistency between G and G'/G, not by the ODE
+        # the numeric maps carry the memory-kernel stepper's G itself
         times = np.linspace(0, 10, 2001)
         model = SpinBoson(kernel=ExponentialKernel(coupling=1.0, rate=4.0))
         traj = evolve(model, times, backend="numeric")
-        g = model.solution.values
+        g = solve_memory_kernel(model.kernel, times).values
         assert np.abs(traj.maps[:, 3, 3] - np.abs(g) ** 2).max() < 1e-5
         assert np.abs(traj.maps[:, 2, 2] - np.conj(g)).max() < 1e-5
 
+    def test_spin_boson_backends_agree(self):
+        # the paper's kernel, whose G changes sign four times on [0, 10]
+        model = SpinBoson(kernel=ExponentialKernel(coupling=4.0, rate=1.0))
+        errors = []
+        for nodes in (1001, 2001):
+            times = np.linspace(0, 10, nodes)
+            analytic = evolve(model, times, backend="analytic")
+            numeric = evolve(model, times, backend="numeric")
+            errors.append(np.abs(analytic.maps - numeric.maps).max())
+        assert errors[1] <= 1e-5
+        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.3)
+
     @pytest.mark.parametrize("backend", ["analytic", "numeric"])
     def test_spin_boson_longer_grid_solves_kernel_again(self, backend):
-        # a kernel solution cached on [0, 1] must not be extrapolated to [0, 6]
+        # a model holds no state: reused on a longer grid it gives a fresh one's maps
         dense = np.linspace(0, 8, 801)
         kernel = TabulatedKernel(times=dense,
                                  values=ExponentialKernel(coupling=1.0, rate=4.0)(dense))
@@ -353,9 +359,6 @@ NUMERIC_CASES = {
                                (np.diag([1.0, 0, -1.0]).astype(complex), Constant(0.2))),
                         dim=3),
                np.linspace(0, 4.0, 201), None),
-    # the spin-boson probe's kernel, integrated through the zeros of G
-    "spin_boson": (SpinBoson(kernel=ExponentialKernel(coupling=4.0, rate=1.0)),
-                   np.linspace(0, 4.0, 401), None),
 }
 
 
@@ -391,8 +394,6 @@ class TestNumericEvolve:
     def test_generator_errors(self):
         with pytest.raises(TypeError, match="unknown generator model"):
             dyn.generator(object())
-        with pytest.raises(ValueError, match="solution unavailable"):
-            dyn.generator(SpinBoson(kernel=ExponentialKernel(1.0, 4.0)))
 
 
 class TestIntermediateMap:

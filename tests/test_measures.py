@@ -13,6 +13,7 @@ from nonmarkov.dynamics import (
     Lindblad,
     OffsetSine,
     Sine,
+    SpinBoson,
     TraceReplacement,
     apply_extended,
     choi_matrix,
@@ -29,6 +30,7 @@ from nonmarkov.measures import (
     step_choi_data,
     witness_measure,
 )
+from nonmarkov.volterra import ExponentialKernel
 from nonmarkov.witnesses import ExtendedTraceNormWitness, series
 
 from conftest import PAULI_X
@@ -141,6 +143,9 @@ RHP_MODELS = {
     "replacement": (TraceReplacement(rate=Constant(1.0), target=BlochZSineTarget(scale=1.2)),
                     np.linspace(0, 2 * np.pi, 257)),
     "dephasing": (Dephasing(rate=Sine(1.0)), SINE_GRID),
+    # paper example 3 between the first two zeros of G (t = 1.46 and 3.84)
+    "spin_boson": (SpinBoson(kernel=ExponentialKernel(coupling=4.0, rate=1.0)),
+                   np.linspace(1.6, 3.6, 401)),
 }
 
 

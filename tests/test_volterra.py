@@ -9,6 +9,7 @@ from nonmarkov.volterra import (
     TabulatedKernel,
     VolterraStepError,
     solve_memory_kernel,
+    time_local_rates,
 )
 
 UNDERDAMPED = ExponentialKernel(coupling=4.0, rate=1.0)
@@ -61,11 +62,12 @@ def test_second_order_convergence():
 def test_rates_match_closed_form():
     times = np.linspace(0, 5, 2001)
     sol = solve_memory_kernel(OVERDAMPED, times)
-    for t in (0.5, 2.0, 4.0):
-        shift, decay = sol.rates(t)
+    shift, decay = time_local_rates(times, sol.values, sol.derivatives)
+    for k in (200, 800, 1600):  # t = 0.5, 2.0, 4.0
+        t = times[k]
         ratio = OVERDAMPED.closed_form_derivative(t) / OVERDAMPED.closed_form_amplitude(t)
-        assert shift == pytest.approx(0.0, abs=1e-6)
-        assert decay == pytest.approx(-2.0 * ratio, abs=1e-4)
+        assert shift[k] == pytest.approx(0.0, abs=1e-6)
+        assert decay[k] == pytest.approx(-2.0 * ratio, abs=1e-4)
 
 
 def test_step_too_large_rejected():
@@ -91,39 +93,29 @@ def test_collapse_detection_and_singular_rates():
     sol = AmplitudeSolution(times=times, values=values, derivatives=np.zeros(11, complex))
     assert sol.first_collapse == pytest.approx(0.5)
     with pytest.raises(SingularAmplitudeError):
-        sol.rates(0.5)
+        time_local_rates(times[5], values[5], sol.derivatives[5])
 
 
 def test_rates_on_an_array_of_times():
     sol = solve_memory_kernel(OVERDAMPED, np.linspace(0, 5, 501))
-    times = np.linspace(0, 5, 37)
-    shift, decay = sol.rates(times)
-    assert shift.shape == decay.shape == times.shape
-    for k, t in enumerate(times):
-        one = sol.rates(t)
+    shift, decay = time_local_rates(sol.times, sol.values, sol.derivatives)
+    assert shift.shape == decay.shape == sol.times.shape
+    for k, t in enumerate(sol.times):
+        one = time_local_rates(t, sol.values[k], sol.derivatives[k])
         assert all(isinstance(x, float) for x in one)
         assert one == (shift[k], decay[k])
-    collapsed = AmplitudeSolution(times=np.linspace(0, 1, 11),
-                                  values=np.where(np.arange(11) == 5, 1e-14, 1.0).astype(complex),
-                                  derivatives=np.zeros(11, complex))
-    assert collapsed.rates(np.array([0.1, 0.2]))[1].shape == (2,)
+    times = np.linspace(0, 1, 11)
+    values = np.where(np.arange(11) == 5, 1e-14, 1.0)
+    assert time_local_rates(times[[1, 2]], values[[1, 2]], np.zeros(2))[1].shape == (2,)
     with pytest.raises(SingularAmplitudeError, match=r"\|G\(0\.5\)\|"):
-        collapsed.rates(np.array([0.1, 0.5, 0.7]))
+        time_local_rates(times[[1, 5, 7]], values[[1, 5, 7]], np.zeros(3))
 
 
-def test_rates_divide_as_python_complex():
-    # RK45 through the zeros of G amplifies last-bit changes of the rates, so
-    # the quotient G'/G must be the one Python's complex division gives
-    rng = np.random.default_rng(5)
-    times = np.linspace(0, 1, 41)
-    sol = AmplitudeSolution(times=times,
-                            values=rng.normal(size=41) + 1j * rng.normal(size=41),
-                            derivatives=rng.normal(size=41) + 1j * rng.normal(size=41))
-    probe = np.linspace(0, 1, 997)
-    shift, decay = sol.rates(probe)
-    for k, t in enumerate(probe):
-        ratio = complex(sol.derivative(t)) / complex(sol.amplitude(t))
-        assert (shift[k], decay[k]) == (-2.0 * ratio.imag, -2.0 * ratio.real)
+def test_sign_change_names_both_times():
+    times = np.linspace(0, 1, 11)
+    assert time_local_rates(times[:6], 0.55 - times[:6], -np.ones(6))[1].shape == (6,)
+    with pytest.raises(SingularAmplitudeError, match=r"between t=0\.5 and t=0\.6"):
+        time_local_rates(times, 0.55 - times, -np.ones(11))
 
 
 def test_no_collapse_for_overdamped():
@@ -138,6 +130,18 @@ def test_tabulated_matches_exponential():
     a = solve_memory_kernel(OVERDAMPED, times)
     b = solve_memory_kernel(tab, times)
     assert np.abs(a.values - b.values).max() < 1e-6
+
+
+def test_table_must_start_at_zero():
+    with pytest.raises(ValueError, match="start at t = 0"):
+        TabulatedKernel(times=np.array([0.5, 1.0]), values=np.array([1.0, 1.0]))
+
+
+def test_table_is_not_extrapolated():
+    table = TabulatedKernel(times=np.array([0.0, 1.0]), values=np.array([1.0, 0.5]))
+    assert solve_memory_kernel(table, np.linspace(0, 1, 65)).values.shape == (65,)
+    with pytest.raises(ValueError, match=r"t=5.*last time t=1\b"):
+        solve_memory_kernel(table, np.linspace(0, 5, 65))
 
 
 def test_kernel_validation():
