@@ -7,13 +7,12 @@ matrix and the Heisenberg-picture dual are derived from that convention.
 Generators are built in GKSL form on one time or an array of times; rate
 functions and replacement targets are evaluated on arrays, so custom ones
 must accept arrays.  :func:`generator` builds the constant GKSL
-superoperators of a model once and returns L_t as a function of time, so a
-numeric ``evolve`` builds them once, not at every RK45 right-hand side.
+superoperators of a model once and returns L_t as a function of time.
 
 Trajectories hold the map at every node of a time grid.  The analytic backend
 builds them from closed-form solutions (pure dephasing, trace replacement,
-spin-boson from the memory-kernel amplitude).  The numeric backend integrates
-dLambda/dt = L_t Lambda by adaptive RK45, except for spin-boson, whose maps it
+spin-boson from the memory-kernel amplitude).  The numeric backend chains RK4
+step maps of dLambda/dt = L_t Lambda, except for spin-boson, whose maps it
 builds from the amplitude G of the memory-kernel stepper: the time-local
 rates diverge at every zero of G, so no integrator may step through them.
 """
@@ -45,8 +44,11 @@ DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
 # Simpson subintervals per grid step of the closed-form running integrals.
 REFINE = 16
+GAMMA_FLOOR = 1e-12  # |Gamma| at or below this is a zero of the integrated rate
 # Grid nodes of the single-time averaged target.
 AVERAGED_TARGET_NODES = 513
+# Complex entries (16 MB) in the RK4 step maps of any numeric level past the second.
+STEP_STACK_BUDGET = 2**20
 
 TRAJECTORY_MAGIC = b"NMTRAJ01"
 
@@ -59,14 +61,6 @@ SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)
 
 class SingularPropagatorError(RuntimeError):
     """Raised when Lambda_s is too ill-conditioned to invert."""
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call so that importing
-    this module, and the closed-form backends, never load scipy."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +423,8 @@ def cumulative_rate_integral(rate: RateFunction, times: np.ndarray) -> np.ndarra
     return _cumulative_simpson(_eval_scalar(rate, tt), tt)[::REFINE]
 
 
-def averaged_target_series(model: TraceReplacement, times: np.ndarray):
-    """Gamma(t_k) and the weighted target average Omega(t_k) on a grid.
-
-    Omega(t) = int_0^t rate e^{Gamma(tau)} target(tau) dtau / (e^{Gamma(t)} - 1),
-    and target(0) where Gamma vanishes: the t -> 0 limit, and at a later zero
-    of Gamma the map is the identity whatever Omega is.  Gamma may be negative.
-    The denominator is the same quadrature of rate e^Gamma as the numerator,
-    not the exact e^Gamma - 1, so Tr Omega = 1 to rounding whatever the
-    quadrature error: the map multiplies that error by 1 - e^{-Gamma}.
-    """
+def _replacement_series(model: TraceReplacement, times: np.ndarray):
+    """Gamma, Omega and W = int_0^t rate e^Gamma target at the nodes."""
     times = np.asarray(times, dtype=float)
     tt = _refined_grid(times, REFINE)
     rates = _eval_scalar(model.rate, tt)
@@ -450,11 +436,24 @@ def averaged_target_series(model: TraceReplacement, times: np.ndarray):
     cum = _cumulative_simpson(np.hstack([weights * targets.reshape(n, d * d), weights]),
                               tt)[::REFINE]
     node_gamma = gammas[::REFINE]
-    started = np.abs(node_gamma) > 1e-12
+    weighted = cum[:, :-1].reshape(-1, d, d)
+    started = np.abs(node_gamma) > GAMMA_FLOOR
     denom = np.where(started, cum[:, -1].real, 1.0)[:, None, None]
-    omegas = np.where(started[:, None, None], cum[:, :-1].reshape(-1, d, d) / denom,
+    omegas = np.where(started[:, None, None], weighted / denom,
                       np.asarray(model.target(0.0), dtype=complex))
-    return node_gamma, omegas
+    return node_gamma, omegas, weighted
+
+
+def averaged_target_series(model: TraceReplacement, times: np.ndarray):
+    """Gamma(t_k) and the weighted target average Omega(t_k) on a grid.
+
+    Omega(t) = int_0^t rate e^{Gamma(tau)} target(tau) dtau / (e^{Gamma(t)} - 1),
+    and target(0), the t -> 0 limit, where Gamma vanishes (at a later zero the
+    map is id + |that integral><I|).  Gamma may be negative.  The denominator is
+    the same quadrature of rate e^Gamma as the numerator, not the exact
+    e^Gamma - 1, so Tr Omega = 1 to rounding whatever the quadrature error: the
+    map multiplies that error by 1 - e^{-Gamma}."""
+    return _replacement_series(model, times)[:2]
 
 
 def averaged_target(model: TraceReplacement, t: float) -> np.ndarray:
@@ -566,37 +565,55 @@ def _evolve_analytic(model: GeneratorModel, times: np.ndarray) -> np.ndarray:
         maps[:, 1, 1] = maps[:, 2, 2] = damping
         return maps
     if isinstance(model, TraceReplacement):
-        gammas, omegas = averaged_target_series(model, times)
+        gammas, omegas, weighted = _replacement_series(model, times)
         decay = np.exp(-gammas)[:, None, None]
-        maps = decay * np.eye(model.dim ** 2) + (1.0 - decay) * _replacement(omegas)
-        maps[0] = np.eye(model.dim ** 2)
+        eye = np.eye(model.dim ** 2)
+        maps = decay * eye + (1.0 - decay) * _replacement(omegas)
+        zero = np.abs(gammas) <= GAMMA_FLOOR  # Omega = 0/0: e^{-Gamma} (id + |W><I|)
+        maps[zero] = decay[zero] * (eye + _replacement(weighted[zero]))
         return maps
     if isinstance(model, SpinBoson):
         return _spin_boson_maps(amplitude(model.kernel, times)[0])
     raise ValueError(f"no analytic backend for {type(model).__name__}")
 
 
+def _rk4_maps(gens: np.ndarray, times: np.ndarray, sub: int) -> np.ndarray:
+    """The maps at ``times`` by RK4 at ``sub`` (a power of 2) substeps per
+    interval, from L on ``_refined_grid(times, 2 * sub)``.  Each step is the
+    matrix S = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = L(t), K2 = L(t+h/2)(I + h/2 K1),
+    K3 = L(t+h/2)(I + h/2 K2), K4 = L(t+h)(I + h K3); <I|S = <I| as <I|L_t = 0."""
+    n = gens.shape[-1]
+    h = np.diff(_refined_grid(times, sub))[:, None, None]
+    left, mid, right = gens[:-1:2], gens[1::2], gens[2::2]
+    k2 = mid + h / 2 * (mid @ left)
+    k3 = mid + h / 2 * (mid @ k2)
+    k4 = right + h * (right @ k3)
+    steps = (np.eye(n) + h / 6 * (left + 2 * (k2 + k3) + k4)).reshape(-1, sub, n, n)
+    while steps.shape[1] > 1:  # the substeps of each interval, multiplied pairwise
+        steps = steps[:, 1::2] @ steps[:, ::2]
+    maps = np.broadcast_to(np.eye(n, dtype=complex), (times.size, n, n)).copy()
+    for k, step in enumerate(steps[:, 0]):
+        np.matmul(step, maps[k], out=maps[k + 1])
+    return maps
+
+
 def _evolve_numeric(model: GeneratorModel, times: np.ndarray) -> np.ndarray:
+    """RK4 at 1, 2, 4, ... substeps until two levels differ by at most 15 (atol +
+    rtol max|Lambda|), Richardson's bound for a fourth-order method; the finer
+    is returned.  An overflowing level (h rate beyond about 2.8) fails the test."""
     if isinstance(model, SpinBoson):
         return _spin_boson_maps(solve_memory_kernel(model.kernel, times).values)
-    d = model.dim
-    n = d * d
-    y0 = np.eye(n, dtype=complex).reshape(-1)
-    y0_real = np.concatenate([y0.real, y0.imag])
     gen_at = generator(model)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        lam = (y[: n * n] + 1j * y[n * n:]).reshape(n, n)
-        gen = gen_at(t)
-        dy = (gen @ lam).reshape(-1)
-        return np.concatenate([dy.real, dy.imag])
-
-    sol = solve_ivp(rhs, (times[0], times[-1]), y0_real, method="RK45",
-                    t_eval=times, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL)
-    if not sol.success:
-        raise RuntimeError(f"trajectory integration failed: {sol.message}")
-    y = sol.y[: n * n, :] + 1j * sol.y[n * n:, :]
-    return y.T.reshape(times.size, n, n)
+    coarse, sub = np.nan, 1  # the first level compares equal to nothing
+    while sub <= 2 or (times.size - 1) * sub * model.dim ** 4 <= STEP_STACK_BUDGET:
+        gens = gen_at(_refined_grid(times, 2 * sub))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fine = _rk4_maps(gens, times, sub)
+            if np.abs(fine - coarse).max() <= 15 * (DEFAULT_ATOL + DEFAULT_RTOL * abs(fine).max()):
+                return fine
+        coarse, sub = fine, 2 * sub
+    raise RuntimeError(f"trajectory integration failed: RK4 not converged at {sub // 2} "
+                       f"substeps per interval; {sub} would pass STEP_STACK_BUDGET")
 
 
 def evolve(model: GeneratorModel, times: np.ndarray, backend: str = "auto") -> Trajectory:
@@ -605,10 +622,10 @@ def evolve(model: GeneratorModel, times: np.ndarray, backend: str = "auto") -> T
     ``backend='analytic'`` uses the closed-form solution (dephasing, trace
     replacement, spin-boson from the amplitude G: the closed form of an
     exponential kernel, the memory-kernel stepper for a table).
-    ``backend='numeric'`` integrates dLambda/dt = L_t Lambda with RK45 to
-    ``DEFAULT_ATOL``/``DEFAULT_RTOL``; for spin-boson it builds the maps from
-    the stepper's G on the grid instead.  ``'auto'`` picks the analytic form
-    when one exists.
+    ``backend='numeric'`` chains RK4 step maps of dLambda/dt = L_t Lambda to
+    ``DEFAULT_ATOL``/``DEFAULT_RTOL`` (RuntimeError past ``STEP_STACK_BUDGET``);
+    for spin-boson it builds the maps from the stepper's G on the grid
+    instead.  ``'auto'`` picks the analytic form when one exists.
     """
     times = np.asarray(times, dtype=float)
     if backend == "auto":

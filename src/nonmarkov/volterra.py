@@ -131,14 +131,12 @@ class AmplitudeSolution:
 def solve_memory_kernel(kernel: MemoryKernel, times: np.ndarray) -> AmplitudeSolution:
     """Integrate the memory-kernel equation on a uniform grid starting at 0."""
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError("need at least two grid points")
-    if abs(times[0]) > 1e-15:
-        raise ValueError("grid must start at t = 0")
-    steps = np.diff(times)
+    steps = np.diff(times) if times.ndim == 1 and times.size > 1 else np.zeros(1)
     h = float(steps[0])
-    if not np.allclose(steps, h, rtol=1e-10, atol=1e-14):
-        raise ValueError("memory-kernel grid must be uniform")
+    if not (h > 0 and abs(times[0]) <= 1e-15 and np.allclose(steps, h, rtol=1e-10, atol=1e-14)):
+        raise ValueError("G of the memory-kernel stepper, so of any tabulated kernel, is "
+                         "known only on a uniform grid of two or more times from t = 0; "
+                         f"got t = {np.array2string(times.reshape(-1), threshold=6)}")
     if h * kernel.peak > MAX_STEP_KERNEL_PRODUCT:
         raise VolterraStepError(
             f"step {h:.3e} too large for kernel peak {kernel.peak:.3e} "
@@ -170,7 +168,7 @@ def solve_memory_kernel(kernel: MemoryKernel, times: np.ndarray) -> AmplitudeSol
 def amplitude(kernel: MemoryKernel, times) -> tuple[np.ndarray, np.ndarray]:
     """(G, G') at ``times``: the closed form of an exponential kernel at any
     times, or the memory-kernel stepper's nodes for a table, where ``times``
-    must be a uniform grid from 0."""
+    must be a uniform grid from 0 (ValueError otherwise)."""
     if isinstance(kernel, ExponentialKernel):
         return kernel.closed_form_amplitude(times), kernel.closed_form_derivative(times)
     solution = solve_memory_kernel(kernel, times)

@@ -326,6 +326,15 @@ prefix = sb
         assert main(["report", "--config", _write(tmp_path, config), "--quiet"]) == 3
         assert "evolve" in capsys.readouterr().err
 
+    def test_integration_past_the_budget_exit_code(self, tmp_path, capsys):
+        # too stiff for RK4 at every refinement within dynamics.STEP_STACK_BUDGET
+        config = MARKOVIAN.replace("rate.value = 1.0", "rate.value = 1e6").replace(
+            "nodes = 257", "nodes = 65").replace("kind = analytic", "kind = numeric")
+        assert main(["report", "--config", _write(tmp_path, config), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure in evolve: trajectory integration failed" in err
+
     @pytest.mark.parametrize("backend", ["analytic", "numeric"])
     def test_spin_boson_probe_stops_at_the_first_zero_of_g(self, tmp_path, capsys, backend):
         # the INI of perfbench/workloads/spin_boson_probe.ini
@@ -499,28 +508,6 @@ def test_python_m_nonmarkov_runs_the_cli(tmp_path):
     assert done.stdout.strip() == f"nonmarkov {__version__}"
 
 
-SCIPY_GUARD = """
-import json, sys
-from pathlib import Path
-
-def loaded():
-    return {name: name in sys.modules for name in ("scipy.integrate", "scipy.interpolate")}
-
-import nonmarkov.cli as cli
-seen = {"import": loaded()}
-config, out = sys.argv[1], Path(sys.argv[2])
-assert cli.main(["report", "--config", config, "--out", str(out / "analytic"), "--quiet"]) == 0
-seen["analytic_report"] = loaded()
-assert cli.main(["import", str(out / "analytic" / "run_trajectory.traj"), "--config", config,
-                 "--out", str(out / "imported"), "--quiet"]) == 0
-seen["import_trajectory"] = loaded()
-assert cli.main(["report", "--config", config, "--out", str(out / "numeric"),
-                 "--backend", "numeric", "--quiet"]) == 0
-seen["numeric_report"] = loaded()
-print(json.dumps(seen))
-"""
-
-
 SPIN_BOSON_PROBE = """
 [model]
 variant = spin_boson
@@ -544,35 +531,38 @@ prefix = spin_boson
 """
 
 
-def test_spin_boson_reports_load_no_scipy(tmp_path):
-    # an overdamped kernel: G never vanishes, so both backends report
-    config = SPIN_BOSON_PROBE.replace("coupling = 4.0", "coupling = 1.0").replace(
-        "rate = 1.0", "rate = 4.0")
-    script = """
-import sys
+SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 import nonmarkov.cli as cli
-config, out = sys.argv[1], sys.argv[2]
-for backend in ("analytic", "numeric"):
-    assert cli.main(["report", "--config", config, "--out", f"{out}/{backend}",
-                     "--backend", backend, "--quiet"]) == 0
-print(sorted(name for name in ("scipy.integrate", "scipy.interpolate") if name in sys.modules))
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+for k, (config, backend) in enumerate(runs):
+    code = cli.main(["report", "--config", config, "--out", f"{out}/{k}",
+                     "--backend", backend, "--quiet"])
+    assert code == 0, (config, backend, code)
+assert cli.main(["import", f"{out}/0/run_trajectory.traj", "--config", runs[0][0],
+                 "--out", f"{out}/imported", "--quiet"]) == 0
+print("ok")
 """
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", script, _write(tmp_path, config), str(tmp_path)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
 
 
-def test_scipy_loaded_only_by_the_numeric_backend(tmp_path):
-    cfg_path = _write(tmp_path, EXAMPLE1.replace("enabled = true", "enabled = false"))
+def test_runs_with_scipy_blocked(tmp_path):
+    off = EXAMPLE1.replace("enabled = true", "enabled = false")
+    replacement = off.replace("variant = dephasing\nrate = sine\nrate.amplitude = 1.0",
+                              "variant = trace_replacement\nrate = constant\nrate.value = 1.0\n"
+                              "omega = bloch_z_sine\nomega.scale = 1.2")
+    gksl = (ROOT / "perfbench" / "workloads" / "gksl_bank.ini").read_text().replace(
+        "nodes = 2001", "nodes = 201")
+    # an overdamped kernel: G never vanishes, so both backends report
+    spin_boson = SPIN_BOSON_PROBE.replace("coupling = 4.0", "coupling = 1.0").replace(
+        "rate = 1.0", "rate = 4.0")
+    configs = {name: _write(tmp_path, text, f"{name}.ini") for name, text in [
+        ("dephasing", off), ("replacement", replacement), ("gksl", gksl),
+        ("spin_boson", spin_boson)]}
+    runs = [(configs[name], backend) for name in ("dephasing", "replacement", "spin_boson")
+            for backend in ("analytic", "numeric")] + [(configs["gksl"], "numeric")]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", SCIPY_GUARD, cfg_path, str(tmp_path)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, str(tmp_path), json.dumps(runs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    seen = json.loads(done.stdout.splitlines()[-1])
-    neither = {"scipy.integrate": False, "scipy.interpolate": False}
-    assert seen["import"] == neither
-    assert seen["analytic_report"] == neither
-    assert seen["import_trajectory"] == neither
-    assert seen["numeric_report"]["scipy.integrate"]
+    assert done.stdout.splitlines()[-1] == "ok"

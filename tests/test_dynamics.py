@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from nonmarkov.dynamics import (
     unvec,
     vec,
 )
+from nonmarkov.measures import step_choi_data
 from nonmarkov.operators import max_entangled_projector, random_hermitian
 from nonmarkov.volterra import ExponentialKernel, TabulatedKernel, solve_memory_kernel
 
@@ -280,10 +282,20 @@ class TestEvolve:
         numeric = evolve(model, times, backend="numeric")
         assert np.abs(analytic.maps - numeric.maps).max() < 1e-6
 
+    def test_trace_replacement_at_a_later_zero_of_gamma(self):
+        # Gamma = 1 - cos t vanishes again at 2 pi, where the varying target
+        # leaves id + |int rate e^Gamma target><I|, not the identity
+        model = TraceReplacement(rate=Sine(1.0), target=BlochZSineTarget(scale=1.2))
+        times = np.linspace(0, 2 * np.pi, 257)
+        analytic = evolve(model, times, backend="analytic").maps
+        numeric = evolve(model, times, backend="numeric").maps
+        assert np.abs(analytic[-1] - np.eye(4)).max() > 1.0
+        assert np.abs(analytic[-1] - numeric[-1]).max() <= 1e-5
+
     def test_spin_boson_ode_reproduces_populations(self):
         times = np.linspace(0, 10, 501)
         kernel = ExponentialKernel(coupling=1.0, rate=4.0)
-        maps, _ = _reference_numeric_maps(SpinBoson(kernel=kernel), times)
+        maps = _reference_numeric_maps(SpinBoson(kernel=kernel), times)
         g = kernel.closed_form_amplitude(times)
         rho = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]], dtype=complex)
         evolved = apply_superop_batch(maps, rho)
@@ -335,50 +347,73 @@ class TestEvolve:
 
 
 def _reference_numeric_maps(model, times):
-    """RK45 with the settings of the numeric ``evolve``, calling
-    ``generator_superoperator`` at every right-hand side: maps and nfev."""
+    """dLambda/dt = L_t Lambda by scipy's DOP853 at rtol 1e-12, atol 1e-14,
+    calling ``generator_superoperator`` at every right-hand side."""
     n = model.dim ** 2
-    y0 = np.eye(n, dtype=complex).reshape(-1)
 
     def rhs(t, y):
-        lam = (y[: n * n] + 1j * y[n * n:]).reshape(n, n)
-        dy = (generator_superoperator(model, t) @ lam).reshape(-1)
-        return np.concatenate([dy.real, dy.imag])
+        return (generator_superoperator(model, t) @ y.reshape(n, n)).reshape(-1)
 
-    sol = solve_ivp(rhs, (times[0], times[-1]), np.concatenate([y0.real, y0.imag]),
-                    method="RK45", t_eval=times, atol=dyn.DEFAULT_ATOL, rtol=dyn.DEFAULT_RTOL)
-    y = sol.y[: n * n] + 1j * sol.y[n * n:]
-    return y.T.reshape(times.size, n, n), sol.nfev
+    sol = solve_ivp(rhs, (times[0], times[-1]), np.eye(n, dtype=complex).reshape(-1),
+                    method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    return sol.y.T.reshape(times.size, n, n)
 
 
 NUMERIC_CASES = {
-    # perfbench/workloads/gksl_bank.ini: 1028 right-hand-side evaluations
-    "gksl_bank": (GENERATOR_CASES["gksl_bank"][0], np.linspace(0, 4 * np.pi, 2001), 1028),
+    # perfbench/workloads/gksl_bank.ini: the step doubling stops at 2 substeps
+    "gksl_bank": (GENERATOR_CASES["gksl_bank"][0], np.linspace(0, 4 * np.pi, 2001), 2),
     "qutrit": (Lindblad(hamiltonian=np.diag([0.0, 1.0, 3.0]).astype(complex),
                         noise=((np.diag([1.0, 1.0], k=1).astype(complex), Sine(1.0)),
                                (np.diag([1.0, 0, -1.0]).astype(complex), Constant(0.2))),
                         dim=3),
-               np.linspace(0, 4.0, 201), None),
+               np.linspace(0, 4.0, 201), 4),
 }
 
 
 class TestNumericEvolve:
     @pytest.mark.parametrize("name", sorted(NUMERIC_CASES))
-    def test_matches_per_call_generator_reference(self, name, monkeypatch):
-        model, times, nfev = NUMERIC_CASES[name]
-        results = []
+    def test_matches_high_order_reference(self, name, monkeypatch):
+        model, times, substeps = NUMERIC_CASES[name]
+        levels = []
 
-        def recording_solve_ivp(*args, **kwargs):
-            results.append(solve_ivp(*args, **kwargs))
-            return results[-1]
+        def recording_rk4_maps(gens, times, sub, _fn=dyn._rk4_maps):
+            levels.append(sub)
+            return _fn(gens, times, sub)
 
-        monkeypatch.setattr(dyn, "solve_ivp", recording_solve_ivp)
-        traj = evolve(model, times, backend="numeric")
-        reference, reference_nfev = _reference_numeric_maps(model, times)
-        assert np.array_equal(traj.maps, reference)
-        assert results[0].nfev == reference_nfev
-        if nfev is not None:
-            assert reference_nfev == nfev
+        monkeypatch.setattr(dyn, "_rk4_maps", recording_rk4_maps)
+        maps = evolve(model, times, backend="numeric").maps
+        reference = _reference_numeric_maps(model, times)
+        tol = dyn.DEFAULT_ATOL + dyn.DEFAULT_RTOL * np.abs(reference).max()
+        assert np.abs(maps - reference).max() <= tol
+        assert levels[-1] == substeps
+
+    def test_stiff_model_converges(self):
+        # rate 30 at 64 intervals on [0, 2]: the maps fall to e^-60, and the
+        # step doubling goes on to 32 substeps per interval
+        model = Dephasing(rate=Constant(30.0))
+        times = np.linspace(0, 2, 65)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            numeric = evolve(model, times, backend="numeric").maps
+        analytic = evolve(model, times, backend="analytic").maps
+        assert np.abs(numeric - analytic).max() <= 1e-8 * np.abs(analytic).max()
+
+    def test_past_the_budget_fails_cleanly(self):
+        # h * rate = 30 still at the last level within STEP_STACK_BUDGET
+        model = Dephasing(rate=Constant(1e6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="trajectory integration failed"):
+                evolve(model, np.linspace(0, 2, 65), backend="numeric")
+
+    def test_periodic_step_maps_agree(self):
+        # the gksl_bank rates have period 2 pi, and the grid holds two periods:
+        # step k and step k + 1000 are the same map, so the verdict windows are too
+        model, times, _ = NUMERIC_CASES["gksl_bank"]
+        minima = step_choi_data(evolve(model, times, backend="numeric")).min_eigenvalues
+        assert minima[750] < -1e-3
+        assert np.abs(minima[:1000] - minima[1000:]).max() <= 1e-12
 
     def test_constant_terms_built_once(self, monkeypatch):
         model, times, _ = NUMERIC_CASES["gksl_bank"]

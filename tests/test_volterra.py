@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nonmarkov.dynamics import SpinBoson
+from nonmarkov.measures import rhp_rate
 from nonmarkov.volterra import (
     AmplitudeSolution,
     ExponentialKernel,
@@ -135,6 +137,17 @@ def test_tabulated_matches_exponential():
 def test_table_must_start_at_zero():
     with pytest.raises(ValueError, match="start at t = 0"):
         TabulatedKernel(times=np.array([0.5, 1.0]), values=np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("times", [0.7, np.linspace(0.5, 1.0, 11), np.array([0.0, 0.1, 0.3])],
+                         ids=["one_time", "late_start", "non_uniform"])
+def test_table_amplitude_needs_a_uniform_grid_from_zero(times):
+    dense = np.linspace(0, 2, 201)
+    model = SpinBoson(kernel=TabulatedKernel(times=dense, values=OVERDAMPED(dense)))
+    shown = np.array2string(np.ravel(times), threshold=6)
+    with pytest.raises(ValueError, match="tabulated kernel.*uniform grid") as info:
+        rhp_rate(model, times)
+    assert str(info.value).endswith(f"from t = 0; got t = {shown}")
 
 
 def test_table_is_not_extrapolated():
