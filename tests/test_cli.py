@@ -508,6 +508,43 @@ def test_python_m_nonmarkov_runs_the_cli(tmp_path):
     assert done.stdout.strip() == f"nonmarkov {__version__}"
 
 
+SCIPY_GUARD = """
+import json, sys
+from pathlib import Path
+
+def loaded():
+    return {name: name in sys.modules for name in ("scipy.integrate", "scipy.interpolate")}
+
+import nonmarkov.cli as cli
+seen = {"import": loaded()}
+config, out = sys.argv[1], Path(sys.argv[2])
+assert cli.main(["report", "--config", config, "--out", str(out / "analytic"), "--quiet"]) == 0
+seen["analytic_report"] = loaded()
+assert cli.main(["import", str(out / "analytic" / "run_trajectory.traj"), "--config", config,
+                 "--out", str(out / "imported"), "--quiet"]) == 0
+seen["import_trajectory"] = loaded()
+assert cli.main(["report", "--config", config, "--out", str(out / "numeric"),
+                 "--backend", "numeric", "--quiet"]) == 0
+seen["numeric_report"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loaded_only_by_the_numeric_backend(tmp_path):
+    cfg_path = _write(tmp_path, EXAMPLE1.replace("enabled = true", "enabled = false"))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", SCIPY_GUARD, cfg_path, str(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    neither = {"scipy.integrate": False, "scipy.interpolate": False}
+    assert seen["import"] == neither
+    assert seen["analytic_report"] == neither
+    assert seen["import_trajectory"] == neither
+    # the numeric backend chains RK4 step maps in numpy: it loads scipy no longer either
+    assert seen["numeric_report"] == neither
+
+
 SPIN_BOSON_PROBE = """
 [model]
 variant = spin_boson
@@ -529,6 +566,29 @@ blp = false
 [output]
 prefix = spin_boson
 """
+
+
+# an overdamped kernel: G never vanishes, so both backends report
+OVERDAMPED_SPIN_BOSON = SPIN_BOSON_PROBE.replace("coupling = 4.0", "coupling = 1.0").replace(
+    "rate = 1.0", "rate = 4.0")
+
+
+def test_spin_boson_reports_load_no_scipy(tmp_path):
+    script = """
+import sys
+import nonmarkov.cli as cli
+config, out = sys.argv[1], sys.argv[2]
+for backend in ("analytic", "numeric"):
+    assert cli.main(["report", "--config", config, "--out", f"{out}/{backend}",
+                     "--backend", backend, "--quiet"]) == 0
+print(sorted(name for name in ("scipy.integrate", "scipy.interpolate") if name in sys.modules))
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script, _write(tmp_path, OVERDAMPED_SPIN_BOSON),
+                           str(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 SCIPY_BLOCKED = """
@@ -553,12 +613,9 @@ def test_runs_with_scipy_blocked(tmp_path):
                               "omega = bloch_z_sine\nomega.scale = 1.2")
     gksl = (ROOT / "perfbench" / "workloads" / "gksl_bank.ini").read_text().replace(
         "nodes = 2001", "nodes = 201")
-    # an overdamped kernel: G never vanishes, so both backends report
-    spin_boson = SPIN_BOSON_PROBE.replace("coupling = 4.0", "coupling = 1.0").replace(
-        "rate = 1.0", "rate = 4.0")
     configs = {name: _write(tmp_path, text, f"{name}.ini") for name, text in [
         ("dephasing", off), ("replacement", replacement), ("gksl", gksl),
-        ("spin_boson", spin_boson)]}
+        ("spin_boson", OVERDAMPED_SPIN_BOSON)]}
     runs = [(configs[name], backend) for name in ("dephasing", "replacement", "spin_boson")
             for backend in ("analytic", "numeric")] + [(configs["gksl"], "numeric")]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
