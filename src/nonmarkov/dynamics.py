@@ -44,7 +44,6 @@ DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
 # Simpson subintervals per grid step of the closed-form running integrals.
 REFINE = 16
-GAMMA_FLOOR = 1e-12  # |Gamma| at or below this is a zero of the integrated rate
 # Grid nodes of the single-time averaged target.
 AVERAGED_TARGET_NODES = 513
 # Complex entries (16 MB) in the RK4 step maps of any numeric level past the second.
@@ -424,36 +423,30 @@ def cumulative_rate_integral(rate: RateFunction, times: np.ndarray) -> np.ndarra
 
 
 def _replacement_series(model: TraceReplacement, times: np.ndarray):
-    """Gamma, Omega and W = int_0^t rate e^Gamma target at the nodes."""
+    """Gamma and W = int_0^t rate e^Gamma target at the nodes."""
     times = np.asarray(times, dtype=float)
     tt = _refined_grid(times, REFINE)
     rates = _eval_scalar(model.rate, tt)
     gammas = _cumulative_simpson(rates, tt)
     targets = _check_unit_trace(model.target(tt), tt)
-    n, d = targets.shape[0], targets.shape[-1]
-    weights = (rates * np.exp(gammas))[:, None]
-    # channels: the d*d target entries weighted by rate e^Gamma, then the weight
-    cum = _cumulative_simpson(np.hstack([weights * targets.reshape(n, d * d), weights]),
-                              tt)[::REFINE]
-    node_gamma = gammas[::REFINE]
-    weighted = cum[:, :-1].reshape(-1, d, d)
-    started = np.abs(node_gamma) > GAMMA_FLOOR
-    denom = np.where(started, cum[:, -1].real, 1.0)[:, None, None]
-    omegas = np.where(started[:, None, None], weighted / denom,
-                      np.asarray(model.target(0.0), dtype=complex))
-    return node_gamma, omegas, weighted
+    weighted = _cumulative_simpson((rates * np.exp(gammas))[:, None, None] * targets, tt)
+    return gammas[::REFINE], weighted[::REFINE]
 
 
 def averaged_target_series(model: TraceReplacement, times: np.ndarray):
     """Gamma(t_k) and the weighted target average Omega(t_k) on a grid.
 
-    Omega(t) = int_0^t rate e^{Gamma(tau)} target(tau) dtau / (e^{Gamma(t)} - 1),
-    and target(0), the t -> 0 limit, where Gamma vanishes (at a later zero the
-    map is id + |that integral><I|).  Gamma may be negative.  The denominator is
-    the same quadrature of rate e^Gamma as the numerator, not the exact
-    e^Gamma - 1, so Tr Omega = 1 to rounding whatever the quadrature error: the
-    map multiplies that error by 1 - e^{-Gamma}."""
-    return _replacement_series(model, times)[:2]
+    Omega(t) = W(t) / Tr W(t) with W(t) = int_0^t rate e^{Gamma(tau)} target(tau) dtau,
+    and target(0), the t -> 0 limit, where Tr W is 0 (node 0).  Gamma may be
+    negative.  Tr W is e^Gamma - 1 up to the quadrature error, so Tr Omega = 1
+    to rounding; at a later zero of Gamma, Omega is 0/0 and ill-posed, while
+    the map e^{-Gamma}(id + |W><I|) is not.  Maps are built from W alone."""
+    gammas, weighted = _replacement_series(model, times)
+    traces = np.trace(weighted, axis1=1, axis2=2)[:, None, None]
+    started = traces != 0
+    omegas = np.where(started, weighted / np.where(started, traces, 1.0),
+                      np.asarray(model.target(0.0), dtype=complex))
+    return gammas, omegas
 
 
 def averaged_target(model: TraceReplacement, t: float) -> np.ndarray:
@@ -480,7 +473,6 @@ class Trajectory:
     model: GeneratorModel | None = None
     backend: str | None = None
     meta: dict = field(default_factory=dict)
-    validate: bool = True
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -489,14 +481,6 @@ class Trajectory:
             raise ValueError("need matching 1-d times and (N, d^2, d^2) maps")
         if self.times.size == 0:
             raise ValueError("trajectory grid is empty")
-        if self.validate:
-            self._validate_invariants()
-        if not np.all(np.diff(self.times) > 0):
-            raise ValueError("trajectory times must be strictly increasing")
-        if abs(self.times[0]) > 1e-15:
-            raise ValueError("trajectory must start at t = 0")
-
-    def _validate_invariants(self) -> None:
         finite = np.isfinite(self.times) & np.isfinite(self.maps).all(axis=(1, 2))
         if not finite.all():
             k = int(np.argmin(finite))
@@ -514,6 +498,10 @@ class Trajectory:
                 f"map at node {worst} (t={self.times[worst]}) violates trace preservation "
                 f"by {residual[worst]:.3e}"
             )
+        if not np.all(np.diff(self.times) > 0):
+            raise ValueError("trajectory times must be strictly increasing")
+        if abs(self.times[0]) > 1e-15:
+            raise ValueError("trajectory must start at t = 0")
 
     @property
     def dim(self) -> int:
@@ -565,13 +553,13 @@ def _evolve_analytic(model: GeneratorModel, times: np.ndarray) -> np.ndarray:
         maps[:, 1, 1] = maps[:, 2, 2] = damping
         return maps
     if isinstance(model, TraceReplacement):
-        gammas, omegas, weighted = _replacement_series(model, times)
+        # e^{-Gamma}(id + |W><I|), plus on |I/d><I| the trace that the
+        # quadrature misses: 0 where Tr W is exactly e^Gamma - 1
+        gammas, weighted = _replacement_series(model, times)
         decay = np.exp(-gammas)[:, None, None]
-        eye = np.eye(model.dim ** 2)
-        maps = decay * eye + (1.0 - decay) * _replacement(omegas)
-        zero = np.abs(gammas) <= GAMMA_FLOOR  # Omega = 0/0: e^{-Gamma} (id + |W><I|)
-        maps[zero] = decay[zero] * (eye + _replacement(weighted[zero]))
-        return maps
+        lost = 1.0 - decay * (1.0 + np.trace(weighted, axis1=1, axis2=2)[:, None, None])
+        d = model.dim
+        return decay * np.eye(d * d) + _replacement(decay * weighted + lost * np.eye(d) / d)
     if isinstance(model, SpinBoson):
         return _spin_boson_maps(amplitude(model.kernel, times)[0])
     raise ValueError(f"no analytic backend for {type(model).__name__}")

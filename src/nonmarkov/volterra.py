@@ -57,27 +57,24 @@ class ExponentialKernel:
     def peak(self) -> float:
         return 0.5 * self.coupling * self.rate
 
-    def closed_form_amplitude(self, t: np.ndarray | float) -> np.ndarray:
-        """Exact G(t) = e^{-lt/2} [cosh(dt/2) + (l/d) sinh(dt/2)], d = sqrt(l^2 - 2 g0 l)."""
+    def _closed_form(self, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+        """Exact (G, G') at ``t``, one evaluation for both; see the two methods below."""
         t = np.asarray(t, dtype=float)
         lam, g0 = self.rate, self.coupling
-        d = np.sqrt(complex(lam * lam - 2.0 * g0 * lam))
-        if abs(d) < 1e-14:  # critically damped limit
-            out = np.exp(-lam * t / 2.0) * (1.0 + lam * t / 2.0)
-            return np.asarray(out, dtype=float)
-        out = np.exp(-lam * t / 2.0) * (np.cosh(d * t / 2.0) + (lam / d) * np.sinh(d * t / 2.0))
-        return np.asarray(out.real, dtype=float)
+        z = np.sqrt(complex(lam * lam - 2.0 * g0 * lam)) * t / 2.0
+        damping = np.exp(-lam * t / 2.0)
+        sinhc = np.sinc(1j * z / np.pi)  # sinh(z)/z, 1 at z = 0: d = 0 needs no branch
+        g = damping * (np.cosh(z) + lam * t / 2.0 * sinhc)
+        dg = -0.5 * g0 * lam * t * damping * sinhc
+        return np.asarray(g.real, dtype=float), np.asarray(dg.real, dtype=float)
+
+    def closed_form_amplitude(self, t: np.ndarray | float) -> np.ndarray:
+        """Exact G(t) = e^{-lt/2} [cosh(dt/2) + (l/d) sinh(dt/2)], d = sqrt(l^2 - 2 g0 l)."""
+        return self._closed_form(t)[0]
 
     def closed_form_derivative(self, t: np.ndarray | float) -> np.ndarray:
         """Exact G'(t) = -(g0 l / d) e^{-lt/2} sinh(dt/2)."""
-        t = np.asarray(t, dtype=float)
-        lam, g0 = self.rate, self.coupling
-        d = np.sqrt(complex(lam * lam - 2.0 * g0 * lam))
-        if abs(d) < 1e-14:
-            out = -0.5 * g0 * lam * t * np.exp(-lam * t / 2.0)
-            return np.asarray(out, dtype=float)
-        out = -(g0 * lam / d) * np.exp(-lam * t / 2.0) * np.sinh(d * t / 2.0)
-        return np.asarray(out.real, dtype=float)
+        return self._closed_form(t)[1]
 
 
 @dataclass(frozen=True)
@@ -170,7 +167,7 @@ def amplitude(kernel: MemoryKernel, times) -> tuple[np.ndarray, np.ndarray]:
     times, or the memory-kernel stepper's nodes for a table, where ``times``
     must be a uniform grid from 0 (ValueError otherwise)."""
     if isinstance(kernel, ExponentialKernel):
-        return kernel.closed_form_amplitude(times), kernel.closed_form_derivative(times)
+        return kernel._closed_form(times)
     solution = solve_memory_kernel(kernel, times)
     return solution.values, solution.derivatives
 

@@ -447,11 +447,9 @@ class TestImport:
 
     def test_import_rejects_tampered_file(self, tmp_path, capsys):
         traj = evolve(Dephasing(rate=Sine(1.0)), np.linspace(0, 1, 17))
-        maps = traj.maps.copy()
-        maps[7, 0, 0] = 3.0
-        bad = Trajectory(times=traj.times, maps=maps, validate=False)
+        traj.maps[7, 0, 0] = 3.0
         path = tmp_path / "bad.traj"
-        save_trajectory(bad, path)
+        save_trajectory(traj, path)
         cfg_path = _write(tmp_path, EXAMPLE1)
         assert main(["import", str(path), "--config", cfg_path, "--quiet"]) == 2
         assert "node 7" in capsys.readouterr().err
@@ -459,10 +457,9 @@ class TestImport:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_import_rejects_non_finite_maps(self, tmp_path, capsys, bad):
         traj = evolve(Dephasing(rate=Sine(1.0)), np.linspace(0, 1, 17))
-        maps = traj.maps.copy()
-        maps[7, 1, 2] = bad
+        traj.maps[7, 1, 2] = bad
         path = tmp_path / "bad.traj"
-        save_trajectory(Trajectory(times=traj.times, maps=maps, validate=False), path)
+        save_trajectory(traj, path)
         cfg_path = _write(tmp_path, EXAMPLE1)
         assert main(["import", str(path), "--config", cfg_path, "--out", str(tmp_path),
                      "--quiet"]) == 2

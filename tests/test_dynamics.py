@@ -284,13 +284,15 @@ class TestEvolve:
 
     def test_trace_replacement_at_a_later_zero_of_gamma(self):
         # Gamma = 1 - cos t vanishes again at 2 pi, where the varying target
-        # leaves id + |int rate e^Gamma target><I|, not the identity
+        # leaves id + |int rate e^Gamma target><I|, not the identity; just past
+        # it Gamma is of order delta^2, and the map must not divide by it
         model = TraceReplacement(rate=Sine(1.0), target=BlochZSineTarget(scale=1.2))
-        times = np.linspace(0, 2 * np.pi, 257)
-        analytic = evolve(model, times, backend="analytic").maps
-        numeric = evolve(model, times, backend="numeric").maps
-        assert np.abs(analytic[-1] - np.eye(4)).max() > 1.0
-        assert np.abs(analytic[-1] - numeric[-1]).max() <= 1e-5
+        for delta in (0.0, 1e-6, 1e-5, 1e-4):
+            times = np.linspace(0, 2 * np.pi + delta, 257)
+            analytic = evolve(model, times, backend="analytic").maps
+            numeric = evolve(model, times, backend="numeric").maps
+            assert np.abs(analytic[-1] - np.eye(4)).max() > 1.0, delta
+            assert np.abs(analytic[-1] - numeric[-1]).max() <= 1e-5, delta
 
     def test_spin_boson_ode_reproduces_populations(self):
         times = np.linspace(0, 10, 501)
@@ -516,7 +518,6 @@ class TestTrajectoryValidation:
         maps[5, 2, 1] = bad
         with pytest.raises(ValueError, match="node 5 .*non-finite"):
             Trajectory(times=traj.times, maps=maps)
-        Trajectory(times=traj.times, maps=maps, validate=False)  # no check without validate
 
     @pytest.mark.parametrize("node, bad", [(9, np.nan), (16, np.inf)])
     def test_non_finite_time_rejected(self, node, bad):
@@ -578,11 +579,9 @@ class TestTrajectoryFile:
 
     def test_invariant_checked_on_load(self, tmp_path):
         traj = evolve(Dephasing(rate=Constant(1.0)), np.linspace(0, 1, 17))
-        maps = traj.maps.copy()
-        maps[3, 0, 0] = 1.5
-        bad = Trajectory(times=traj.times, maps=maps, validate=False)
+        traj.maps[3, 0, 0] = 1.5
         path = tmp_path / "bad.traj"
-        save_trajectory(bad, path)
+        save_trajectory(traj, path)
         with pytest.raises(ValueError, match="node 3"):
             load_trajectory(path)
 
@@ -657,7 +656,7 @@ _grids = st.builds(lambda t_max, nodes: np.linspace(0.0, t_max, nodes),
 
 
 def _assert_backends_agree(model, times):
-    """Closed form and RK45 agree to 1e-5, relative to the map scale where a
+    """Closed form and RK4 agree to 1e-5, relative to the map scale where a
     negative integrated rate makes the maps grow."""
     analytic = evolve(model, times, backend="analytic").maps
     numeric = evolve(model, times, backend="numeric").maps
@@ -666,7 +665,7 @@ def _assert_backends_agree(model, times):
 
 
 class TestBackendAgreement:
-    """The ported quadrature of the closed forms against RK45 on the generator."""
+    """The ported quadrature of the closed forms against RK4 on the generator."""
 
     @settings(max_examples=25, deadline=None)
     @given(rate=_rates, times=_grids)

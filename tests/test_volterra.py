@@ -16,6 +16,7 @@ from nonmarkov.volterra import (
 
 UNDERDAMPED = ExponentialKernel(coupling=4.0, rate=1.0)
 OVERDAMPED = ExponentialKernel(coupling=1.0, rate=4.0)
+CRITICAL = ExponentialKernel(coupling=1.0, rate=2.0)  # d = 0
 
 
 def test_initial_value_is_one():
@@ -31,7 +32,7 @@ def test_zero_kernel_keeps_amplitude_constant():
     np.testing.assert_allclose(sol.values, 1.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("kernel", [OVERDAMPED, UNDERDAMPED])
+@pytest.mark.parametrize("kernel", [OVERDAMPED, UNDERDAMPED, CRITICAL])
 def test_closed_form_satisfies_the_equation(kernel):
     # independent oracle: substitute the closed form into the memory-kernel
     # equation and quadrature the convolution
@@ -44,7 +45,7 @@ def test_closed_form_satisfies_the_equation(kernel):
         assert lhs == pytest.approx(-conv, abs=max(1e-9, 10 * err))
 
 
-@pytest.mark.parametrize("kernel", [OVERDAMPED, UNDERDAMPED])
+@pytest.mark.parametrize("kernel", [OVERDAMPED, UNDERDAMPED, CRITICAL])
 def test_numeric_matches_closed_form(kernel):
     times = np.linspace(0, 10, 2001)
     sol = solve_memory_kernel(kernel, times)
