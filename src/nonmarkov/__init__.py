@@ -18,7 +18,6 @@ from .operators import (
     relative_entropy,
     renyi_relative_entropy,
     skew_information,
-    spectral_decomposition,
     trace_distance,
     trace_norm,
     tsallis_relative_entropy,
@@ -44,7 +43,6 @@ from .dynamics import (
     TraceReplacement,
     Trajectory,
     apply_superop,
-    averaged_target,
     choi_matrix,
     dual_superop,
     evolve,
@@ -70,8 +68,6 @@ from .witnesses import (
     SchrodingerSkew,
     TsallisPair,
     WitnessSeries,
-    flow,
-    qubit_entropy_flow,
     series,
     spectral_modes,
     verify_invariance,

@@ -216,7 +216,10 @@ def _parse_scalar(section, prefix: str, fieldname: str):
         values = _floats(section.get(f"{prefix}.values", ""), f"{fieldname}.values")
         if len(times) != len(values) or len(times) < 2:
             raise ConfigError(fieldname, "table needs matching times/values lists")
-        return Table(times, values)
+        try:
+            return Table(times, values)
+        except ValueError as exc:
+            raise ConfigError(f"{fieldname}.times", str(exc)) from exc
     raise ConfigError(fieldname, f"unknown scalar preset {preset!r}")
 
 

@@ -44,8 +44,6 @@ DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
 # Simpson subintervals per grid step of the closed-form running integrals.
 REFINE = 16
-# Grid nodes of the single-time averaged target.
-AVERAGED_TARGET_NODES = 513
 # Complex entries (16 MB) in the RK4 step maps of any numeric level past the second.
 STEP_STACK_BUDGET = 2**20
 
@@ -139,16 +137,6 @@ def apply_extended(m: np.ndarray, y: np.ndarray) -> np.ndarray:
     return w.reshape(-1, d, d, d, d).transpose(0, 3, 2, 4, 1).reshape(*m.shape[:-2], n, n)
 
 
-def extended_superop(m: np.ndarray) -> np.ndarray:
-    """Materialize the (d^2)^2 x (d^2)^2 matrix of id ⊗ Λ (small d only)."""
-    n = m.shape[0]
-    d = isqrt(n)
-    eye = np.eye(d)
-    m4 = m.reshape(d, d, d, d)
-    s8 = np.einsum("jq,ip,lkrs->jlikqrps", eye, eye, m4)
-    return s8.reshape(n * n, n * n)
-
-
 def choi_matrix(m: np.ndarray) -> np.ndarray:
     """Choi matrix sum_ij |i><j| ⊗ Λ(|i><j|); PSD iff Λ is completely positive.
     Takes one map or a stack (..., d^2, d^2)."""
@@ -204,6 +192,10 @@ class Table:
 
     times: tuple
     values: tuple
+
+    def __post_init__(self) -> None:
+        if not np.all(np.diff(self.times) > 0):
+            raise ValueError("table times must be strictly increasing")
 
     def __call__(self, t):
         return np.interp(np.asarray(t, dtype=float), self.times, self.values)
@@ -437,27 +429,23 @@ def averaged_target_series(model: TraceReplacement, times: np.ndarray):
     """Gamma(t_k) and the weighted target average Omega(t_k) on a grid.
 
     Omega(t) = W(t) / Tr W(t) with W(t) = int_0^t rate e^{Gamma(tau)} target(tau) dtau,
-    and target(0), the t -> 0 limit, where Tr W is 0 (node 0).  Gamma may be
-    negative.  Tr W is e^Gamma - 1 up to the quadrature error, so Tr Omega = 1
-    to rounding; at a later zero of Gamma, Omega is 0/0 and ill-posed, while
-    the map e^{-Gamma}(id + |W><I|) is not.  Maps are built from W alone."""
+    and target(0), the t -> 0 limit, at node 0.  Gamma may be negative.  Tr W
+    is e^Gamma - 1 up to the quadrature error, so Tr Omega = 1 to rounding; at
+    a later zero of Gamma, Omega is 0/0 and ill-posed, while the map
+    e^{-Gamma}(id + |W><I|) is not.  Omega is NaN at every later node where
+    |Tr W| is within the rounding bound of its running sum, (pieces summed) x
+    eps x int_0^t |rate| e^Gamma.  Maps are built from W alone."""
     gammas, weighted = _replacement_series(model, times)
-    traces = np.trace(weighted, axis1=1, axis2=2)[:, None, None]
-    started = traces != 0
-    omegas = np.where(started, weighted / np.where(started, traces, 1.0),
-                      np.asarray(model.target(0.0), dtype=complex))
+    tt = _refined_grid(np.asarray(times, dtype=float), REFINE)
+    rates = _eval_scalar(model.rate, tt)
+    scale = _cumulative_simpson(np.abs(rates) * np.exp(_cumulative_simpson(rates, tt)), tt)
+    rounding = np.arange(tt.size) * np.finfo(float).eps * scale
+    traces = np.trace(weighted, axis1=1, axis2=2)
+    lost = np.abs(traces) <= rounding[::REFINE]
+    omegas = np.where(lost[:, None, None], np.nan,
+                      weighted / np.where(lost, 1.0, traces)[:, None, None])
+    omegas[0] = model.target(0.0)
     return gammas, omegas
-
-
-def averaged_target(model: TraceReplacement, t: float) -> np.ndarray:
-    """Weighted target average Omega(t) for a single time."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return np.asarray(model.target(0.0), dtype=complex)
-    grid = np.linspace(0.0, float(t), AVERAGED_TARGET_NODES)
-    _, omegas = averaged_target_series(model, grid)
-    return omegas[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -510,25 +498,6 @@ class Trajectory:
     @property
     def nodes(self) -> int:
         return self.times.size
-
-    def node_index(self, t: float) -> int | None:
-        k = int(np.searchsorted(self.times, t))
-        for j in (k - 1, k, k + 1):
-            if 0 <= j < self.times.size and abs(self.times[j] - t) <= 1e-9 * max(1.0, self.times[-1]):
-                return j
-        return None
-
-    def map_at(self, t: float) -> np.ndarray:
-        """Map at a node, or linear interpolation between bracketing nodes."""
-        k = self.node_index(t)
-        if k is not None:
-            return self.maps[k]
-        if not self.times[0] <= t <= self.times[-1]:
-            raise ValueError(f"t={t} outside trajectory range [0, {self.times[-1]}]")
-        hi = int(np.searchsorted(self.times, t))
-        lo = hi - 1
-        w = (t - self.times[lo]) / (self.times[hi] - self.times[lo])
-        return (1.0 - w) * self.maps[lo] + w * self.maps[hi]
 
 
 def _spin_boson_maps(amplitudes: np.ndarray) -> np.ndarray:
@@ -644,10 +613,15 @@ def propagators(later: np.ndarray, earlier: np.ndarray):
 
 
 def intermediate_map(traj: Trajectory, t: float, s: float) -> np.ndarray:
-    """Propagator V_{t,s} = Lambda_t Lambda_s^{-1} between two grid times."""
+    """Propagator V_{t,s} = Lambda_t Lambda_s^{-1} between two grid times,
+    each matched to a node within 1e-9 max(1, t_max) (ValueError otherwise)."""
     if t < s:
         raise ValueError(f"need t >= s, got t={t}, s={s}")
-    props, excluded, cond = propagators(traj.map_at(t)[None], traj.map_at(s)[None])
+    nodes = np.abs(traj.times[:, None] - [t, s]).argmin(axis=0)
+    off = np.abs(traj.times[nodes] - [t, s]) > 1e-9 * max(1.0, traj.times[-1])
+    if off.any():
+        raise ValueError(f"t={(t, s)[int(np.argmax(off))]} is not a node of the trajectory grid")
+    props, excluded, cond = propagators(traj.maps[nodes[:1]], traj.maps[nodes[1:]])
     if excluded[0]:
         raise SingularPropagatorError(
             f"map at s={s} has condition number {cond[0]:.3e} beyond {CONDITION_LIMIT:.0e}"

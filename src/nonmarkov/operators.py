@@ -101,12 +101,6 @@ def _pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def spectral_decomposition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-    w, v = np.linalg.eigh(hermitian_part(a))
-    return w[..., ::-1], v[..., ::-1]
-
-
 def trace_norm(a: np.ndarray) -> float | np.ndarray:
     """Trace norm ||A||_1; for Hermitian A this is the sum of |eigenvalues|."""
     w = eigvalsh(a)

@@ -118,12 +118,6 @@ class AmplitudeSolution:
     values: np.ndarray       # G(t_k)
     derivatives: np.ndarray  # G'(t_k)
 
-    @property
-    def first_collapse(self) -> float | None:
-        """The first node time with |G| < AMPLITUDE_FLOOR, or None."""
-        below = np.abs(self.values) < AMPLITUDE_FLOOR
-        return float(self.times[np.argmax(below)]) if below.any() else None
-
 
 def solve_memory_kernel(kernel: MemoryKernel, times: np.ndarray) -> AmplitudeSolution:
     """Integrate the memory-kernel equation on a uniform grid starting at 0."""

@@ -21,8 +21,7 @@ map stack with a kink-suspicion mask, ``orientation`` its sign, and
 Derivatives are estimated from the node values with a fourth-order central
 stencil on uniform interiors, falling back to plain central secants near the
 grid edges and to one-sided secants where the evolved spectrum approaches a
-zero crossing (trace norms are only piecewise smooth there).  Between nodes
-the flow is the node series interpolated linearly.
+zero crossing (trace norms are only piecewise smooth there).
 """
 
 from __future__ import annotations
@@ -50,8 +49,6 @@ NON_PSD_TOL = 1e-12
 SPECTRAL_RESIDUAL_TOL = 1e-6
 # Seed of the random node combination that spectral_modes diagonalizes.
 SPECTRAL_SEED = 1234
-# Agreement required between the closed-form and generic entropy flows.
-ENTROPY_CROSS_CHECK_TOL = 1e-6
 
 
 class InvarianceError(RuntimeError):
@@ -389,14 +386,6 @@ def _flow(traj: Trajectory, spec: WitnessSpec) -> np.ndarray:
     return spec.orientation * derivative_series(traj.times, values, kinks)
 
 
-def flow(traj: Trajectory, spec: WitnessSpec, t: float) -> float:
-    """Witness flow at an interior time: the node series, interpolated
-    linearly between the interior nodes."""
-    if not traj.times[0] < t < traj.times[-1]:
-        raise ValueError(f"t={t} is not interior to the grid")
-    return float(np.interp(t, traj.times[1:-1], _flow(traj, spec)))
-
-
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Inclusive (first, last) index pairs of the maximal True runs of a 1-d mask."""
     edges = np.diff(np.asarray(mask, dtype=np.int8), prepend=0, append=0)
@@ -507,61 +496,3 @@ def spectral_modes(traj: Trajectory) -> SpectralModesResult:
     modes.sort(key=lambda m: -float(np.mean(np.abs(m.eigenvalues))))
     return SpectralModesResult(modes=modes, commutative=unmatched == 0, unmatched=unmatched)
 
-
-# ---------------------------------------------------------------------------
-# Qubit entropy flow
-# ---------------------------------------------------------------------------
-
-def qubit_entropy_flow(traj: Trajectory, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy production rate dS/dt of an evolved qubit state.
-
-    Uses the closed form dS/dt = -(d lambda_+/dt) log(lambda_+/lambda_-) with
-    the eigenvalue pair from direct diagonalization of the evolved state, and
-    cross-checks it against the generic relative-entropy flow toward the
-    maximally mixed state: the values must satisfy the log-2-offset identity
-    S(rho_t || I/2) = log 2 - S(rho_t), the flows must be sign-opposite, and
-    their magnitudes must agree to ``ENTROPY_CROSS_CHECK_TOL`` wherever the
-    state is mixed enough (smaller eigenvalue above 0.05) for finite
-    differences of the entropy itself to be reliable.  Near purity only the closed form keeps its
-    accuracy, which is the reason it exists.
-    """
-    if traj.dim != 2:
-        raise ValueError("qubit entropy flow requires a two-level trajectory")
-    rho = ops.check_density_matrix(rho, "rho")
-    evolved = ops.hermitian_part(apply_superop_batch(traj.maps, rho))
-    eigs = ops.eigvalsh(evolved)
-    lam_minus = np.clip(eigs[:, 0], 0.0, None)
-    lam_plus = np.clip(eigs[:, 1], 0.0, None)
-
-    lam_dot = derivative_series(traj.times, lam_plus)
-    gap = (lam_plus - lam_minus)[1:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log(lam_plus[1:-1] / np.where(lam_minus[1:-1] > 0, lam_minus[1:-1], np.nan))
-    flow_values = np.where(gap < 1e-12, 0.0, -lam_dot * log_ratio)
-    flow_values = np.nan_to_num(flow_values, nan=0.0, posinf=0.0, neginf=0.0)
-
-    relent = ops.relative_entropy(evolved, 0.5 * np.eye(2))
-    entropy = ops.von_neumann_entropy(evolved)
-    offset_identity = float(np.abs(relent - (np.log(2.0) - entropy)).max())
-    if offset_identity > ENTROPY_CROSS_CHECK_TOL:
-        raise RuntimeError(
-            f"entropy-flow cross-check failed: S(rho||I/2) and log 2 - S(rho) "
-            f"disagree by {offset_identity:.3e}"
-        )
-    generic = derivative_series(traj.times, relent)
-    significant = (np.abs(flow_values) > 1e-8) & (np.abs(generic) > 1e-8)
-    if np.any(np.sign(flow_values[significant]) != -np.sign(generic[significant])):
-        raise RuntimeError("entropy-flow cross-check failed: sign mismatch against "
-                           "the relative-entropy flow")
-    trustworthy = lam_minus[1:-1] >= 0.05
-    # the first and last interior nodes only get O(h^2) secants; the 1e-6
-    # magnitude comparison needs the fourth-order stencil
-    trustworthy[0] = trustworthy[-1] = False
-    if trustworthy.any():
-        mismatch = float(np.abs(flow_values[trustworthy] + generic[trustworthy]).max())
-        if mismatch > ENTROPY_CROSS_CHECK_TOL:
-            raise RuntimeError(
-                f"entropy-flow cross-check failed: closed form and relative-entropy "
-                f"flow disagree by {mismatch:.3e} on mixed-state nodes"
-            )
-    return traj.times[1:-1], flow_values

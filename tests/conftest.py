@@ -1,4 +1,5 @@
 import multiprocessing
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -32,6 +33,16 @@ def random_cptp(dim, rng, n_kraus=3):
     for op in ops:
         total += sandwich(op @ correction)
     return total
+
+
+def extended_superop(m):
+    """Materialize the (d^2)^2 x (d^2)^2 matrix of id ⊗ Λ (small d only), the
+    reference for the blockwise apply_extended."""
+    n = m.shape[0]
+    d = isqrt(n)
+    eye = np.eye(d)
+    s8 = np.einsum("jq,ip,lkrs->jlikqrps", eye, eye, m.reshape(d, d, d, d))
+    return s8.reshape(n * n, n * n)
 
 
 @pytest.fixture

@@ -149,10 +149,14 @@ class TestConfigParsing:
         ("rate.amplitude = 1.0", "rate.amplitude = 1.0\nrate.amplitude = 2.0", "config"),
         ("[model]\n", "", "config"),
         ("rng_seed = 7", "rng_seed = -1", "search.rng_seed"),
+        (MODEL, "variant = dephasing\nrate = table\nrate.times = 0,2,1,7\nrate.values = 1,1,1,1",
+         "model.rate.times"),
+        (MODEL, "variant = dephasing\nrate = table\nrate.times = 0,1,1,7\nrate.values = 1,1,1,1",
+         "model.rate.times"),
     ], ids=["tol_nan", "tol_inf", "amplitude_abc", "amplitude_nan", "omega_scale_abc",
             "coupling_abc", "coupling_negative", "table_after_zero", "table_before_t_max",
             "hamiltonian_abc", "duplicate_option",
-            "no_section_header", "negative_seed"])
+            "no_section_header", "negative_seed", "rate_table_unsorted", "rate_table_repeated"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, old, new, field):
         cfg_path = _write(tmp_path, EXAMPLE1.replace(old, new, 1))
         assert main(["verdict", "--config", cfg_path, "--out", str(tmp_path), "--quiet"]) == 2

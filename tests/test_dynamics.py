@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 import warnings
 
@@ -28,11 +29,9 @@ from nonmarkov.dynamics import (
     apply_extended,
     apply_superop,
     apply_superop_batch,
-    averaged_target,
     choi_matrix,
     dual_superop,
     evolve,
-    extended_superop,
     generator_superoperator,
     intermediate_map,
     load_trajectory,
@@ -44,7 +43,7 @@ from nonmarkov.measures import step_choi_data
 from nonmarkov.operators import max_entangled_projector, random_hermitian
 from nonmarkov.volterra import ExponentialKernel, TabulatedKernel, solve_memory_kernel
 
-from conftest import PAULI_X, PAULI_Z, projector, KET0, KET1
+from conftest import PAULI_X, PAULI_Z, projector, KET0, KET1, extended_superop
 
 
 class TestVectorization:
@@ -462,31 +461,58 @@ class TestIntermediateMap:
         # enormous accumulated damping makes Lambda_s numerically singular
         traj = evolve(Dephasing(rate=Constant(30.0)), np.linspace(0, 2, 65))
         with pytest.raises(SingularPropagatorError):
-            intermediate_map(traj, 2.0, 1.9)
+            intermediate_map(traj, 2.0, traj.times[60])
+
+    def test_time_off_the_grid_raises(self, traj):
+        # times are matched to nodes within 1e-9 max(1, t_max), never interpolated
+        t, s = traj.times[64], traj.times[32]
+        np.testing.assert_array_equal(intermediate_map(traj, t + 1e-12, s),
+                                      intermediate_map(traj, t, s))
+        mid = 0.5 * (s + traj.times[33])
+        for late, early, off in [(t, mid, mid), (t + 1e-3, s, t + 1e-3), (7.0, 0.0, 7.0)]:
+            with pytest.raises(ValueError, match=re.escape(f"t={off} is not a node")):
+                intermediate_map(traj, late, early)
 
 
 class TestAveragedTarget:
+    @staticmethod
+    def _omega(model, t):
+        """Omega at t, the last node of a 513-node grid from 0."""
+        return dyn.averaged_target_series(model, np.linspace(0.0, t, 513))[1][-1]
+
     def test_constant_target_is_fixed_point(self):
         omega = 0.5 * (np.eye(2) + 0.3 * PAULI_Z)
         model = TraceReplacement(rate=Constant(1.0), target=ConstantTarget(omega))
-        np.testing.assert_allclose(averaged_target(model, 1.7), omega, atol=1e-9)
+        np.testing.assert_allclose(self._omega(model, 1.7), omega, atol=1e-9)
 
     def test_unit_trace(self):
         model = TraceReplacement(rate=Constant(1.0), target=BlochZSineTarget(scale=1.2))
         for t in (0.5, 2.0, 5.0):
-            assert np.trace(averaged_target(model, t)).real == pytest.approx(1.0, abs=1e-9)
+            assert np.trace(self._omega(model, t)).real == pytest.approx(1.0, abs=1e-9)
 
     def test_bloch_z_closed_form(self):
         model = TraceReplacement(rate=Constant(1.0), target=BlochZSineTarget(scale=1.2))
         t = 2.0
-        out = averaged_target(model, t)
+        out = self._omega(model, t)
         z = 1.2 * (np.exp(t) * (np.sin(t) - np.cos(t)) + 1.0) / (2.0 * (np.exp(t) - 1.0))
         assert out[0, 0].real == pytest.approx(0.5 * (1.0 + z), abs=1e-9)
         assert out[1, 1].real == pytest.approx(0.5 * (1.0 - z), abs=1e-9)
 
     def test_zero_time_limit(self):
         model = TraceReplacement(rate=Constant(1.0), target=BlochZSineTarget(scale=1.2))
-        np.testing.assert_allclose(averaged_target(model, 0.0), 0.5 * np.eye(2), atol=1e-12)
+        _, omegas = dyn.averaged_target_series(model, np.zeros(1))
+        np.testing.assert_allclose(omegas[-1], 0.5 * np.eye(2), atol=1e-12)
+
+    def test_nan_where_the_trace_is_rounding(self):
+        # Gamma = 1 - cos t returns to 0 at 2 pi, where Tr W = e^Gamma - 1 is
+        # rounding (-2.3e-14) and W / Tr W would be 2.5e14; the node before it
+        # has Tr W = 3e-4 and a large but well-posed Omega
+        model = TraceReplacement(rate=Sine(1.0), target=BlochZSineTarget(scale=1.2))
+        _, omegas = dyn.averaged_target_series(model, np.linspace(0, 2 * np.pi, 257))
+        nan = np.isnan(omegas).all(axis=(1, 2))
+        assert nan.tolist() == [False] * 256 + [True]
+        np.testing.assert_array_equal(omegas[0], model.target(0.0))
+        assert np.trace(omegas[1:-1], axis1=1, axis2=2) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestTrajectoryValidation:
@@ -526,14 +552,6 @@ class TestTrajectoryValidation:
         times[node] = bad
         with pytest.raises(ValueError, match=f"node {node} .*non-finite"):
             Trajectory(times=times, maps=traj.maps)
-
-    def test_map_at_interpolates(self):
-        traj = evolve(Dephasing(rate=Constant(1.0)), np.linspace(0, 1, 11))
-        mid = 0.5 * (traj.times[3] + traj.times[4])
-        expected = 0.5 * (traj.maps[3] + traj.maps[4])
-        np.testing.assert_allclose(traj.map_at(mid), expected, atol=1e-12)
-        with pytest.raises(ValueError):
-            traj.map_at(2.0)
 
 
 class TestTrajectoryFile:

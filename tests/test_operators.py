@@ -207,13 +207,6 @@ class TestMaxEntangledProjector:
 
 
 class TestValidation:
-    def test_spectral_decomposition(self, rng):
-        a = ops.random_hermitian(4, rng)
-        w, v = ops.spectral_decomposition(a)
-        assert np.all(np.diff(w) <= 0)
-        np.testing.assert_allclose((v * w) @ v.conj().T, a, atol=1e-10 * ops.operator_norm(a))
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-10)
-
     def test_density_matrix_trace_guard(self):
         with pytest.raises(ValueError):
             ops.check_density_matrix(np.eye(2))

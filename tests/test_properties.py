@@ -1,15 +1,19 @@
 """Randomized invariant suites: norm orderings, fidelity bounds, channel
 monotonicity, contraction of extended maps, hierarchy of criteria, composition
-law and trace preservation along trajectories."""
+law and trace preservation along trajectories, and convergence of the verdict
+windows under grid refinement."""
 
 import numpy as np
 import pytest
 
 from nonmarkov import operators as ops
 from nonmarkov.dynamics import (
+    SIGMA_MINUS,
     BlochZSineTarget,
     Constant,
     Dephasing,
+    Lindblad,
+    OffsetSine,
     Sine,
     SpinBoson,
     TraceReplacement,
@@ -247,3 +251,33 @@ class TestTrajectoryInvariants:
         # Markovian iff every step Choi is PSD: a positive-rate dephasing
         traj = evolve(Dephasing(rate=Constant(1.0)), np.linspace(0, 2, 65))
         assert divisibility_verdict(traj).markovian
+
+
+# Models with their grid end and exact violation windows: the rate is negative
+# on the windows of sine dephasing and of the driven GKSL qubit of
+# perfbench/workloads/gksl_bank.ini, and example 2's target leaves the state
+# space where |1.2 sin t| > 1.
+_EDGE = float(np.arcsin(1.0 / 1.2))
+CONVERGENCE_CASES = {
+    "sine_dephasing": (Dephasing(rate=Sine(1.0)), 2 * np.pi, [(np.pi, 2 * np.pi)]),
+    "gksl_bank": (Lindblad(hamiltonian=0.5 * PAULI_Z,
+                           noise=((SIGMA_MINUS, OffsetSine(0.2, 1.0)), (PAULI_Z, Sine(0.5))),
+                           dim=2),
+                  4 * np.pi, [(np.pi, 2 * np.pi), (3 * np.pi, 4 * np.pi)]),
+    "example_2": (TraceReplacement(rate=Constant(1.0), target=BlochZSineTarget(scale=1.2)),
+                  2 * np.pi, [(_EDGE, np.pi - _EDGE), (np.pi + _EDGE, 2 * np.pi - _EDGE)]),
+}
+
+
+class TestVerdictConvergence:
+    @pytest.mark.parametrize("name", sorted(CONVERGENCE_CASES))
+    @pytest.mark.parametrize("nodes", [257, 1025, 4097])
+    def test_windows_within_one_step_of_exact(self, name, nodes):
+        model, t_max, exact = CONVERGENCE_CASES[name]
+        times = np.linspace(0, t_max, nodes)
+        windows = divisibility_verdict(evolve(model, times)).violation_intervals
+        assert len(windows) == len(exact)
+        h = times[1]
+        for (start, end, _), (want_start, want_end) in zip(windows, exact):
+            assert abs(start - want_start) <= h
+            assert abs(end - want_end) <= h

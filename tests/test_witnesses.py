@@ -14,6 +14,7 @@ from nonmarkov.dynamics import (
     TraceReplacement,
     apply_extended,
     apply_superop,
+    apply_superop_batch,
     dual_superop,
     evolve,
     sandwich,
@@ -30,8 +31,6 @@ from nonmarkov.witnesses import (
     SchrodingerSkew,
     derivative_series,
     detect_violations,
-    flow,
-    qubit_entropy_flow,
     series,
     spectral_modes,
     verify_invariance,
@@ -113,23 +112,6 @@ class TestFlows:
         for spec in specs:
             ws = series(traj, spec)
             assert np.abs(ws.values).max() < 1e-10, type(spec).__name__
-
-    def test_flow_single_time_matches_series(self, sine_traj):
-        spec = ExtendedTraceNormWitness(0.5 * np.kron(PAULI_X, PAULI_X))
-        ws = series(sine_traj, spec)
-        k = 100
-        assert flow(sine_traj, spec, sine_traj.times[k]) == pytest.approx(ws.values[k - 1])
-
-    def test_flow_off_grid(self, sine_traj):
-        spec = ExtendedTraceNormWitness(0.5 * np.kron(PAULI_X, PAULI_X))
-        t = 0.5 * (sine_traj.times[100] + sine_traj.times[101])
-        expected = -np.sin(t) * np.exp(-(1.0 - np.cos(t)))
-        assert flow(sine_traj, spec, t) == pytest.approx(expected, abs=1e-3)
-
-    def test_flow_requires_interior_time(self, sine_traj):
-        spec = ExtendedTraceNormWitness(0.5 * np.kron(PAULI_X, PAULI_X))
-        with pytest.raises(ValueError, match="interior"):
-            flow(sine_traj, spec, 0.0)
 
     def test_dual_equals_primal_for_product_witness(self, sine_traj):
         primal = series(sine_traj, ExtendedTraceNormWitness(0.5 * np.kron(PAULI_X, PAULI_X)))
@@ -364,28 +346,31 @@ class TestSpectralModes:
 
 
 class TestQubitEntropyFlow:
+    """dS/dt of an evolved qubit state is minus the relative-entropy flow
+    toward I/2, since S(rho || I/2) = log 2 - S(rho)."""
+
+    @staticmethod
+    def _entropy_flow(traj, rho):
+        ws = series(traj, wit.RelativeEntropyPair(rho, 0.5 * np.eye(2, dtype=complex)))
+        return ws.times, -ws.values
+
     def test_negative_somewhere_in_backflow_window(self, sine_traj):
-        t, values = qubit_entropy_flow(sine_traj, projector(KET_PLUS))
+        t, values = self._entropy_flow(sine_traj, projector(KET_PLUS))
         window = (t > np.pi) & (t < 2 * np.pi)
         assert (values[window] < 0).any()
 
     def test_maximally_mixed_is_flat(self, sine_traj):
-        _, values = qubit_entropy_flow(sine_traj, 0.5 * np.eye(2, dtype=complex))
+        _, values = self._entropy_flow(sine_traj, 0.5 * np.eye(2, dtype=complex))
         assert np.abs(values).max() == 0.0
 
     def test_matches_direct_entropy_derivative(self, markov_traj):
         rho = np.array([[0.7, 0.25], [0.25, 0.3]], dtype=complex)
-        t, values = qubit_entropy_flow(markov_traj, rho)
+        t, values = self._entropy_flow(markov_traj, rho)
+        entropy = ops.von_neumann_entropy(
+            ops.hermitian_part(apply_superop_batch(markov_traj.maps, rho)))
+        direct = derivative_series(markov_traj.times, entropy)
+        assert np.abs(values - direct).max() <= 1e-12
         assert (values >= -1e-10).all()  # entropy increases under Markovian unital dynamics
-
-    def test_requires_qubit(self):
-        from nonmarkov.dynamics import Lindblad
-        model = Lindblad(hamiltonian=None,
-                         noise=((np.diag([1.0, 0, 0]).astype(complex), Constant(1.0)),),
-                         dim=3)
-        traj = evolve(model, np.linspace(0, 1, 33))
-        with pytest.raises(ValueError):
-            qubit_entropy_flow(traj, np.eye(3) / 3)
 
 
 class TestDerivativeEstimator:
