@@ -37,7 +37,7 @@ from .dynamics import (
     Table,
     TraceReplacement,
 )
-from .measures import SearchConfig
+from .measures import DIVISIBILITY_TOL, SearchConfig
 from .volterra import ExponentialKernel, TabulatedKernel
 from .witnesses import (
     DualOperatorNormWitness,
@@ -291,7 +291,7 @@ class RunConfig:
     search: SearchConfig
     out_dir: Path
     prefix: str
-    divisibility_tol: float = 1e-8
+    divisibility_tol: float = DIVISIBILITY_TOL
 
     @property
     def times(self) -> np.ndarray:
@@ -347,8 +347,16 @@ def load_config(path, seed_override: int | None = None,
     witnesses = [(d, parse_witness_descriptor(d)) for d in map(str.strip, specs.split(";")) if d]
 
     meas = parser["measures"] if "measures" in parser else {}
-    flag = lambda key: str(meas.get(key, "true")).lower() in ("1", "true", "yes", "on")
-    divisibility_tol = _number(meas.get("divisibility_tol", "1e-8"), "measures.divisibility_tol")
+
+    def flag(key: str) -> bool:
+        raw = meas.get(key, "true")
+        if raw.lower() not in parser.BOOLEAN_STATES:
+            raise ConfigError(f"measures.{key}", f"expected true/false, yes/no, on/off or 1/0, "
+                                                 f"got {raw!r}")
+        return parser.BOOLEAN_STATES[raw.lower()]
+
+    divisibility_tol = _number(meas.get("divisibility_tol", DIVISIBILITY_TOL),
+                               "measures.divisibility_tol")
     if divisibility_tol <= 0:
         raise ConfigError("measures.divisibility_tol", "must be positive")
 

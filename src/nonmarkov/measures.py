@@ -12,18 +12,24 @@ Three measures are computed over a finite, user-configured horizon:
 * the trace-norm witness measure, a lower bound on the supremum over unit
   trace-norm Hermitian witnesses of the integrated positive flow;
 * the state-distinguishability (BLP) measure, the same supremum over pairs of
-  pure states.
+  states.
 
-The last two share one seeded derivative-free hill climber, ``_search``, and
-differ only in their parameterisation.  The witness search starts from
-tensor-product basis candidates, the negative-Choi-direction candidate and
-random witnesses, and moves by adding a random Hermitian direction.  The BLP
-search starts from orthogonal basis-state pairs and random pure states, and
-moves both vectors by a complex Gaussian kick.  Each seed climbs on its own
-random stream and accepts a move only if it strictly raises the integrated
-positive flow.  The step starts at ``INITIAL_STEP``, grows by 1.4 after an
-accepted move (up to ``MAX_STEP``) and shrinks by 0.8 otherwise (down to
-``MIN_STEP``).
+The last two share one seeded derivative-free hill climber, ``_search``, over
+one kind of point: a Hermitian operator of unit trace norm, fed to a
+trace-norm witness family and moved by adding a step times a random Hermitian
+direction.  The witness search ranges over operators on H ⊗ H
+(``ExtendedTraceNormWitness``) and starts from tensor-product basis
+candidates, the negative-Choi-direction candidate and random witnesses.  The
+BLP search ranges over traceless operators X on H (``PlainTraceNormWitness``)
+and starts from the generalized Gell-Mann basis and random traceless
+operators.  That loses nothing: the BLP flow of a pair (ρ1, ρ2) is
+½‖ρ1 − ρ2‖₁ ≤ 1 times the trace-norm flow of X = (ρ1 − ρ2)/‖ρ1 − ρ2‖₁, a
+traceless operator of unit trace norm, and conversely the pair (2X⁺, 2X⁻) of
+the positive and negative parts of such an X has ρ1 − ρ2 = 2X, so its BLP
+flow is exactly the flow of X.  Each seed climbs on its own random stream and
+accepts a move only if it strictly raises the integrated positive flow.  The
+step starts at ``INITIAL_STEP``, grows by 1.4 after an accepted move (up to
+``MAX_STEP``) and shrinks by 0.8 otherwise (down to ``MIN_STEP``).
 
 The seed climbs are independent, so they run in parallel in forked worker
 processes, one per CPU available to this process.  Search results are
@@ -31,7 +37,7 @@ reproducible lower bounds: values never decrease during refinement and depend
 only on the recorded seed, not on the number of CPUs.
 
 Each search candidate costs one ``series`` call, and nearly all of a search
-is these calls.  On a qubit the state-pair spectra are closed-form
+is these calls.  On a qubit the 2 × 2 spectra are closed-form
 (``operators.eigvalsh``), so what is left of a witness candidate is mostly
 LAPACK: about 70% of an extended trace-norm candidate is the batched 4 × 4
 ``eigvalsh`` of the evolved witnesses.  Further gains have to come from fewer
@@ -41,7 +47,8 @@ evaluations per search, not from cheaper ones.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -56,7 +63,7 @@ from .dynamics import (
 )
 from .witnesses import (
     ExtendedTraceNormWitness,
-    InformationFlowPair,
+    PlainTraceNormWitness,
     WitnessSeries,
     _runs,
     series,
@@ -190,7 +197,7 @@ def rhp_measure(model: GeneratorModel, times: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Witness-measure search
+# Witness- and BLP-measure search
 # ---------------------------------------------------------------------------
 
 def gell_mann_basis(d: int) -> list:
@@ -237,6 +244,18 @@ def _choi_candidates(data: StepChoiData, n: int) -> list:
     return [proj - np.eye(n) / n]
 
 
+def _random_traceless(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian random Hermitian d × d matrix with its trace removed."""
+    x = ops.random_hermitian(d, rng)
+    return x - (np.trace(x).real / d) * np.eye(d)
+
+
+def _pair(x: np.ndarray) -> tuple:
+    """(2X⁺, 2X⁻) of a traceless Hermitian X of unit trace norm, from one ``eigh``."""
+    w, v = np.linalg.eigh(x)
+    return tuple(2.0 * (v * np.clip(sign * w, 0.0, None)) @ v.conj().T for sign in (1, -1))
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on; 1 where the platform cannot tell."""
     if hasattr(os, "sched_getaffinity"):
@@ -244,14 +263,25 @@ def _cpu_count() -> int:
     return 1
 
 
+def _point(spec_cls, x):
+    """``(operator, spec)`` of ``spec_cls(x)``, the operator as the spec holds
+    it (unit trace norm); None where the spec rejects ``x``, such as a PSD
+    witness, which carries no witness information."""
+    try:
+        spec = spec_cls(x)
+    except ValueError:
+        return None
+    return getattr(spec, fields(spec)[0].name), spec
+
+
 def _climb(job, i):
-    """Hill climb of seed ``i`` of ``job``; returns its (point, series, value)."""
-    traj, seeded, perturb, stream, search = job
+    """Hill climb of seed ``i`` of ``job``; returns its (operator, series, value)."""
+    traj, seeded, spec_cls, direction, stream, search = job
     point, ws, value = seeded[i]
     rng = np.random.default_rng((search.rng_seed, stream, i))
     step = INITIAL_STEP
     for _ in range(search.iterations):
-        moved = perturb(point, step, rng)
+        moved = _point(spec_cls, point + step * direction(rng))
         if moved is not None:
             cand_series = series(traj, moved[1])
             cand_value = cand_series.total_violation
@@ -264,7 +294,8 @@ def _climb(job, i):
 
 
 # The search job of a pool worker.  Set only inside forked workers, by the
-# pool initializer; the job holds closures, which cannot be pickled per task.
+# pool initializer, so that each worker inherits the job (the trajectory and
+# the seed series) once instead of receiving it with every task.
 _worker_job = None
 
 
@@ -277,17 +308,21 @@ def _climb_in_worker(i):
     return _climb(_worker_job, i)
 
 
-def _search(traj, data, seeds, perturb, stream, search):
-    """Best (point, series, value) of a hill climb from every seed.
+def _search(traj, data, basis, spec_cls, direction, stream, search):
+    """Best (operator, series, value) of a hill climb from every seed.
 
-    ``seeds`` holds ``(point, spec)`` pairs; ``perturb(point, step, rng)``
-    returns the moved ``(point, spec)``, or None when the moved point carries
-    no witness.  The value of a spec is the integrated positive part of its
-    flow.  Seed i climbs for ``search.iterations`` moves on the random stream
-    ``(search.rng_seed, stream, i)``.  When every step propagator is CP and no
-    seed shows a positive flow the climb is skipped, since contraction forces
-    every flow to be non-positive.  Returns ``(None, None, 0.0)`` when no
-    positive value is found.
+    ``spec_cls`` is a trace-norm witness family that stores its Hermitian
+    operator with unit trace norm, and ``direction(rng)`` draws a random
+    Hermitian operator.  The seeds are the ``basis`` operators, filled up with
+    ``direction`` draws on the random stream ``search.rng_seed`` and cut to
+    ``search.seeds`` (at least one); a seed or a move that ``spec_cls``
+    rejects is skipped.  Seed i climbs for ``search.iterations`` moves on the
+    random stream ``(search.rng_seed, stream, i)``; a move adds ``step`` times
+    a ``direction`` draw to the current operator.  The value of a spec is the
+    integrated positive part of its flow.  When every step propagator is CP
+    and no seed shows a positive flow the climb is skipped, since contraction
+    forces every flow to be non-positive.  Returns ``(None, None, 0.0)`` when
+    no positive value is found.
 
     The climbs are independent, so they run in forked worker processes, one
     per CPU available to this process (in process with one CPU or where
@@ -295,8 +330,12 @@ def _search(traj, data, seeds, perturb, stream, search):
     result does not depend on the number of workers.  The pool is closed
     before this returns or raises; an exception in a worker reaches the caller.
     """
+    seeds = list(basis)
+    rng = np.random.default_rng(search.rng_seed)
+    while len(seeds) < search.seeds:
+        seeds.append(direction(rng))
     seeded = []
-    for point, spec in seeds:
+    for point, spec in filter(None, (_point(spec_cls, x) for x in seeds[:max(search.seeds, 1)])):
         ws = series(traj, spec)
         seeded.append((point, ws, ws.total_violation))
 
@@ -305,7 +344,7 @@ def _search(traj, data, seeds, perturb, stream, search):
     if not cp_violated and all(v == 0.0 for _, _, v in seeded):
         return best
 
-    job = (traj, seeded, perturb, stream, search)
+    job = (traj, seeded, spec_cls, direction, stream, search)
     workers = min(_cpu_count(), len(seeded))
     import multiprocessing  # here, so that importing the package stays cheap
 
@@ -325,66 +364,24 @@ def _search(traj, data, seeds, perturb, stream, search):
 def witness_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
                     steps: StepChoiData | None = None) -> WitnessMeasureResult:
     """Lower bound on the optimal-witness measure with the witness that attains it."""
-    d = traj.dim
-    n = d * d
-    rng = np.random.default_rng(search.rng_seed)
+    n = traj.dim ** 2
     data = steps if steps is not None else step_choi_data(traj)
-
-    raw = _product_candidates(d, search.seeds) + _choi_candidates(data, n)
-    while len(raw) < search.seeds:
-        raw.append(ops.random_hermitian(n, rng))
-
-    def as_point(x):
-        try:
-            spec = ExtendedTraceNormWitness(x)
-        except ValueError:
-            return None  # PSD directions carry no witness information
-        return spec.witness, spec
-
-    seeds = [p for p in map(as_point, raw[: max(search.seeds, 1)]) if p is not None]
-    witness, ws, value = _search(
-        traj, data, seeds,
-        lambda w, step, crng: as_point(w + step * ops.random_hermitian(n, crng)),
-        1, search,
-    )
+    basis = _product_candidates(traj.dim, search.seeds) + _choi_candidates(data, n)
+    witness, ws, value = _search(traj, data, basis, ExtendedTraceNormWitness,
+                                 partial(ops.random_hermitian, n), 1, search)
     return WitnessMeasureResult(value=float(value), witness=witness, series=ws)
-
-
-def _axis_pairs_qubit() -> list:
-    vecs = {
-        "x": (np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)),
-        "y": (np.array([1, 1j]) / np.sqrt(2), np.array([1, -1j]) / np.sqrt(2)),
-        "z": (np.array([1, 0]), np.array([0, 1])),
-    }
-    return [(np.asarray(a, complex), np.asarray(b, complex)) for a, b in vecs.values()]
 
 
 def blp_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
                 steps: StepChoiData | None = None) -> BlpMeasureResult:
-    """Lower bound on the state-distinguishability measure with the best pair."""
-    d = traj.dim
-    rng = np.random.default_rng(search.rng_seed)
+    """Lower bound on the state-distinguishability measure with the best pair.
+
+    Searches traceless Hermitian X of unit trace norm for the largest positive
+    trace-norm flow; the pair is (2X⁺, 2X⁻), the doubled positive and negative
+    parts of the best X, whose BLP flow is the flow of X (module docstring).
+    """
     data = steps if steps is not None else step_choi_data(traj)
+    x, ws, value = _search(traj, data, gell_mann_basis(traj.dim), PlainTraceNormWitness,
+                           partial(_random_traceless, traj.dim), 2, search)
+    return BlpMeasureResult(value=float(value), pair=None if x is None else _pair(x), series=ws)
 
-    pairs = _axis_pairs_qubit() if d == 2 else [
-        (np.eye(d, dtype=complex)[i], np.eye(d, dtype=complex)[j])
-        for i in range(d) for j in range(i + 1, d)
-    ]
-    while len(pairs) < search.seeds:
-        pairs.append((ops.random_pure_state(d, rng), ops.random_pure_state(d, rng)))
-
-    def as_point(v1, v2):
-        return (v1, v2), InformationFlowPair(np.outer(v1, v1.conj()), np.outer(v2, v2.conj()))
-
-    def perturb(pair, step, crng):
-        moved = []
-        for v in pair:
-            w = v + step * (crng.normal(size=d) + 1j * crng.normal(size=d))
-            moved.append(w / np.linalg.norm(w))
-        return as_point(*moved)
-
-    seeds = [as_point(v1, v2) for v1, v2 in pairs[: max(search.seeds, 1)]]
-    pair, ws, value = _search(traj, data, seeds, perturb, 2, search)
-    if pair is not None:
-        pair = tuple(np.outer(v, v.conj()) for v in pair)
-    return BlpMeasureResult(value=float(value), pair=pair, series=ws)

@@ -153,14 +153,24 @@ class TestConfigParsing:
          "model.rate.times"),
         (MODEL, "variant = dephasing\nrate = table\nrate.times = 0,1,1,7\nrate.values = 1,1,1,1",
          "model.rate.times"),
+        ("enabled = true", "enabled = true\nwitness = ture", "measures.witness"),
+        ("enabled = true", "enabled =", "measures.enabled"),
     ], ids=["tol_nan", "tol_inf", "amplitude_abc", "amplitude_nan", "omega_scale_abc",
             "coupling_abc", "coupling_negative", "table_after_zero", "table_before_t_max",
             "hamiltonian_abc", "duplicate_option",
-            "no_section_header", "negative_seed", "rate_table_unsorted", "rate_table_repeated"])
+            "no_section_header", "negative_seed", "rate_table_unsorted", "rate_table_repeated",
+            "flag_misspelt", "flag_empty"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, old, new, field):
         cfg_path = _write(tmp_path, EXAMPLE1.replace(old, new, 1))
         assert main(["verdict", "--config", cfg_path, "--out", str(tmp_path), "--quiet"]) == 2
         assert f"invalid configuration: {field}:" in capsys.readouterr().err
+
+    def test_measure_flags_take_the_configparser_booleans(self, tmp_path):
+        text = EXAMPLE1.replace("enabled = true",
+                                "enabled = Yes\nrhp = off\nwitness = 0\nblp = ON")
+        cfg = load_config(_write(tmp_path, text))
+        flags = (cfg.measures_enabled, cfg.measure_rhp, cfg.measure_witness, cfg.measure_blp)
+        assert flags == (True, False, False, True)
 
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.ini"

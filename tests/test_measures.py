@@ -31,7 +31,12 @@ from nonmarkov.measures import (
     witness_measure,
 )
 from nonmarkov.volterra import ExponentialKernel
-from nonmarkov.witnesses import ExtendedTraceNormWitness, series
+from nonmarkov.witnesses import (
+    ExtendedTraceNormWitness,
+    InformationFlowPair,
+    PlainTraceNormWitness,
+    series,
+)
 
 from conftest import PAULI_X
 
@@ -53,6 +58,25 @@ def markov_traj():
 def replacement_traj():
     model = TraceReplacement(rate=Constant(1.0), target=BlochZSineTarget(scale=1.2))
     return evolve(model, np.linspace(0, 2 * np.pi, 513))
+
+
+def _qutrit_dephasing(rate):
+    """Qutrit dephasing by diag(1, 0, -1) under a commuting Hamiltonian: the
+    maps are CP while the integrated rate stays non-negative."""
+    model = Lindblad(hamiltonian=np.diag([0.0, 0.5, 1.5]).astype(complex),
+                     noise=((np.diag([1.0, 0.0, -1.0]).astype(complex), rate),), dim=3)
+    return evolve(model, np.linspace(0, 2 * np.pi, 129))
+
+
+@pytest.fixture(scope="module")
+def qutrit_traj():
+    # the rate sin t is negative on (pi, 2pi)
+    return _qutrit_dephasing(Sine(1.0))
+
+
+@pytest.fixture(scope="module")
+def qutrit_markov_traj():
+    return _qutrit_dephasing(Constant(1.0))
 
 
 class TestVerdict:
@@ -236,6 +260,30 @@ class TestBlpMeasure:
         assert a.value == pytest.approx(0.8643064805615198, rel=1e-12)
         assert blp_measure(replacement_traj, QUICK).value == 0.0
 
+    @pytest.mark.parametrize("name", ["sine_traj", "replacement_traj", "qutrit_traj"])
+    def test_pair_flow_is_the_operator_flow(self, name, request):
+        # The search ranges over traceless X of unit trace norm.  The BLP flow
+        # of (2X+, 2X-) must be the trace-norm flow of X, for a pair of
+        # orthogonal states, pure on a qubit.
+        traj = request.getfixturevalue(name)
+        result = blp_measure(traj, QUICK)
+        assert (result.value > 0.0) == (result.pair is not None) == (name != "replacement_traj")
+        rng = np.random.default_rng(11)
+        points = gell_mann_basis(traj.dim) + [
+            measures._random_traceless(traj.dim, rng) for _ in range(4)]
+        cases = [(ws, measures._pair(ws.spec.operator))
+                 for ws in (series(traj, PlainTraceNormWitness(x)) for x in points)]
+        if result.pair is not None:
+            cases.append((result.series, result.pair))
+        for ws, pair in cases:
+            reference = series(traj, InformationFlowPair(*pair))
+            assert np.abs(ws.values - reference.values).max() <= 1e-12
+            rho1, rho2 = (ops.check_density_matrix(rho) for rho in pair)
+            assert abs(np.trace(rho1 @ rho2)) <= 1e-12
+            if traj.dim == 2:
+                for rho in pair:
+                    assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
+
 
 class TestParallelSearch:
     @staticmethod
@@ -248,7 +296,7 @@ class TestParallelSearch:
             None if ws is None else ws.violation_intervals,
         )
 
-    @pytest.mark.parametrize("name", ["sine_traj", "replacement_traj"])
+    @pytest.mark.parametrize("name", ["sine_traj", "replacement_traj", "qutrit_traj"])
     def test_worker_count_does_not_change_results(self, name, request, monkeypatch):
         traj = request.getfixturevalue(name)
         runs = []
@@ -266,11 +314,18 @@ class TestParallelSearch:
 
 
 class TestSeparation:
-    def test_verdict_witness_agreement(self, sine_traj, markov_traj, replacement_traj):
-        for traj in (sine_traj, markov_traj, replacement_traj):
+    def test_verdict_witness_agreement(self, sine_traj, markov_traj, replacement_traj,
+                                       qutrit_traj, qutrit_markov_traj):
+        for traj in (sine_traj, markov_traj, replacement_traj, qutrit_traj, qutrit_markov_traj):
             verdict = divisibility_verdict(traj)
             value = witness_measure(traj, QUICK).value
             assert (not verdict.markovian) == (value > 1e-6)
+
+    def test_markovian_qutrit_yields_zero(self, qutrit_markov_traj):
+        wm = witness_measure(qutrit_markov_traj, QUICK)
+        bm = blp_measure(qutrit_markov_traj, QUICK)
+        assert wm.value == 0.0 and wm.witness is None
+        assert bm.value == 0.0 and bm.pair is None
 
     def test_witness_and_rhp_positive_together(self):
         grids = {
