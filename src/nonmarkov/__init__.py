@@ -21,7 +21,6 @@ from .operators import (
     trace_distance,
     trace_norm,
     tsallis_relative_entropy,
-    von_neumann_entropy,
 )
 from .volterra import (
     AmplitudeSolution,

@@ -298,6 +298,18 @@ class RunConfig:
         return np.linspace(0.0, self.t_max, self.nodes)
 
 
+class _ReadTracking(configparser.ConfigParser):
+    """A parser that remembers every (section, key) pair read from it."""
+
+    def __init__(self):
+        super().__init__(interpolation=None)
+        self.read_keys = set()
+
+    def get(self, section, option, **kwargs):
+        self.read_keys.add((section, self.optionxform(option)))
+        return super().get(section, option, **kwargs)
+
+
 def load_config(path, seed_override: int | None = None,
                 backend_override: str | None = None,
                 out_override: str | None = None,
@@ -306,8 +318,10 @@ def load_config(path, seed_override: int | None = None,
 
     With ``for_import=True`` the [model] and [grid] sections become optional:
     the trajectory file supplies both, and generator-based outputs are skipped.
+    A key that parsing never reads is rejected, so the parser below is the
+    whole schema; a key that an override replaces is still read and validated.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = _ReadTracking()
     try:
         read = parser.read(path)
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -338,10 +352,11 @@ def load_config(path, seed_override: int | None = None,
     if nodes < MIN_NODES:
         raise ConfigError("grid.nodes", f"must be at least {MIN_NODES}, got {nodes}")
 
-    backend = (backend_override or
-               (parser["backend"].get("kind", "auto") if "backend" in parser else "auto")).lower()
-    if backend not in ("auto", "analytic", "numeric"):
-        raise ConfigError("backend.kind", f"must be auto/analytic/numeric, got {backend!r}")
+    kind = parser["backend"].get("kind", "auto") if "backend" in parser else "auto"
+    backend = (backend_override or kind).lower()
+    for value in (kind.lower(), backend):
+        if value not in ("auto", "analytic", "numeric"):
+            raise ConfigError("backend.kind", f"must be auto/analytic/numeric, got {value!r}")
 
     specs = parser["witnesses"].get("specs", "") if "witnesses" in parser else ""
     witnesses = [(d, parse_witness_descriptor(d)) for d in map(str.strip, specs.split(";")) if d]
@@ -362,21 +377,29 @@ def load_config(path, seed_override: int | None = None,
 
     opt = parser["search"] if "search" in parser else {}
     try:
+        rng_seed = int(opt.get("rng_seed", "0"))
         search = SearchConfig(
             seeds=int(opt.get("seeds", "64")),
             iterations=int(opt.get("iterations", "200")),
-            rng_seed=seed_override if seed_override is not None else int(opt.get("rng_seed", "0")),
+            rng_seed=rng_seed if seed_override is None else seed_override,
         )
     except ValueError as exc:
         raise ConfigError("search", f"invalid search setting: {exc}") from exc
     if search.seeds < 1 or search.iterations < 0:
         raise ConfigError("search", "seeds must be >= 1 and iterations >= 0")
-    if search.rng_seed < 0:
-        raise ConfigError("search.rng_seed", f"must be non-negative, got {search.rng_seed}")
+    for seed in (rng_seed, search.rng_seed):
+        if seed < 0:
+            raise ConfigError("search.rng_seed", f"must be non-negative, got {seed}")
 
     out = parser["output"] if "output" in parser else {}
-    out_dir = Path(out_override or out.get("directory", "."))
+    directory = out.get("directory", ".")
     prefix = out.get("prefix", "run")
+    enabled, rhp, witness, blp = (flag(key) for key in ("enabled", "rhp", "witness", "blp"))
+
+    for name in parser.sections():
+        unread = sorted(key for key in parser[name] if (name, key) not in parser.read_keys)
+        if unread:
+            raise ConfigError(f"{name}.{unread[0]}", "unknown section or key")
 
     return RunConfig(
         model=model,
@@ -384,12 +407,12 @@ def load_config(path, seed_override: int | None = None,
         nodes=nodes,
         backend=backend,
         witnesses=witnesses,
-        measures_enabled=flag("enabled"),
-        measure_rhp=flag("rhp"),
-        measure_witness=flag("witness"),
-        measure_blp=flag("blp"),
+        measures_enabled=enabled,
+        measure_rhp=rhp,
+        measure_witness=witness,
+        measure_blp=blp,
         search=search,
-        out_dir=out_dir,
+        out_dir=Path(out_override or directory),
         prefix=prefix,
         divisibility_tol=divisibility_tol,
     )

@@ -467,13 +467,16 @@ class Trajectory:
         self.maps = np.asarray(self.maps, dtype=complex)
         if self.times.ndim != 1 or self.maps.ndim != 3 or self.maps.shape[0] != self.times.size:
             raise ValueError("need matching 1-d times and (N, d^2, d^2) maps")
+        n = self.maps.shape[1]
+        if self.maps.shape[2] != n or n == 0 or isqrt(n) ** 2 != n:
+            raise ValueError(f"maps of shape {self.maps.shape} are not (N, d^2, d^2) "
+                             f"for an integer d >= 1")
         if self.times.size == 0:
             raise ValueError("trajectory grid is empty")
         finite = np.isfinite(self.times) & np.isfinite(self.maps).all(axis=(1, 2))
         if not finite.all():
             k = int(np.argmin(finite))
             raise ValueError(f"node {k} (t={self.times[k]}) has a non-finite time or map")
-        n = self.maps.shape[1]
         ident_err = np.abs(self.maps[0] - np.eye(n)).max()
         if ident_err > IDENTITY_TOL:
             raise ValueError(f"map at node 0 deviates from identity by {ident_err:.3e}")

@@ -244,12 +244,6 @@ def tsallis_relative_entropy(rho: np.ndarray, sigma: np.ndarray, q: float) -> fl
     return _float_if_single((1.0 - val) / (1.0 - q))
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
-    """S(rho) = -Tr rho log rho with 0 log 0 := 0."""
-    w = eigvalsh(rho)
-    return _float_if_single(-np.sum(_xlogx(w), axis=-1))
-
-
 def skew_information(rho: np.ndarray, x: np.ndarray, p: float = 0.5) -> float | np.ndarray:
     """Wigner-Yanase-Dyson skew information -Tr [rho^p, X][rho^(1-p), X] / 2."""
     if not 0.0 < p < 1.0:

@@ -3,9 +3,10 @@
 A witness family is a functional of the evolved maps that CP-divisible
 evolution cannot raise (orientation +1) or cannot lower (-1), so a positive
 oriented flow signals a breakdown of divisibility.  Each family is one spec
-class, the only place it is defined: ``values(maps)`` is its functional on a
-map stack with a kink-suspicion mask, ``orientation`` its sign, and
-``invariant()`` the state or observable it needs left fixed, or None:
+class, the only place it is defined: ``derivative(times, maps)`` is the
+derivative of its functional on a map stack at the interior nodes,
+``orientation`` its sign, and ``invariant()`` the state or observable it needs
+left fixed, or None:
 
 * extended/plain trace-norm witnesses: d/dt of the evolved trace norm
   (witnesses are stored with unit trace norm, so the flow is scale-free);
@@ -18,10 +19,13 @@ map stack with a kink-suspicion mask, ``orientation`` its sign, and
   invariant state;
 * dual operator-norm witness: d/dt of the evolved operator norm.
 
-Derivatives are estimated from the node values with a fourth-order central
-stencil on uniform interiors, falling back to plain central secants near the
-grid edges and to one-sided secants where the evolved spectrum approaches a
-zero crossing (trace norms are only piecewise smooth there).
+Derivatives are estimated from node values with a fourth-order central
+stencil on uniform interiors and plain central secants next to the grid
+edges.  Smooth functionals are differenced directly.  A norm kinks where an
+eigenvalue of the evolved operator crosses zero, but each sorted eigenvalue
+passes through zero smoothly, so the norm families difference the ascending
+spectrum instead: d‖Y‖₁/dt = Σᵢ sign(λᵢ) λ̇ᵢ, and d‖Y‖/dt is λ̇_max or −λ̇_min,
+whichever of λ_max and −λ_min leads (Bhatia, *Matrix Analysis*, §VI).
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .dynamics import (
 VIOLATION_ENTER = 1e-9
 VIOLATION_EXIT = 0.0
 INVARIANCE_TOL = 1e-8
-KINK_GAP_TOL = 1e-6
 NON_PSD_TOL = 1e-12
 # Largest deviation of M v from mu v for an eigenoperator v of every map.
 SPECTRAL_RESIDUAL_TOL = 1e-6
@@ -56,51 +59,51 @@ class InvarianceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Functionals on map stacks
+# Derivative estimation
 # ---------------------------------------------------------------------------
 
-def _window_changes(series: np.ndarray) -> np.ndarray:
-    """Nodes where a discrete label changes against either neighbor."""
-    kinks = np.zeros(series.size, dtype=bool)
-    if series.size > 1:
-        step = series[1:] != series[:-1]
-        kinks[:-1] |= step
-        kinks[1:] |= step
-    return kinks
+def derivative_series(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Derivative estimates at the interior nodes times[1:-1] of each column
+    of ``values``, a series along axis 0 (a 1-d series is one column).
+
+    Uses the fourth-order five-point stencil where a uniform window is
+    available and the plain central secant next to the boundaries.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n = times.size
+    if n < 3:
+        raise ValueError("need at least three nodes for interior derivatives")
+    steps = np.diff(times)
+    h = steps[0]
+    spans = (times[2:] - times[:-2]).reshape((-1,) + (1,) * (values.ndim - 1))
+    out = (values[2:] - values[:-2]) / spans
+    # uniform within rtol 1e-8, atol 1e-14, as np.allclose(steps, h) judges it
+    if n >= 5 and (np.abs(steps - h) <= 1e-14 + 1e-8 * abs(h)).all():
+        out[1:-1] = (-values[4:] + 8.0 * values[3:-1] - 8.0 * values[1:-3]
+                     + values[:-4]) / (12.0 * h)
+    return out
 
 
-def _trace_norm_values(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# ---------------------------------------------------------------------------
+# Norm flows from the sorted spectrum
+# ---------------------------------------------------------------------------
+
+def _trace_norm_derivative(times: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """d/dt of the trace norm of a Hermitian stack at the interior nodes,
+    Σᵢ sign(λᵢ) D[λᵢ] over the ascending spectrum.  Each sorted eigenvalue
+    passes smoothly through zero, and eigenvalues of equal sign that cross
+    each other add up to a smooth sum, so no kink needs detecting."""
     eigs = ops.eigvalsh(stack)
-    values = np.abs(eigs).sum(axis=1)
-    # the trace norm kinks exactly where an eigenvalue crosses zero, i.e. the
-    # count of (dead-banded) negative eigenvalues changes; persistent zero
-    # eigenvalues do not kink and must not trip the detector
-    scale = np.maximum(np.abs(eigs).max(axis=1), 1.0)
-    neg_count = (eigs < -KINK_GAP_TOL * scale[:, None]).sum(axis=1)
-    return values, _window_changes(neg_count)
+    return (np.sign(eigs[1:-1]) * derivative_series(times, eigs)).sum(axis=1)
 
 
-def _operator_norm_values(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    eigs = ops.eigvalsh(stack)
-    values = np.abs(eigs).max(axis=1)
-    # the operator norm kinks where the leading branch flips between the
-    # largest and the most negative eigenvalue; exact persistent ties are smooth
-    lead = eigs[:, -1] + eigs[:, 0]  # >0: top eigenvalue leads, <0: bottom
-    scale = np.maximum(values, 1.0)
-    label = np.where(np.abs(lead) <= KINK_GAP_TOL * scale, 0, np.sign(lead)).astype(int)
-    changed = _window_changes(label)
-    tie = label == 0
-    if tie.size > 2:
-        # ties surrounded by ties belong to a smooth degenerate stretch
-        interior_tie = np.zeros_like(tie)
-        interior_tie[1:-1] = tie[1:-1] & tie[:-2] & tie[2:]
-        changed &= ~interior_tie
-    return values, changed
-
-
-def _smooth(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A functional with no suspected kinks."""
-    return values, np.zeros(values.shape[0], dtype=bool)
+def _operator_norm_derivative(times: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """d/dt of the operator norm of a Hermitian stack at the interior nodes:
+    D of whichever of λ_max and −λ_min leads at the node."""
+    branches = ops.eigvalsh(stack)[:, [-1, 0]] * (1.0, -1.0)
+    rates = derivative_series(times, branches)
+    return np.where(branches[1:-1, 0] >= branches[1:-1, 1], rates[:, 0], rates[:, 1])
 
 
 def _non_psd_witness(witness: np.ndarray, kind: str, norm) -> np.ndarray:
@@ -120,7 +123,10 @@ def _non_psd_witness(witness: np.ndarray, kind: str, norm) -> np.ndarray:
 class WitnessSpec:
     """What the families share.  Each family is a frozen dataclass deriving
     from this class (never from another family) and defines
-    ``values(maps) -> (values, kink_mask)``."""
+    ``derivative(times, maps)``: the un-oriented derivative of its functional
+    at the interior nodes times[1:-1], from the stencil of
+    :func:`derivative_series` applied to the functional, or to the evolved
+    spectrum for the norm families."""
 
     orientation = 1.0  # -1 for functionals that CP-divisible evolution cannot lower
     _doubled = False  # the first field is an operator on H ⊗ H
@@ -146,8 +152,8 @@ class ExtendedTraceNormWitness(WitnessSpec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "witness", _non_psd_witness(self.witness, "extended", np.sum))
 
-    def values(self, maps: np.ndarray):
-        return _trace_norm_values(apply_extended(maps, self.witness))
+    def derivative(self, times: np.ndarray, maps: np.ndarray):
+        return _trace_norm_derivative(times, apply_extended(maps, self.witness))
 
 
 @dataclass(frozen=True)
@@ -160,8 +166,8 @@ class PlainTraceNormWitness(WitnessSpec):
         x = ops.check_hermitian(self.operator, "operator")
         object.__setattr__(self, "operator", x / ops.trace_norm(x))
 
-    def values(self, maps: np.ndarray):
-        return _trace_norm_values(apply_superop_batch(maps, self.operator))
+    def derivative(self, times: np.ndarray, maps: np.ndarray):
+        return _trace_norm_derivative(times, apply_superop_batch(maps, self.operator))
 
 
 @dataclass(frozen=True)
@@ -175,9 +181,9 @@ class InformationFlowPair(WitnessSpec):
         object.__setattr__(self, "rho1", ops.check_density_matrix(self.rho1, "rho1"))
         object.__setattr__(self, "rho2", ops.check_density_matrix(self.rho2, "rho2"))
 
-    def values(self, maps: np.ndarray):
-        values, kinks = _trace_norm_values(apply_superop_batch(maps, self.rho1 - self.rho2))
-        return 0.5 * values, kinks
+    def derivative(self, times: np.ndarray, maps: np.ndarray):
+        difference = apply_superop_batch(maps, self.rho1 - self.rho2)
+        return 0.5 * _trace_norm_derivative(times, difference)
 
 
 @dataclass(frozen=True)
@@ -196,8 +202,8 @@ class _StatePair(WitnessSpec):
 
 @dataclass(frozen=True)
 class RelativeEntropyPair(_StatePair):
-    def values(self, maps: np.ndarray):
-        return _smooth(ops.relative_entropy(*self._evolved(maps)))
+    def derivative(self, times: np.ndarray, maps: np.ndarray):
+        return derivative_series(times, ops.relative_entropy(*self._evolved(maps)))
 
 
 @dataclass(frozen=True)
@@ -209,8 +215,9 @@ class RenyiPair(_StatePair):
         if not (0.0 <= self.alpha < 1.0 or 1.0 < self.alpha <= 2.0):
             raise ValueError(f"alpha must lie in [0,1) u (1,2], got {self.alpha}")
 
-    def values(self, maps: np.ndarray):
-        return _smooth(ops.renyi_relative_entropy(*self._evolved(maps), self.alpha))
+    def derivative(self, times: np.ndarray, maps: np.ndarray):
+        divergence = ops.renyi_relative_entropy(*self._evolved(maps), self.alpha)
+        return derivative_series(times, divergence)
 
 
 @dataclass(frozen=True)
@@ -222,16 +229,16 @@ class TsallisPair(_StatePair):
         if not 0.0 <= self.q < 1.0:
             raise ValueError(f"q must lie in [0,1), got {self.q}")
 
-    def values(self, maps: np.ndarray):
-        return _smooth(ops.tsallis_relative_entropy(*self._evolved(maps), self.q))
+    def derivative(self, times: np.ndarray, maps: np.ndarray):
+        return derivative_series(times, ops.tsallis_relative_entropy(*self._evolved(maps), self.q))
 
 
 @dataclass(frozen=True)
 class FidelityPair(_StatePair):
     orientation = -1.0
 
-    def values(self, maps: np.ndarray):
-        return _smooth(ops.fidelity(*self._evolved(maps)))
+    def derivative(self, times: np.ndarray, maps: np.ndarray):
+        return derivative_series(times, ops.fidelity(*self._evolved(maps)))
 
 
 @dataclass(frozen=True)
@@ -247,9 +254,10 @@ class InvariantOverlap(WitnessSpec):
         psi = np.asarray(self.psi0, dtype=complex).reshape(-1)
         object.__setattr__(self, "psi0", psi / np.linalg.norm(psi))
 
-    def values(self, maps: np.ndarray):
+    def derivative(self, times: np.ndarray, maps: np.ndarray):
         evolved = apply_superop_batch(maps, self.rho)
-        return _smooth(np.einsum("i,kij,j->k", self.psi0.conj(), evolved, self.psi0).real)
+        overlap = np.einsum("i,kij,j->k", self.psi0.conj(), evolved, self.psi0).real
+        return derivative_series(times, overlap)
 
     def invariant(self) -> dict:
         return {"state": np.outer(self.psi0, self.psi0.conj())}
@@ -270,9 +278,10 @@ class SchrodingerSkew(WitnessSpec):
         if not 0.0 < self.exponent < 1.0:
             raise ValueError(f"exponent must lie in (0,1), got {self.exponent}")
 
-    def values(self, maps: np.ndarray):
+    def derivative(self, times: np.ndarray, maps: np.ndarray):
         rho_t = ops.hermitian_part(apply_superop_batch(maps, self.rho))
-        return _smooth(ops.skew_information(rho_t, self.observable, self.exponent))
+        skew = ops.skew_information(rho_t, self.observable, self.exponent)
+        return derivative_series(times, skew)
 
     def invariant(self) -> dict:
         return {"observable": self.observable}
@@ -292,9 +301,9 @@ class HeisenbergSkew(WitnessSpec):
         if not 0.0 < self.exponent < 1.0:
             raise ValueError(f"exponent must lie in (0,1), got {self.exponent}")
 
-    def values(self, maps: np.ndarray):
+    def derivative(self, times: np.ndarray, maps: np.ndarray):
         obs_t = ops.hermitian_part(apply_superop_batch(dual_superop(maps), self.observable))
-        return _smooth(ops.skew_information(self.sigma0, obs_t, self.exponent))
+        return derivative_series(times, ops.skew_information(self.sigma0, obs_t, self.exponent))
 
     def invariant(self) -> dict:
         return {"state": self.sigma0}
@@ -311,44 +320,8 @@ class DualOperatorNormWitness(WitnessSpec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "witness", _non_psd_witness(self.witness, "dual", np.max))
 
-    def values(self, maps: np.ndarray):
-        return _operator_norm_values(apply_extended(dual_superop(maps), self.witness))
-
-
-# ---------------------------------------------------------------------------
-# Derivative estimation
-# ---------------------------------------------------------------------------
-
-def derivative_series(times: np.ndarray, values: np.ndarray,
-                      kinks: np.ndarray | None = None) -> np.ndarray:
-    """Derivative estimates at the interior nodes times[1:-1].
-
-    Uses the fourth-order five-point stencil where a uniform window is
-    available, the plain central secant next to the boundaries or next to a
-    suspected kink, and one-sided secants (the larger-magnitude side) at
-    kink nodes themselves.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    n = times.size
-    if n < 3:
-        raise ValueError("need at least three nodes for interior derivatives")
-    steps = np.diff(times)
-    h = steps[0]
-    out = (values[2:] - values[:-2]) / (times[2:] - times[:-2])
-    # uniform within rtol 1e-8, atol 1e-14, as np.allclose(steps, h) judges it
-    if n >= 5 and (np.abs(steps - h) <= 1e-14 + 1e-8 * abs(h)).all():
-        five = (-values[4:] + 8.0 * values[3:-1] - 8.0 * values[1:-3] + values[:-4]) / (12.0 * h)
-        if kinks is not None and kinks.any():
-            # a kink anywhere inside the 5-point window invalidates the stencil
-            reach = np.convolve(kinks, np.ones(5, dtype=int), mode="same") > 0
-            five = np.where(reach[2:-2], out[1:-1], five)
-        out[1:-1] = five
-    if kinks is not None and kinks[1:-1].any():
-        secants = np.diff(values) / steps
-        left, right = secants[:-1], secants[1:]
-        out = np.where(kinks[1:-1], np.where(np.abs(left) >= np.abs(right), left, right), out)
-    return out
+    def derivative(self, times: np.ndarray, maps: np.ndarray):
+        return _operator_norm_derivative(times, apply_extended(dual_superop(maps), self.witness))
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +355,7 @@ def _flow(traj: Trajectory, spec: WitnessSpec) -> np.ndarray:
             (kind,) = required
             raise InvarianceError(f"witness requires an invariant {kind}; max deviation "
                                   f"{dev:.3e} exceeds {INVARIANCE_TOL}")
-    values, kinks = spec.values(traj.maps)
-    return spec.orientation * derivative_series(traj.times, values, kinks)
+    return spec.orientation * spec.derivative(traj.times, traj.maps)
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:

@@ -155,14 +155,33 @@ class TestConfigParsing:
          "model.rate.times"),
         ("enabled = true", "enabled = true\nwitness = ture", "measures.witness"),
         ("enabled = true", "enabled =", "measures.enabled"),
+        ("rng_seed = 7", "seed = 7", "search.seed"),
+        ("enabled = true", "enabled = true\nwitnes = false", "measures.witnes"),
+        ("rate.amplitude = 1.0", "rat.amplitude = 3", "model.rat.amplitude"),
+        (MODEL, MODEL + "\nkernel.coupling = 4.0", "model.kernel.coupling"),
+        ("[output]", "[outptu]", "outptu.prefix"),
     ], ids=["tol_nan", "tol_inf", "amplitude_abc", "amplitude_nan", "omega_scale_abc",
             "coupling_abc", "coupling_negative", "table_after_zero", "table_before_t_max",
             "hamiltonian_abc", "duplicate_option",
             "no_section_header", "negative_seed", "rate_table_unsorted", "rate_table_repeated",
-            "flag_misspelt", "flag_empty"])
+            "flag_misspelt", "flag_empty", "unknown_search_key", "unknown_measures_key",
+            "unknown_model_key", "key_of_another_variant", "unknown_section"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, old, new, field):
         cfg_path = _write(tmp_path, EXAMPLE1.replace(old, new, 1))
         assert main(["verdict", "--config", cfg_path, "--out", str(tmp_path), "--quiet"]) == 2
+        assert f"invalid configuration: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, flag, field", [
+        ("kind = analytic", "kind = analytc", ["--backend", "numeric"], "backend.kind"),
+        ("rng_seed = 7", "rng_seed = -1", ["--seed", "3"], "search.rng_seed"),
+        # the first unread key is named, so `directory` must count as read under --out
+        ("prefix = run", "prefix = run\ndirectory = out\ndirectroy = out", [],
+         "output.directroy"),
+    ], ids=["backend", "seed", "out"])
+    def test_overridden_keys_are_still_read(self, tmp_path, capsys, old, new, flag, field):
+        cfg_path = _write(tmp_path, EXAMPLE1.replace(old, new, 1))
+        argv = ["verdict", "--config", cfg_path, "--out", str(tmp_path), "--quiet", *flag]
+        assert main(argv) == 2
         assert f"invalid configuration: {field}:" in capsys.readouterr().err
 
     def test_measure_flags_take_the_configparser_booleans(self, tmp_path):

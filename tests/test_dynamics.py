@@ -533,6 +533,13 @@ class TestTrajectoryValidation:
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 0.0]), maps=maps)
 
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (4, 5), (0, 0)])
+    def test_maps_must_be_square_of_a_square(self, rows, cols):
+        maps = np.zeros((2, rows, cols), dtype=complex)
+        maps[:, range(min(rows, cols)), range(min(rows, cols))] = 1.0
+        with pytest.raises(ValueError, match=rf"maps of shape \(2, {rows}, {cols}\)"):
+            Trajectory(times=np.array([0.0, 1.0]), maps=maps)
+
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="empty"):
             Trajectory(times=np.array([]), maps=np.zeros((0, 4, 4)))

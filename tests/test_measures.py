@@ -229,10 +229,13 @@ class TestWitnessMeasure:
         b = witness_measure(sine_traj, QUICK)
         assert a.value == b.value
         np.testing.assert_array_equal(a.witness, b.witness)
-        # reference values of the seed-3 search; a refactor must reproduce them
+        # reference values of the seed-3 search; a refactor must reproduce them.
+        # Example 2's climb is routed by rounding noise, so its pin moves with
+        # any change to the flow arithmetic (re-pinned when the norm flows
+        # moved to the derivative of the sorted spectrum)
         assert a.value == pytest.approx(0.8643064805615197, rel=1e-12)
         assert witness_measure(replacement_traj, QUICK).value == pytest.approx(
-            0.018894054948988683, rel=1e-12)
+            0.023594228332149185, rel=1e-12)
 
 
 class TestBlpMeasure:

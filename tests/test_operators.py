@@ -148,21 +148,6 @@ class TestDivergences:
 
 
 class TestEntropyAndSkew:
-    def test_entropy_pure(self):
-        assert ops.von_neumann_entropy(projector(KET0)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_entropy_maximally_mixed(self):
-        assert ops.von_neumann_entropy(0.5 * np.eye(2)) == pytest.approx(np.log(2.0))
-
-    def test_entropy_from_dephasing_eigenvalues(self):
-        # lambda_pm of the damped qubit state by direct diagonalization
-        rho11, rho12, gamma = 0.5, 0.5, 0.8
-        damped = np.array([[rho11, rho12 * np.exp(-gamma)],
-                           [rho12 * np.exp(-gamma), 1 - rho11]], dtype=complex)
-        lam = np.linalg.eigvalsh(damped)
-        expected = -np.sum(lam * np.log(lam))
-        assert ops.von_neumann_entropy(damped) == pytest.approx(expected, abs=1e-12)
-
     def test_skew_commuting_zero(self):
         for p in (0.2, 0.5, 0.8):
             assert ops.skew_information(0.5 * np.eye(2), PAULI_Z, p) == pytest.approx(
@@ -236,7 +221,6 @@ SPECTRAL = {
     "renyi_alpha_0.5": lambda a, b: ops.renyi_relative_entropy(a, b, 0.5),
     "renyi_alpha_1.5": lambda a, b: ops.renyi_relative_entropy(a, b, 1.5),
     "tsallis": lambda a, b: ops.tsallis_relative_entropy(a, b, 0.5),
-    "von_neumann_entropy": lambda a, b: ops.von_neumann_entropy(a),
     "skew_information": lambda a, b: ops.skew_information(a, b - a, 0.3),
 }
 # Functions that give inf on the support-violating pair of the stack.

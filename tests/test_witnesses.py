@@ -17,6 +17,7 @@ from nonmarkov.dynamics import (
     apply_superop_batch,
     dual_superop,
     evolve,
+    generator_superoperator,
     sandwich,
 )
 from nonmarkov.volterra import ExponentialKernel
@@ -176,7 +177,8 @@ def test_family_matches_single_matrix_reference(family, request):
     make, traj_name, sign, functional = FAMILY_REFERENCES[family]
     spec, traj = make(), request.getfixturevalue(traj_name)
     values = np.array([functional(spec, m) for m in traj.maps])
-    # none of these functionals kinks on its trajectory, so no kink mask
+    # none of these functionals kinks on its trajectory, so differencing the
+    # functional itself is a reference for the spectral rule of the norm families
     reference = sign * derivative_series(traj.times, values)
     assert np.abs(reference).max() > 1e-3
     np.testing.assert_allclose(series(traj, spec).values, reference, rtol=0, atol=1e-12)
@@ -345,6 +347,51 @@ class TestSpectralModes:
         assert result.unmatched > 0
 
 
+class TestNormFlows:
+    """Norm flows from the derivatives of the sorted spectrum, against closed
+    forms, across zero crossings and eigenvalue crossings."""
+
+    def test_plain_trace_norm_through_zero_and_same_sign_crossing(self):
+        # Y_t = diag(2e^{-t}, 1 - 2e^{-t})/3: one eigenvalue crosses zero at
+        # ln 2, and the two cross each other, both positive, at ln 4
+        times = np.linspace(0, 2, 257)
+        traj = evolve(TraceReplacement(Constant(1.0), ConstantTarget(projector(KET1))), times)
+        ws = series(traj, PlainTraceNormWitness(np.diag([2.0, -1.0]) / 3))
+        decay = (2 / 3) * np.exp(-ws.times)
+        exact = -decay + np.sign(1 - 2 * np.exp(-ws.times)) * decay
+        assert np.abs(ws.values - exact)[1:-1].max() <= 1e-8
+
+    def test_extended_trace_norm_matches_exact_flow(self, sine_traj):
+        # exact flow Tr[sign(Y_t) (id ⊗ L_t Λ_t) W] with Y_t = (id ⊗ Λ_t) W
+        rates = generator_superoperator(sine_traj.model, sine_traj.times) @ sine_traj.maps
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            spec = ExtendedTraceNormWitness(ops.random_hermitian(4, rng))
+            ws = series(sine_traj, spec)
+            eigs, vecs = np.linalg.eigh(apply_extended(sine_traj.maps, spec.witness))
+            signs = np.einsum("kij,kj,klj->kil", vecs, np.sign(eigs), vecs.conj())
+            rate = apply_extended(rates, spec.witness)
+            exact = np.einsum("kij,kji->k", signs, rate).real[1:-1]
+            assert np.abs(ws.values - exact)[1:-1].max() <= 1e-5
+            positive = np.trapezoid(np.clip(exact, 0.0, None), ws.times)
+            assert abs(ws.total_violation - positive) <= 1e-5
+
+    def test_dual_operator_norm_branch_switch(self):
+        # Y_t = diag(0.6 - 0.6e^{-t}, 0.6, -0.2 - 0.8e^{-t}, -0.2): -λ_min
+        # leads until ln 2, the constant λ_max = 0.6 after it
+        times = np.linspace(0, 2, 257)
+        traj = evolve(TraceReplacement(Constant(1.0), ConstantTarget(projector(KET1))), times)
+        ws = series(traj, DualOperatorNormWitness(np.diag([0.0, 0.6, -1.0, -0.2])))
+        exact = np.where(ws.times < np.log(2), -0.8 * np.exp(-ws.times), 0.0)
+        assert np.abs(ws.values - exact)[1:-1].max() <= 1e-8
+
+    def test_dual_operator_norm_persistent_tie(self, sine_traj):
+        # Y_t = e^{-(1 - cos t)} X ⊗ X: λ_max = -λ_min at every node
+        ws = series(sine_traj, DualOperatorNormWitness(np.kron(PAULI_X, PAULI_X)))
+        exact = -np.sin(ws.times) * np.exp(-(1 - np.cos(ws.times)))
+        assert np.abs(ws.values - exact)[1:-1].max() <= 1e-6
+
+
 class TestQubitEntropyFlow:
     """dS/dt of an evolved qubit state is minus the relative-entropy flow
     toward I/2, since S(rho || I/2) = log 2 - S(rho)."""
@@ -366,8 +413,8 @@ class TestQubitEntropyFlow:
     def test_matches_direct_entropy_derivative(self, markov_traj):
         rho = np.array([[0.7, 0.25], [0.25, 0.3]], dtype=complex)
         t, values = self._entropy_flow(markov_traj, rho)
-        entropy = ops.von_neumann_entropy(
-            ops.hermitian_part(apply_superop_batch(markov_traj.maps, rho)))
+        eigs = ops.eigvalsh(apply_superop_batch(markov_traj.maps, rho))
+        entropy = -(eigs * np.log(eigs)).sum(axis=1)  # rho stays full rank
         direct = derivative_series(markov_traj.times, entropy)
         assert np.abs(values - direct).max() <= 1e-12
         assert (values >= -1e-10).all()  # entropy increases under Markovian unital dynamics
@@ -381,15 +428,6 @@ class TestDerivativeEstimator:
         assert np.abs(est[1:-1] - exact[1:-1]).max() < 1e-6   # 5-point inside
         assert np.abs(est - exact).max() < 2e-4               # secant at the edges
 
-    def test_one_sided_at_kink(self):
-        t = np.linspace(0, 1, 101)
-        values = np.abs(t - 0.5)
-        kinks = np.zeros(101, dtype=bool)
-        kinks[50] = True
-        est = derivative_series(t, values, kinks)
-        # at the kink the larger-magnitude one-sided secant is reported
-        assert abs(est[49]) == pytest.approx(1.0)
-
     def test_nonuniform_falls_back_to_secant(self):
         t = np.array([0.0, 0.1, 0.3, 0.35, 0.6])
         values = t**2
@@ -398,19 +436,14 @@ class TestDerivativeEstimator:
         np.testing.assert_allclose(est, expected)
 
 
-def _reference_derivative(times, values, kinks):
-    """derivative_series node by node, as its docstring states it."""
+def _reference_derivative(times, values):
+    """derivative_series of a 1-d series node by node, as its docstring states it."""
     steps = np.diff(times)
     uniform = np.allclose(steps, steps[0], rtol=1e-8, atol=1e-14)
     n = times.size
     out = []
     for k in range(1, n - 1):
-        if kinks is not None and kinks[k]:
-            left = (values[k] - values[k - 1]) / (times[k] - times[k - 1])
-            right = (values[k + 1] - values[k]) / (times[k + 1] - times[k])
-            out.append(left if abs(left) >= abs(right) else right)
-        elif (uniform and 2 <= k <= n - 3
-              and (kinks is None or not kinks[k - 2:k + 3].any())):
+        if uniform and 2 <= k <= n - 3:
             out.append((-values[k + 2] + 8.0 * values[k + 1] - 8.0 * values[k - 1]
                         + values[k - 2]) / (12.0 * steps[0]))
         else:
@@ -420,8 +453,8 @@ def _reference_derivative(times, values, kinks):
 
 @st.composite
 def _grids(draw):
-    """(times, values, kinks): a uniform, nearly uniform or irregular grid of
-    3 to 9 nodes, random values and a sparse random kink mask (edges included) or None."""
+    """(times, values): a uniform, nearly uniform or irregular grid of 3 to 9
+    nodes and random values, a 1-d series or a stack of 1 to 3 columns."""
     n = draw(st.integers(3, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["linspace", "exact", "jitter", "irregular"]))
@@ -434,19 +467,18 @@ def _grids(draw):
         times = np.concatenate([[0.0], np.cumsum(h * (1 + rng.uniform(-2e-8, 2e-8, n - 1)))])
     else:
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n - 1))])
-    # small integers on an exact grid make equal one-sided secants likely
-    values = rng.integers(-2, 3, n).astype(float) if draw(st.booleans()) else rng.normal(size=n)
-    kinks = None
-    if draw(st.booleans()):
-        kinks = np.zeros(n, dtype=bool)
-        kinks[draw(st.lists(st.integers(0, n - 1), max_size=3))] = True
-    return times, values, kinks
+    shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(1, 3)))
+    return times, rng.normal(size=shape)
 
 
 class TestDerivativeReference:
     @settings(max_examples=300, deadline=None)
     @given(grid=_grids())
     def test_bit_equal_to_per_node_reference(self, grid):
-        times, values, kinks = grid
-        np.testing.assert_array_equal(derivative_series(times, values, kinks),
-                                      _reference_derivative(times, values, kinks))
+        times, values = grid
+        stacked = derivative_series(times, values)
+        assert stacked.shape == (times.size - 2,) + values.shape[1:]
+        columns = values.reshape(times.size, -1).T
+        for column, estimate in zip(columns, stacked.reshape(times.size - 2, -1).T):
+            np.testing.assert_array_equal(estimate, _reference_derivative(times, column))
+            np.testing.assert_array_equal(estimate, derivative_series(times, column))
