@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 from .operators import (
     NotPSDError,
     fidelity,
-    matrix_function,
     max_entangled_projector,
-    operator_norm,
     relative_entropy,
     renyi_relative_entropy,
     skew_information,
@@ -50,7 +48,6 @@ from .dynamics import (
     intermediate_map,
     load_trajectory,
     save_trajectory,
-    unvec,
     vec,
 )
 from .witnesses import (

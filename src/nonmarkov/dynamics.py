@@ -69,13 +69,6 @@ def vec(matrix: np.ndarray) -> np.ndarray:
     return np.asarray(matrix).reshape(-1, order="F")
 
 
-def unvec(vector: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    vector = np.asarray(vector)
-    d = dim if dim is not None else isqrt(vector.size)
-    return vector.reshape((d, d), order="F")
-
-
 def superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Superoperator B^T ⊗ A of X -> A X B.  Stacks (..., d, d) broadcast to a
     stack (..., d^2, d^2)."""
@@ -106,15 +99,11 @@ def commutator(h: np.ndarray) -> np.ndarray:
 
 
 def apply_superop(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply a superoperator matrix to an operator."""
-    return unvec(m @ vec(x), isqrt(m.shape[0]))
-
-
-def apply_superop_batch(ms: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply a stack of superoperators (N, d^2, d^2) to one operator."""
-    d = isqrt(ms.shape[1])
-    w = np.einsum("tnm,m->tn", ms, vec(x))
-    return w.reshape(-1, d, d).transpose(0, 2, 1)
+    """Apply a superoperator to an operator.  A stack of maps (..., d^2, d^2)
+    gives the stack of results."""
+    d = isqrt(m.shape[-1])
+    w = np.einsum("...nm,m->...n", m, vec(x))
+    return w.reshape(*w.shape[:-1], d, d).swapaxes(-1, -2)
 
 
 # OpenBLAS spreads a GEMM over its threads from m·n·k = 2**16 on, and the
@@ -714,15 +703,18 @@ def load_trajectory(path) -> Trajectory:
         raise ValueError("trajectory file truncated in its header length")
     (blob_len,) = struct.unpack_from("<Q", data, 8)
     header = json.loads(data[16:16 + blob_len].decode("utf-8"))
-    try:
-        dim, nodes = int(header["dim"]), int(header["nodes"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"trajectory header needs integer 'dim' and 'nodes' ({exc!r})") from exc
+    if not isinstance(header, dict):
+        header = {}
+    dim, nodes = header.get("dim"), header.get("nodes")
+    if not all(type(v) is int and v >= 1 for v in (dim, nodes)):
+        raise ValueError(f"trajectory header needs positive integer 'dim' and 'nodes', "
+                         f"got {dim!r} and {nodes!r}")
     n = dim * dim
     start = 16 + blob_len
-    if dim < 1 or nodes < 1 or len(data) - start < nodes * (1 + 2 * n * n) * 8:
-        raise ValueError(f"trajectory file truncated: it cannot hold {nodes} maps "
-                         f"of dimension {dim}")
+    expected = start + nodes * (1 + 2 * n * n) * 8
+    if len(data) != expected:
+        raise ValueError(f"trajectory file holds {len(data)} bytes, but its header "
+                         f"({nodes} maps of dimension {dim}) needs {expected}")
     times = np.frombuffer(data, dtype="<f8", count=nodes, offset=start).copy()
     raw = np.frombuffer(data, dtype="<f8", count=nodes * n * n * 2, offset=start + nodes * 8)
     interleaved = raw.reshape(nodes, n, n, 2)

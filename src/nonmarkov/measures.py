@@ -222,18 +222,10 @@ def gell_mann_basis(d: int) -> list:
 
 
 def _product_candidates(d: int, cap: int) -> list:
-    """Tensor products of single-system basis elements (identity included),
-    skipping the PSD identity x identity direction."""
+    """The first ``cap`` tensor products of single-system basis elements
+    (identity included), skipping the PSD identity x identity direction."""
     basis = [np.eye(d, dtype=complex)] + gell_mann_basis(d)
-    out = []
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            if i == 0 and j == 0:
-                continue
-            out.append(0.5 * np.kron(a, b))
-            if len(out) >= cap:
-                return out
-    return out
+    return [0.5 * np.kron(a, b) for a in basis for b in basis][1:cap + 1]
 
 
 def _choi_candidates(data: StepChoiData, n: int) -> list:
@@ -363,10 +355,14 @@ def _search(traj, data, basis, spec_cls, direction, stream, search):
 
 def witness_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
                     steps: StepChoiData | None = None) -> WitnessMeasureResult:
-    """Lower bound on the optimal-witness measure with the witness that attains it."""
+    """Lower bound on the optimal-witness measure with the witness that attains it.
+
+    The negative-Choi candidate is a seed whenever it exists; the product
+    candidates fill the rest of the seed budget."""
     n = traj.dim ** 2
     data = steps if steps is not None else step_choi_data(traj)
-    basis = _product_candidates(traj.dim, search.seeds) + _choi_candidates(data, n)
+    choi = _choi_candidates(data, n)
+    basis = _product_candidates(traj.dim, max(search.seeds, 1) - len(choi)) + choi
     witness, ws, value = _search(traj, data, basis, ExtendedTraceNormWitness,
                                  partial(ops.random_hermitian, n), 1, search)
     return WitnessMeasureResult(value=float(value), witness=witness, series=ws)

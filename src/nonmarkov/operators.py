@@ -8,7 +8,9 @@ gives a ``float``, a stack an array.  Spectra of 2 × 2 Hermitian parts have a
 closed form (:func:`eigvalsh`); all other spectral work goes through
 ``numpy.linalg.eigh``.  Eigenvalues below the support cutoff are treated as
 exact zeros so that logarithms and fractional powers stay finite near rank
-deficiency.  Divergences use the natural logarithm throughout.
+deficiency.  Divergences use the natural logarithm throughout; the Tsallis
+divergence and the Renyi divergence below alpha = 1 are both functions of one
+quasi-entropy, Tr rho^a sigma^(1-a).
 """
 
 from __future__ import annotations
@@ -46,11 +48,11 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _dagger(a))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """Check A = A† within ``tol`` relative to the largest entry magnitude."""
+def is_hermitian(a: np.ndarray) -> bool:
+    """Check A = A† within ``HERMITICITY_TOL`` relative to the largest entry magnitude."""
     a = np.asarray(a)
     scale = max(np.abs(a).max(), 1.0) if a.size else 1.0
-    return bool(np.abs(a - _dagger(a)).max() <= tol * scale)
+    return bool(np.abs(a - _dagger(a)).max() <= HERMITICITY_TOL * scale)
 
 
 _DOWN_UP = np.array([-1.0, 1.0])
@@ -107,12 +109,6 @@ def trace_norm(a: np.ndarray) -> float | np.ndarray:
     return _float_if_single(np.abs(w).sum(axis=-1))
 
 
-def operator_norm(a: np.ndarray) -> float | np.ndarray:
-    """Operator norm ||A||; for Hermitian A this is max |eigenvalue|."""
-    w = eigvalsh(a)
-    return _float_if_single(np.abs(w).max(axis=-1))
-
-
 def _clamp_zeros(w: np.ndarray) -> np.ndarray:
     """Eigenvalues below the support cutoff, relative to their matrix's scale, set to 0."""
     scale = np.abs(w).max(axis=-1, keepdims=True, initial=1.0)
@@ -124,11 +120,6 @@ def _compose(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * w[..., None, :]) @ _dagger(v)
 
 
-def _power(w: np.ndarray, exponent: float) -> np.ndarray:
-    """w ** exponent on the positive eigenvalues, 0 elsewhere."""
-    return np.where(w > 0, np.where(w > 0, w, 1.0) ** exponent, 0.0)
-
-
 def _xlogx(w: np.ndarray) -> np.ndarray:
     """w log w with 0 log 0 := 0 (non-positive entries give 0)."""
     return np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0)
@@ -138,31 +129,6 @@ def _trace(a: np.ndarray) -> np.ndarray:
     return np.trace(a, axis1=-2, axis2=-1).real
 
 
-def matrix_function(a: np.ndarray, kind: str, power: float | None = None) -> np.ndarray:
-    """Apply sqrt, log or a fractional power to a PSD Hermitian matrix.
-
-    Eigenvalues below the support cutoff are clamped to exact zero before the
-    scalar function is applied; ``log`` maps clamped zeros to 0 (support
-    projection is owned by the divergence routines).  Raises :class:`NotPSDError`
-    when the minimum eigenvalue of any matrix is below ``-1e-8``.
-    """
-    w, v = np.linalg.eigh(hermitian_part(a))
-    if w.size and w.min() < -PSD_TOL:
-        raise NotPSDError(f"matrix_function({kind}): min eigenvalue {w.min():.3e} < -{PSD_TOL}")
-    w = _clamp_zeros(w)
-    if kind == "sqrt":
-        fw = np.sqrt(w)
-    elif kind == "log":
-        fw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), 0.0)
-    elif kind == "power":
-        if power is None:
-            raise ValueError("matrix_function('power') requires the exponent")
-        fw = _power(w, power)
-    else:
-        raise ValueError(f"unknown matrix function {kind!r}")
-    return _compose(fw, v)
-
-
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     """D(rho, sigma) = ||rho - sigma||_1 / 2."""
     rho, sigma = _pair(rho, sigma)
@@ -170,9 +136,12 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2; NotPSDError unless rho >= -1e-8."""
     rho, sigma = _pair(rho, sigma)
-    s = matrix_function(rho, "sqrt")
+    p, u = np.linalg.eigh(hermitian_part(rho))
+    if p.size and p.min() < -PSD_TOL:
+        raise NotPSDError(f"fidelity: min eigenvalue of rho {p.min():.3e} < -{PSD_TOL}")
+    s = _compose(np.sqrt(_clamp_zeros(p)), u)
     w = np.clip(eigvalsh(s @ sigma @ s), 0.0, None)
     return _float_if_single(np.sqrt(w).sum(axis=-1) ** 2)
 
@@ -190,6 +159,15 @@ def _outside_support(p: np.ndarray, overlap: np.ndarray, q: np.ndarray) -> np.nd
     kernel = q < SUPPORT_TOL
     weight = np.sum(p * np.sum(overlap * kernel[..., None, :], axis=-1), axis=-1)
     return weight > SUPPORT_TOL
+
+
+def _quasi_entropy(rho: np.ndarray, sigma: np.ndarray, a: float) -> np.ndarray:
+    """Tr rho^a sigma^(1-a) for a in [0,1), with rho^0 the identity and sigma's
+    eigenvalues below the support cutoff exact zeros."""
+    p, u = _eig_state(rho)
+    q, v = _eig_state(sigma)
+    q_pow = np.where(q > 0, np.where(q > 0, q, 1.0) ** (1.0 - a), 0.0)
+    return _trace(_compose(p**a, u) @ _compose(q_pow, v))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
@@ -219,16 +197,15 @@ def renyi_relative_entropy(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> 
     if not (0.0 <= alpha < 1.0 or 1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in [0,1) u (1,2], got {alpha}")
     rho, sigma = _pair(rho, sigma)
-    p, u = _eig_state(rho)
-    q, v = _eig_state(sigma)
-    if alpha > 1.0:
+    if alpha < 1.0:
+        val, violated = _quasi_entropy(rho, sigma, alpha), False
+    else:
+        p, u = _eig_state(rho)
+        q, v = _eig_state(sigma)
         violated = _outside_support(p, np.abs(_dagger(u) @ v) ** 2, q)
         kernel = q < SUPPORT_TOL
         q_pow = np.where(kernel, 0.0, np.where(kernel, 1.0, q) ** (1.0 - alpha))
-    else:
-        violated = False
-        q_pow = _power(q, 1.0 - alpha)
-    val = _trace(_compose(p**alpha, u) @ _compose(q_pow, v))
+        val = _trace(_compose(p**alpha, u) @ _compose(q_pow, v))
     value = np.log(np.where(val > 0.0, val, 1.0)) / (alpha - 1.0)
     return _float_if_single(np.where(violated | (val <= 0.0), np.inf, value))
 
@@ -237,10 +214,7 @@ def tsallis_relative_entropy(rho: np.ndarray, sigma: np.ndarray, q: float) -> fl
     """Tsallis relative entropy (1 - Tr rho^q sigma^(1-q)) / (1 - q), q in [0,1)."""
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must lie in [0,1), got {q}")
-    rho, sigma = _pair(rho, sigma)
-    p, u = _eig_state(rho)
-    s, v = _eig_state(sigma)
-    val = _trace(_compose(p**q, u) @ _compose(_power(s, 1.0 - q), v))
+    val = _quasi_entropy(*_pair(rho, sigma), q)
     return _float_if_single((1.0 - val) / (1.0 - q))
 
 

@@ -58,7 +58,8 @@ class ExponentialKernel:
         return 0.5 * self.coupling * self.rate
 
     def _closed_form(self, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-        """Exact (G, G') at ``t``, one evaluation for both; see the two methods below."""
+        """Exact (G, G') at ``t``, one evaluation for both; G as in
+        :meth:`closed_form_amplitude`, G'(t) = -(g0 l / d) e^{-lt/2} sinh(dt/2)."""
         t = np.asarray(t, dtype=float)
         lam, g0 = self.rate, self.coupling
         z = np.sqrt(complex(lam * lam - 2.0 * g0 * lam)) * t / 2.0
@@ -71,10 +72,6 @@ class ExponentialKernel:
     def closed_form_amplitude(self, t: np.ndarray | float) -> np.ndarray:
         """Exact G(t) = e^{-lt/2} [cosh(dt/2) + (l/d) sinh(dt/2)], d = sqrt(l^2 - 2 g0 l)."""
         return self._closed_form(t)[0]
-
-    def closed_form_derivative(self, t: np.ndarray | float) -> np.ndarray:
-        """Exact G'(t) = -(g0 l / d) e^{-lt/2} sinh(dt/2)."""
-        return self._closed_form(t)[1]
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from . import operators as ops
 from .dynamics import (
     Trajectory,
     apply_extended,
-    apply_superop_batch,
+    apply_superop,
     dual_superop,
 )
 
@@ -164,10 +164,13 @@ class PlainTraceNormWitness(WitnessSpec):
 
     def __post_init__(self) -> None:
         x = ops.check_hermitian(self.operator, "operator")
-        object.__setattr__(self, "operator", x / ops.trace_norm(x))
+        norm = ops.trace_norm(x)
+        if norm == 0.0:
+            raise ValueError("operator must not be zero")
+        object.__setattr__(self, "operator", x / norm)
 
     def derivative(self, times: np.ndarray, maps: np.ndarray):
-        return _trace_norm_derivative(times, apply_superop_batch(maps, self.operator))
+        return _trace_norm_derivative(times, apply_superop(maps, self.operator))
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,7 @@ class InformationFlowPair(WitnessSpec):
         object.__setattr__(self, "rho2", ops.check_density_matrix(self.rho2, "rho2"))
 
     def derivative(self, times: np.ndarray, maps: np.ndarray):
-        difference = apply_superop_batch(maps, self.rho1 - self.rho2)
+        difference = apply_superop(maps, self.rho1 - self.rho2)
         return 0.5 * _trace_norm_derivative(times, difference)
 
 
@@ -196,8 +199,8 @@ class _StatePair(WitnessSpec):
         object.__setattr__(self, "sigma", ops.check_density_matrix(self.sigma, "sigma"))
 
     def _evolved(self, maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (ops.hermitian_part(apply_superop_batch(maps, self.rho)),
-                ops.hermitian_part(apply_superop_batch(maps, self.sigma)))
+        return (ops.hermitian_part(apply_superop(maps, self.rho)),
+                ops.hermitian_part(apply_superop(maps, self.sigma)))
 
 
 @dataclass(frozen=True)
@@ -252,10 +255,13 @@ class InvariantOverlap(WitnessSpec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", ops.check_density_matrix(self.rho, "rho"))
         psi = np.asarray(self.psi0, dtype=complex).reshape(-1)
-        object.__setattr__(self, "psi0", psi / np.linalg.norm(psi))
+        norm = np.linalg.norm(psi)
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"psi0 must be a nonzero finite vector, got norm {norm}")
+        object.__setattr__(self, "psi0", psi / norm)
 
     def derivative(self, times: np.ndarray, maps: np.ndarray):
-        evolved = apply_superop_batch(maps, self.rho)
+        evolved = apply_superop(maps, self.rho)
         overlap = np.einsum("i,kij,j->k", self.psi0.conj(), evolved, self.psi0).real
         return derivative_series(times, overlap)
 
@@ -279,7 +285,7 @@ class SchrodingerSkew(WitnessSpec):
             raise ValueError(f"exponent must lie in (0,1), got {self.exponent}")
 
     def derivative(self, times: np.ndarray, maps: np.ndarray):
-        rho_t = ops.hermitian_part(apply_superop_batch(maps, self.rho))
+        rho_t = ops.hermitian_part(apply_superop(maps, self.rho))
         skew = ops.skew_information(rho_t, self.observable, self.exponent)
         return derivative_series(times, skew)
 
@@ -302,7 +308,7 @@ class HeisenbergSkew(WitnessSpec):
             raise ValueError(f"exponent must lie in (0,1), got {self.exponent}")
 
     def derivative(self, times: np.ndarray, maps: np.ndarray):
-        obs_t = ops.hermitian_part(apply_superop_batch(dual_superop(maps), self.observable))
+        obs_t = ops.hermitian_part(apply_superop(dual_superop(maps), self.observable))
         return derivative_series(times, ops.skew_information(self.sigma0, obs_t, self.exponent))
 
     def invariant(self) -> dict:
@@ -334,10 +340,10 @@ def verify_invariance(traj: Trajectory, state: np.ndarray | None = None,
     if (state is None) == (observable is None):
         raise ValueError("pass exactly one of state or observable")
     if state is not None:
-        evolved = apply_superop_batch(traj.maps, np.asarray(state, dtype=complex))
+        evolved = apply_superop(traj.maps, np.asarray(state, dtype=complex))
         dev = float(np.abs(evolved - np.asarray(state)).max())
     else:
-        evolved = apply_superop_batch(dual_superop(traj.maps), np.asarray(observable, dtype=complex))
+        evolved = apply_superop(dual_superop(traj.maps), np.asarray(observable, dtype=complex))
         dev = float(np.abs(evolved - np.asarray(observable)).max())
     return dev <= INVARIANCE_TOL, dev
 

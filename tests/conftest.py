@@ -35,6 +35,13 @@ def random_cptp(dim, rng, n_kraus=3):
     return total
 
 
+def unvec(vector, dim=None):
+    """Inverse of the column stacking of ``nonmarkov.dynamics.vec``."""
+    vector = np.asarray(vector)
+    d = dim if dim is not None else isqrt(vector.size)
+    return vector.reshape((d, d), order="F")
+
+
 def extended_superop(m):
     """Materialize the (d^2)^2 x (d^2)^2 matrix of id ⊗ Λ (small d only), the
     reference for the blockwise apply_extended."""

@@ -28,7 +28,6 @@ from nonmarkov.dynamics import (
     Trajectory,
     apply_extended,
     apply_superop,
-    apply_superop_batch,
     choi_matrix,
     dual_superop,
     evolve,
@@ -36,14 +35,13 @@ from nonmarkov.dynamics import (
     intermediate_map,
     load_trajectory,
     save_trajectory,
-    unvec,
     vec,
 )
 from nonmarkov.measures import step_choi_data
 from nonmarkov.operators import max_entangled_projector, random_hermitian
-from nonmarkov.volterra import ExponentialKernel, TabulatedKernel, solve_memory_kernel
+from nonmarkov.volterra import ExponentialKernel, TabulatedKernel, amplitude, solve_memory_kernel
 
-from conftest import PAULI_X, PAULI_Z, projector, KET0, KET1, extended_superop
+from conftest import PAULI_X, PAULI_Z, projector, KET0, KET1, extended_superop, unvec
 
 
 class TestVectorization:
@@ -60,9 +58,18 @@ class TestVectorization:
         ms = np.stack([np.eye(4, dtype=complex),
                        dyn.sandwich(PAULI_X)])
         x = random_hermitian(2, rng)
-        batch = apply_superop_batch(ms, x)
+        batch = apply_superop(ms, x)
         for k in range(2):
             np.testing.assert_allclose(batch[k], apply_superop(ms[k], x), atol=1e-13)
+
+    def test_nested_stack_matches_per_map_calls(self, rng):
+        ms = rng.normal(size=(3, 4, 9, 9)) + 1j * rng.normal(size=(3, 4, 9, 9))
+        x = random_hermitian(3, rng)
+        stacked = apply_superop(ms, x)
+        assert stacked.shape == (3, 4, 3, 3)
+        for i, j in np.ndindex(3, 4):
+            np.testing.assert_allclose(stacked[i, j], apply_superop(ms[i, j], x), atol=1e-13)
+            np.testing.assert_allclose(stacked[i, j], unvec(ms[i, j] @ vec(x), 3), atol=1e-13)
 
     def test_extended_superop_matches_blockwise(self, rng):
         m = dyn.sandwich(PAULI_X) @ np.diag([1.0, 0.5, 0.5, 1.0]).astype(complex)
@@ -133,7 +140,8 @@ def _kron_generator(model, t):
         return float(model.rate(t)) * (np.outer(vec(omega), vec(eye)) - np.eye(d * d))
     if isinstance(model, SpinBoson):
         # G is real, so the shift -2 Im G'/G vanishes
-        ratio = model.kernel.closed_form_derivative(t) / model.kernel.closed_form_amplitude(t)
+        g, dg = amplitude(model.kernel, t)
+        ratio = dg / g
         return -2.0 * float(ratio) * dissipator(SIGMA_MINUS)
     out = np.zeros((d * d, d * d), dtype=complex)
     if model.hamiltonian is not None:
@@ -299,7 +307,7 @@ class TestEvolve:
         maps = _reference_numeric_maps(SpinBoson(kernel=kernel), times)
         g = kernel.closed_form_amplitude(times)
         rho = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]], dtype=complex)
-        evolved = apply_superop_batch(maps, rho)
+        evolved = apply_superop(maps, rho)
         assert np.abs(evolved[:, 1, 1] - np.abs(g) ** 2 * rho[1, 1]).max() < 1e-6
         assert np.abs(evolved[:, 0, 1] - np.conj(g) * rho[0, 1]).max() < 1e-6
 
@@ -600,6 +608,16 @@ class TestTrajectoryFile:
         ):
             path.write_bytes(broken)
             with pytest.raises(ValueError):
+                load_trajectory(path)
+        for broken, message in (
+            (blob + bytes(40), f"holds {len(blob) + 40} bytes.* needs {len(blob)}"),
+            (with_header(nodes=16), r"\(16 maps of dimension 2\)"),  # one node fewer
+            (with_header(dim=2.7), "integer 'dim'"),
+            (with_header(nodes=17.0), "integer 'dim' and 'nodes'"),
+            (with_header(dim=True), "integer 'dim'"),
+        ):
+            path.write_bytes(broken)
+            with pytest.raises(ValueError, match=message):
                 load_trajectory(path)
 
     def test_invariant_checked_on_load(self, tmp_path):

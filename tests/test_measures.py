@@ -224,6 +224,33 @@ class TestWitnessMeasure:
         result = witness_measure(replacement_traj, QUICK)
         assert result.value > 1e-4
 
+    @pytest.mark.parametrize("name,seeds,products", [
+        ("sine_traj", 1, 0), ("sine_traj", 12, 11), ("sine_traj", 15, 14),
+        ("sine_traj", 16, 15), ("sine_traj", 64, 15), ("qutrit_traj", 64, 63),
+    ])
+    def test_choi_candidate_is_always_a_seed(self, name, seeds, products, request,
+                                             monkeypatch):
+        # the products fill what the negative-Choi candidate leaves of the
+        # budget, in their tensor-basis order
+        traj = request.getfixturevalue(name)
+        bases = []
+
+        def record(traj, data, basis, *rest):
+            bases.append(basis)
+            return None, None, 0.0
+
+        monkeypatch.setattr(measures, "_search", record)
+        witness_measure(traj, SearchConfig(seeds=seeds))
+        (basis,) = bases
+        worst = step_choi_data(traj).worst_vector
+        n = traj.dim ** 2
+        local = [np.eye(traj.dim, dtype=complex)] + gell_mann_basis(traj.dim)
+        expected = [0.5 * np.kron(a, b) for a in local for b in local][1:products + 1]
+        expected.append(np.outer(worst, worst.conj()) - np.eye(n) / n)
+        assert len(basis) == len(expected)
+        for got, want in zip(basis, expected):
+            np.testing.assert_array_equal(got, want)
+
     def test_reproducible_under_seed(self, sine_traj, replacement_traj):
         a = witness_measure(sine_traj, QUICK)
         b = witness_measure(sine_traj, QUICK)

@@ -24,38 +24,6 @@ class TestNorms:
     def test_trace_norm_signed_diagonal(self):
         assert ops.trace_norm(np.diag([0.7, -0.3])) == pytest.approx(1.0)
 
-    def test_operator_norm(self):
-        assert ops.operator_norm(np.eye(2)) == pytest.approx(1.0)
-        assert ops.operator_norm(PAULI_Z) == pytest.approx(1.0)
-        assert ops.operator_norm(np.diag([3.0, -5.0])) == pytest.approx(5.0)
-
-
-class TestMatrixFunction:
-    def test_sqrt_diagonal(self):
-        out = ops.matrix_function(np.diag([4.0, 9.0]), "sqrt")
-        np.testing.assert_allclose(out, np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_power_half_identity(self):
-        out = ops.matrix_function(np.eye(3), "power", power=0.5)
-        np.testing.assert_allclose(out, np.eye(3), atol=1e-12)
-
-    def test_sqrt_projector_idempotent(self):
-        proj = 0.5 * (np.eye(2) + PAULI_X)
-        np.testing.assert_allclose(ops.matrix_function(proj, "sqrt"), proj, atol=1e-10)
-
-    def test_not_psd_rejected(self):
-        with pytest.raises(NotPSDError):
-            ops.matrix_function(np.diag([1.0, -1.0]), "log")
-
-    def test_log_on_singular_support(self):
-        # clamped zero eigenvalues contribute nothing to the log branch
-        out = ops.matrix_function(np.diag([1.0, 0.0]), "log")
-        np.testing.assert_allclose(out, np.zeros((2, 2)), atol=1e-12)
-
-    def test_power_needs_exponent(self):
-        with pytest.raises(ValueError):
-            ops.matrix_function(np.eye(2), "power")
-
 
 class TestDistances:
     def test_trace_distance_self(self, rng):
@@ -211,11 +179,7 @@ class TestValidation:
 SPECTRAL = {
     "hermitian_part": lambda a, b: ops.hermitian_part(a @ b),
     "trace_norm": lambda a, b: ops.trace_norm(a - b),
-    "operator_norm": lambda a, b: ops.operator_norm(a - b),
     "trace_distance": ops.trace_distance,
-    "matrix_function_sqrt": lambda a, b: ops.matrix_function(a, "sqrt"),
-    "matrix_function_log": lambda a, b: ops.matrix_function(a, "log"),
-    "matrix_function_power": lambda a, b: ops.matrix_function(a, "power", power=0.3),
     "fidelity": ops.fidelity,
     "relative_entropy": ops.relative_entropy,
     "renyi_alpha_0.5": lambda a, b: ops.renyi_relative_entropy(a, b, 0.5),
@@ -226,8 +190,7 @@ SPECTRAL = {
 # Functions that give inf on the support-violating pair of the stack.
 INF_ON_VIOLATION = {"relative_entropy", "renyi_alpha_1.5"}
 # Functions that reject a non-PSD first argument.
-PSD_CHECKED = {"matrix_function_sqrt", "matrix_function_log", "matrix_function_power",
-               "fidelity"}
+PSD_CHECKED = {"fidelity"}
 
 
 def _state_stacks(seed, size, dim):
@@ -276,6 +239,20 @@ class TestStacks:
                 fn(bad[violating], b[violating])
             with pytest.raises(NotPSDError):
                 fn(bad, b)
+
+
+class TestQuasiEntropy:
+    @pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 4), dim=st.integers(2, 3))
+    def test_tsallis_from_renyi(self, q, seed, size, dim):
+        # both are functions of Tr rho^q sigma^(1-q): T_q = (1 - e^((q-1) D_q)) / (1 - q),
+        # also on the orthogonal pure pair of the stack, where D_q = inf
+        a, b, _ = _state_stacks(seed, size, dim)
+        renyi = ops.renyi_relative_entropy(a, b, q)
+        expected = (1.0 - np.exp((q - 1.0) * renyi)) / (1.0 - q)
+        np.testing.assert_allclose(ops.tsallis_relative_entropy(a, b, q), expected,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestHermitianStacks:

@@ -19,7 +19,6 @@ from nonmarkov.dynamics import (
     TraceReplacement,
     apply_extended,
     apply_superop,
-    apply_superop_batch,
     choi_matrix,
     dual_superop,
     evolve,
@@ -54,7 +53,7 @@ class TestNormOrdering:
     def test_trace_norm_bounds(self, dim, rng):
         for _ in range(50):
             a = ops.random_hermitian(dim, rng)
-            tn, on = ops.trace_norm(a), ops.operator_norm(a)
+            tn, on = ops.trace_norm(a), np.abs(ops.eigvalsh(a)).max(-1)
             assert tn >= on - 1e-12
             assert tn <= dim * on + 1e-12
 
@@ -87,13 +86,6 @@ class TestDivergenceProperties:
             x = ops.random_hermitian(3, rng)
             p = float(rng.uniform(0.05, 0.95))
             assert ops.skew_information(rho, x, p) >= -1e-10
-
-    def test_sqrt_squares_back(self, rng):
-        for _ in range(20):
-            rho = ops.random_density_matrix(4, rng)
-            root = ops.matrix_function(rho, "sqrt")
-            err = ops.operator_norm(root @ root - rho)
-            assert err <= 1e-9 * max(ops.operator_norm(rho), 1.0)
 
     def test_unitary_invariance(self, rng):
         for _ in range(10):
@@ -223,7 +215,7 @@ class TestTrajectoryInvariants:
         traj = evolve(model, grid, backend=backend)
         for _ in range(10):
             x = ops.random_hermitian(traj.dim, rng)
-            evolved = apply_superop_batch(traj.maps[:: max(1, traj.nodes // 32)], x)
+            evolved = apply_superop(traj.maps[:: max(1, traj.nodes // 32)], x)
             traces = np.trace(evolved, axis1=1, axis2=2)
             np.testing.assert_allclose(traces, np.trace(x), atol=1e-8)
 
@@ -235,7 +227,7 @@ class TestTrajectoryInvariants:
     def test_hermiticity_preservation(self, rng):
         traj = evolve(Dephasing(rate=Sine(1.0)), np.linspace(0, 2 * np.pi, 65))
         x = ops.random_hermitian(2, rng)
-        evolved = apply_superop_batch(traj.maps, x)
+        evolved = apply_superop(traj.maps, x)
         assert np.abs(evolved - np.conj(np.transpose(evolved, (0, 2, 1)))).max() < 1e-9
 
     def test_dual_pairing_along_trajectory(self, rng):

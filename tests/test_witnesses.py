@@ -14,7 +14,6 @@ from nonmarkov.dynamics import (
     TraceReplacement,
     apply_extended,
     apply_superop,
-    apply_superop_batch,
     dual_superop,
     evolve,
     generator_superoperator,
@@ -64,6 +63,15 @@ class TestSpecValidation:
     def test_extended_witness_normalized(self):
         spec = ExtendedTraceNormWitness(0.5 * np.kron(PAULI_X, PAULI_X))
         assert np.abs(np.linalg.eigvalsh(spec.witness)).sum() == pytest.approx(1.0)
+
+    def test_zero_plain_operator_rejected(self):
+        with pytest.raises(ValueError, match="operator"):
+            PlainTraceNormWitness(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("psi0", [np.zeros(2), [np.nan, 1.0], [np.inf, 1.0]])
+    def test_degenerate_invariant_vector_rejected(self, psi0):
+        with pytest.raises(ValueError, match="psi0"):
+            InvariantOverlap(0.5 * np.eye(2), np.asarray(psi0))
 
     def test_information_flow_pair_checks_states(self):
         with pytest.raises(ValueError):
@@ -168,7 +176,7 @@ FAMILY_REFERENCES = {
                                           s.exponent)),
     "dual_operator_norm": (
         lambda: DualOperatorNormWitness(XX), "sine_traj", 1.0,
-        lambda s, m: ops.operator_norm(apply_extended(dual_superop(m), s.witness))),
+        lambda s, m: np.abs(ops.eigvalsh(apply_extended(dual_superop(m), s.witness))).max(-1)),
 }
 
 
@@ -413,7 +421,7 @@ class TestQubitEntropyFlow:
     def test_matches_direct_entropy_derivative(self, markov_traj):
         rho = np.array([[0.7, 0.25], [0.25, 0.3]], dtype=complex)
         t, values = self._entropy_flow(markov_traj, rho)
-        eigs = ops.eigvalsh(apply_superop_batch(markov_traj.maps, rho))
+        eigs = ops.eigvalsh(apply_superop(markov_traj.maps, rho))
         entropy = -(eigs * np.log(eigs)).sum(axis=1)  # rho stays full rank
         direct = derivative_series(markov_traj.times, entropy)
         assert np.abs(values - direct).max() <= 1e-12
