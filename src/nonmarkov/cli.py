@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration or file-format error, 3 numeric failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import MIN_NODES, ConfigError, RunConfig, load_config
-from .dynamics import describe_model, evolve, load_trajectory, save_trajectory
+from .dynamics import evolve, load_trajectory, save_trajectory
 from .measures import (
     blp_measure,
     divisibility_verdict,
@@ -71,19 +72,6 @@ def _write_csv(path: Path, header: list, row_format: str, *columns) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _verdict_json(verdict) -> dict:
-    return {
-        "markovian": verdict.markovian,
-        "tolerance": verdict.tolerance,
-        "violation_intervals": [list(iv) for iv in verdict.violation_intervals],
-        "excluded_intervals": [list(iv) for iv in verdict.excluded_intervals],
-    }
-
-
-def _series_intervals(ws) -> list:
-    return [list(iv) for iv in ws.violation_intervals] if ws is not None else []
-
-
 def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
     do_witness = args.command in ("witness", "report", "import")
     do_verdict = args.command in ("verdict", "measure", "report", "import")
@@ -105,7 +93,7 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
         "command": args.command,
         "seed": cfg.search.rng_seed,
         "backend": traj.backend,
-        "model": describe_model(cfg.model) or traj.meta,
+        "model": traj.meta,
         "grid": {"t_max": float(traj.times[-1]), "nodes": int(traj.nodes)},
         "witness_series_files": [],
         "verdict": None,
@@ -137,7 +125,7 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
     if do_verdict:
         verdict = _stage("divisibility_verdict", divisibility_verdict, traj,
                          cfg.divisibility_tol, steps)
-        report["verdict"] = _verdict_json(verdict)
+        report["verdict"] = dataclasses.asdict(verdict)
         # an excluded step has no eigenvalue: its cell is left empty
         min_eigs = ["" if w != w else "%.17g" % w for w in steps.min_eigenvalues.tolist()]
         _write_csv(out_dir / f"{cfg.prefix}_choi_min_eig.csv",
@@ -150,8 +138,8 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
 
     if do_measure:
         measures: dict = {"rhp": None, "witness": None, "blp": None}
-        if cfg.measure_rhp and cfg.model is not None:
-            rate_values = _stage("measure:rhp", rhp_rate, cfg.model, traj.times)
+        if cfg.measure_rhp and traj.model is not None:
+            rate_values = _stage("measure:rhp", rhp_rate, traj.model, traj.times)
             measures["rhp"] = float(np.trapezoid(rate_values, traj.times))
             _write_csv(out_dir / f"{cfg.prefix}_rhp_rate.csv", ["t", "value"], "%.17g,%.17g",
                        traj.times, rate_values)
@@ -160,7 +148,7 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
             measures["witness"] = {
                 "value": wm.value,
                 "witness": _matrix_json(wm.witness) if wm.witness is not None else None,
-                "violation_intervals": _series_intervals(wm.series),
+                "violation_intervals": wm.series.violation_intervals if wm.series else [],
             }
         if cfg.measure_blp:
             bm = _stage("measure:blp", blp_measure, traj, cfg.search, steps)
@@ -170,7 +158,7 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
                     {"rho1": _matrix_json(bm.pair[0]), "rho2": _matrix_json(bm.pair[1])}
                     if bm.pair is not None else None
                 ),
-                "violation_intervals": _series_intervals(bm.series),
+                "violation_intervals": bm.series.violation_intervals if bm.series else [],
             }
         report["measures"] = measures
         if not quiet:

@@ -316,8 +316,10 @@ def load_config(path, seed_override: int | None = None,
                 for_import: bool = False) -> RunConfig:
     """Parse and validate a run configuration.
 
-    With ``for_import=True`` the [model] and [grid] sections become optional:
-    the trajectory file supplies both, and generator-based outputs are skipped.
+    With ``for_import=True`` the [model] and [grid] sections become optional.
+    An import reads them, [backend] and the backend override, and validates
+    them, but takes the model echo, grid, backend and maps from the trajectory
+    file; a file carries no generator, so the RHP measure is skipped.
     A key that parsing never reads is rejected, so the parser below is the
     whole schema; a key that an override replaces is still read and validated.
     """

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Union
 
@@ -443,15 +443,18 @@ def averaged_target_series(model: TraceReplacement, times: np.ndarray):
 
 @dataclass
 class Trajectory:
-    """Time grid plus the dynamical map at each node."""
+    """Time grid plus the dynamical map at each node; ``meta``, the model's
+    JSON echo, is :func:`describe_model` of ``model`` unless given."""
 
     times: np.ndarray
     maps: np.ndarray  # (N, d^2, d^2)
     model: GeneratorModel | None = None
     backend: str | None = None
-    meta: dict = field(default_factory=dict)
+    meta: dict | None = None
 
     def __post_init__(self) -> None:
+        if self.meta is None:
+            self.meta = describe_model(self.model)
         self.times = np.asarray(self.times, dtype=float)
         self.maps = np.asarray(self.maps, dtype=complex)
         if self.times.ndim != 1 or self.maps.ndim != 3 or self.maps.shape[0] != self.times.size:
@@ -586,8 +589,7 @@ def evolve(model: GeneratorModel, times: np.ndarray, backend: str = "auto") -> T
         maps = _evolve_numeric(model, times)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return Trajectory(times=times, maps=maps, model=model, backend=backend,
-                      meta=describe_model(model))
+    return Trajectory(times=times, maps=maps, model=model, backend=backend)
 
 
 def propagators(later: np.ndarray, earlier: np.ndarray):
@@ -625,47 +627,33 @@ def intermediate_map(traj: Trajectory, t: float, s: float) -> np.ndarray:
 # Model descriptors and trajectory files
 # ---------------------------------------------------------------------------
 
-_SCALAR_PRESETS = {Constant: "constant", Sine: "sine", OffsetSine: "offset_sine", Table: "table"}
-
-
-def _describe_scalar(fn) -> dict:
-    """The preset name and the fields of a rate function; "custom" for a callable."""
-    if type(fn) not in _SCALAR_PRESETS:
-        return {"preset": "custom"}
-    fields = {k: list(v) if np.ndim(v) else v for k, v in vars(fn).items()}
-    return {"preset": _SCALAR_PRESETS[type(fn)], **fields}
+_VARIANTS = {Dephasing: "dephasing", TraceReplacement: "trace_replacement",
+             SpinBoson: "spin_boson", Lindblad: "gksl"}
+_PRESETS = {Constant: "constant", Sine: "sine", OffsetSine: "offset_sine", Table: "table",
+            ConstantTarget: "constant", BlochZSineTarget: "bloch_z_sine",
+            ExponentialKernel: "exponential", TabulatedKernel: "table"}
 
 
 def describe_model(model: GeneratorModel | None) -> dict:
+    """The JSON echo of a model, "custom" for a class outside the name tables."""
     if model is None:
         return {}
-    if isinstance(model, Dephasing):
-        return {"variant": "dephasing", "rate": _describe_scalar(model.rate)}
-    if isinstance(model, TraceReplacement):
-        if isinstance(model.target, ConstantTarget):
-            target = {"preset": "constant",
-                      "matrix_real": model.target.matrix.real.tolist(),
-                      "matrix_imag": model.target.matrix.imag.tolist()}
-        elif isinstance(model.target, BlochZSineTarget):
-            target = {"preset": "bloch_z_sine", "scale": model.target.scale,
-                      "angular_frequency": model.target.angular_frequency}
-        else:
-            target = {"preset": "custom"}
-        return {"variant": "trace_replacement", "rate": _describe_scalar(model.rate),
-                "target": target}
-    if isinstance(model, SpinBoson):
-        if isinstance(model.kernel, ExponentialKernel):
-            kernel = {"preset": "exponential", "coupling": model.kernel.coupling,
-                      "rate": model.kernel.rate}
-        elif isinstance(model.kernel, TabulatedKernel):
-            kernel = {"preset": "table", "times": model.kernel.times.tolist(),
-                      "values": model.kernel.values.tolist()}
-        else:
-            kernel = {"preset": "custom"}
-        return {"variant": "spin_boson", "kernel": kernel}
+    if type(model) not in _VARIANTS:
+        return {"variant": "custom"}
     if isinstance(model, Lindblad):
         return {"variant": "gksl", "dim": model.dim, "noise_terms": len(model.noise)}
-    return {"variant": "custom"}
+    echo = {"variant": _VARIANTS[type(model)]}
+    for key, part in vars(model).items():
+        if type(part) not in _PRESETS:
+            echo[key] = {"preset": "custom"}
+        elif isinstance(part, ConstantTarget):
+            echo[key] = {"preset": "constant", "matrix_real": part.matrix.real.tolist(),
+                         "matrix_imag": part.matrix.imag.tolist()}
+        else:
+            fields = {k: np.asarray(v).tolist() if np.ndim(v) else v
+                      for k, v in vars(part).items()}
+            echo[key] = {"preset": _PRESETS[type(part)], **fields}
+    return echo
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
@@ -676,7 +664,7 @@ def save_trajectory(traj: Trajectory, path) -> None:
         "version": 1,
         "dim": traj.dim,
         "nodes": int(traj.nodes),
-        "model": traj.meta or describe_model(traj.model),
+        "model": traj.meta,
         "backend": traj.backend,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -709,6 +697,11 @@ def load_trajectory(path) -> Trajectory:
     if not all(type(v) is int and v >= 1 for v in (dim, nodes)):
         raise ValueError(f"trajectory header needs positive integer 'dim' and 'nodes', "
                          f"got {dim!r} and {nodes!r}")
+    model, backend = header.get("model"), header.get("backend")
+    if not isinstance(model, dict):
+        raise ValueError(f"trajectory header needs a JSON object 'model', got {model!r}")
+    if not (backend is None or isinstance(backend, str)):
+        raise ValueError(f"trajectory header needs a string or null 'backend', got {backend!r}")
     n = dim * dim
     start = 16 + blob_len
     expected = start + nodes * (1 + 2 * n * n) * 8
@@ -719,5 +712,4 @@ def load_trajectory(path) -> Trajectory:
     raw = np.frombuffer(data, dtype="<f8", count=nodes * n * n * 2, offset=start + nodes * 8)
     interleaved = raw.reshape(nodes, n, n, 2)
     maps = interleaved[..., 0] + 1j * interleaved[..., 1]
-    return Trajectory(times=times, maps=maps, model=None,
-                      backend=header.get("backend"), meta=header.get("model") or {})
+    return Trajectory(times=times, maps=maps, backend=backend, meta=model)

@@ -122,11 +122,11 @@ def _non_psd_witness(witness: np.ndarray, kind: str, norm) -> np.ndarray:
 
 class WitnessSpec:
     """What the families share.  Each family is a frozen dataclass deriving
-    from this class (never from another family) and defines
-    ``derivative(times, maps)``: the un-oriented derivative of its functional
-    at the interior nodes times[1:-1], from the stencil of
-    :func:`derivative_series` applied to the functional, or to the evolved
-    spectrum for the norm families."""
+    from this class (never from another family), the state pairs by way of
+    ``_StatePair``, and has ``derivative(times, maps)``: the un-oriented
+    derivative of its functional at the interior nodes times[1:-1], from the
+    stencil of :func:`derivative_series` applied to the functional, or to the
+    evolved spectrum for the norm families."""
 
     orientation = 1.0  # -1 for functionals that CP-divisible evolution cannot lower
     _doubled = False  # the first field is an operator on H ⊗ H
@@ -191,57 +191,51 @@ class InformationFlowPair(WitnessSpec):
 
 @dataclass(frozen=True)
 class _StatePair(WitnessSpec):
+    """``functional`` of the evolved pair (ρ_t, σ_t), which each family defines;
+    evaluated on (ρ, σ) at construction, so a parameter out of range raises there."""
+
     rho: np.ndarray
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", ops.check_density_matrix(self.rho, "rho"))
         object.__setattr__(self, "sigma", ops.check_density_matrix(self.sigma, "sigma"))
+        self.functional(self.rho, self.sigma)
 
-    def _evolved(self, maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (ops.hermitian_part(apply_superop(maps, self.rho)),
-                ops.hermitian_part(apply_superop(maps, self.sigma)))
+    def derivative(self, times: np.ndarray, maps: np.ndarray):
+        rho_t, sigma_t = (ops.hermitian_part(apply_superop(maps, state))
+                          for state in (self.rho, self.sigma))
+        return derivative_series(times, self.functional(rho_t, sigma_t))
 
 
 @dataclass(frozen=True)
 class RelativeEntropyPair(_StatePair):
-    def derivative(self, times: np.ndarray, maps: np.ndarray):
-        return derivative_series(times, ops.relative_entropy(*self._evolved(maps)))
+    def functional(self, rho, sigma):
+        return ops.relative_entropy(rho, sigma)
 
 
 @dataclass(frozen=True)
 class RenyiPair(_StatePair):
     alpha: float = 0.5
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (0.0 <= self.alpha < 1.0 or 1.0 < self.alpha <= 2.0):
-            raise ValueError(f"alpha must lie in [0,1) u (1,2], got {self.alpha}")
-
-    def derivative(self, times: np.ndarray, maps: np.ndarray):
-        divergence = ops.renyi_relative_entropy(*self._evolved(maps), self.alpha)
-        return derivative_series(times, divergence)
+    def functional(self, rho, sigma):
+        return ops.renyi_relative_entropy(rho, sigma, self.alpha)
 
 
 @dataclass(frozen=True)
 class TsallisPair(_StatePair):
     q: float = 0.5
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 <= self.q < 1.0:
-            raise ValueError(f"q must lie in [0,1), got {self.q}")
-
-    def derivative(self, times: np.ndarray, maps: np.ndarray):
-        return derivative_series(times, ops.tsallis_relative_entropy(*self._evolved(maps), self.q))
+    def functional(self, rho, sigma):
+        return ops.tsallis_relative_entropy(rho, sigma, self.q)
 
 
 @dataclass(frozen=True)
 class FidelityPair(_StatePair):
     orientation = -1.0
 
-    def derivative(self, times: np.ndarray, maps: np.ndarray):
-        return derivative_series(times, ops.fidelity(*self._evolved(maps)))
+    def functional(self, rho, sigma):
+        return ops.fidelity(rho, sigma)
 
 
 @dataclass(frozen=True)
@@ -281,8 +275,7 @@ class SchrodingerSkew(WitnessSpec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", ops.check_density_matrix(self.rho, "rho"))
         object.__setattr__(self, "observable", ops.check_hermitian(self.observable, "observable"))
-        if not 0.0 < self.exponent < 1.0:
-            raise ValueError(f"exponent must lie in (0,1), got {self.exponent}")
+        ops.skew_information(self.rho, self.observable, self.exponent)
 
     def derivative(self, times: np.ndarray, maps: np.ndarray):
         rho_t = ops.hermitian_part(apply_superop(maps, self.rho))
@@ -304,8 +297,7 @@ class HeisenbergSkew(WitnessSpec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma0", ops.check_density_matrix(self.sigma0, "sigma0"))
         object.__setattr__(self, "observable", ops.check_hermitian(self.observable, "observable"))
-        if not 0.0 < self.exponent < 1.0:
-            raise ValueError(f"exponent must lie in (0,1), got {self.exponent}")
+        ops.skew_information(self.sigma0, self.observable, self.exponent)
 
     def derivative(self, times: np.ndarray, maps: np.ndarray):
         obs_t = ops.hermitian_part(apply_superop(dual_superop(maps), self.observable))

@@ -14,7 +14,17 @@ import pytest
 from nonmarkov import __version__, cli, config, measures
 from nonmarkov.cli import main
 from nonmarkov.config import ConfigError, load_config, parse_witness_descriptor
-from nonmarkov.dynamics import Dephasing, Sine, evolve, load_trajectory, save_trajectory, Trajectory
+from nonmarkov.dynamics import (
+    BlochZSineTarget,
+    Constant,
+    Dephasing,
+    Sine,
+    TraceReplacement,
+    Trajectory,
+    evolve,
+    load_trajectory,
+    save_trajectory,
+)
 from nonmarkov.witnesses import (
     DualOperatorNormWitness,
     ExtendedTraceNormWitness,
@@ -528,6 +538,31 @@ prefix = imp
                      "--out", str(out), "--quiet"]) == 0
         report = json.loads((out / "imp_report.json").read_text())
         assert report["verdict"]["markovian"] is False
+
+    def test_import_echoes_file_model_and_skips_rhp(self, tmp_path):
+        model = TraceReplacement(Constant(1.0), BlochZSineTarget(1.2))
+        path = tmp_path / "example2.traj"
+        save_trajectory(evolve(model, np.linspace(0, 2 * np.pi, 129)), path)
+        with_model = EXAMPLE1.replace("enabled = true", "witness = false\nblp = false")
+        without_model = re.sub(r"\[model\].*?\n\n", "", with_model, flags=re.S)
+        assert "[model]" in with_model and "[model]" not in without_model
+        outs = {}
+        for name, text in (("with", with_model), ("without", without_model)):
+            outs[name] = tmp_path / name
+            assert main(["import", str(path), "--config", _write(tmp_path, text, f"{name}.ini"),
+                         "--out", str(outs[name]), "--quiet"]) == 0
+        reports = {name: json.loads((out / "run_report.json").read_text())
+                   for name, out in outs.items()}
+        report = reports["with"]
+        assert report["model"] == load_trajectory(path).meta
+        assert report["model"]["variant"] == "trace_replacement"
+        assert report["measures"]["rhp"] is None
+        assert not list(outs["with"].glob("*_rhp_rate.csv"))
+        assert report["verdict"] == reports["without"]["verdict"]
+        csvs = sorted(p.name for p in outs["with"].glob("*_witness_*.csv"))
+        assert len(csvs) == 2
+        for name in csvs:
+            assert (outs["with"] / name).read_bytes() == (outs["without"] / name).read_bytes()
 
 
 def test_python_m_nonmarkov_runs_the_cli(tmp_path):

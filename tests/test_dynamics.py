@@ -615,10 +615,61 @@ class TestTrajectoryFile:
             (with_header(dim=2.7), "integer 'dim'"),
             (with_header(nodes=17.0), "integer 'dim' and 'nodes'"),
             (with_header(dim=True), "integer 'dim'"),
+            (with_header(model="not a model"), "JSON object 'model'"),
+            (with_header(backend=[1, 2]), "string or null 'backend'"),
         ):
             path.write_bytes(broken)
             with pytest.raises(ValueError, match=message):
                 load_trajectory(path)
+
+    def test_model_echo_pinned_and_round_tripped(self, tmp_path):
+        def unit_trace(t):
+            return np.broadcast_to(np.eye(2) / 2, np.shape(t) + (2, 2))
+
+        cases = [
+            (Dephasing(Constant(0.5)),
+             {"variant": "dephasing", "rate": {"preset": "constant", "value": 0.5}}),
+            (Dephasing(Sine(1.0, 2.0, 0.25)),
+             {"variant": "dephasing", "rate": {"preset": "sine", "amplitude": 1.0,
+                                               "angular_frequency": 2.0, "phase": 0.25}}),
+            (Dephasing(OffsetSine(0.5, 1.0)),
+             {"variant": "dephasing", "rate": {"preset": "offset_sine", "offset": 0.5,
+                                               "amplitude": 1.0, "angular_frequency": 1.0,
+                                               "phase": 0.0}}),
+            (Dephasing(dyn.Table((0.0, 1.0, 2.0), (1.0, -1.0, 0.5))),
+             {"variant": "dephasing", "rate": {"preset": "table", "times": [0.0, 1.0, 2.0],
+                                               "values": [1.0, -1.0, 0.5]}}),
+            (TraceReplacement(Constant(1.0), ConstantTarget([[0.5, 0.25j], [-0.25j, 0.5]])),
+             {"variant": "trace_replacement", "rate": {"preset": "constant", "value": 1.0},
+              "target": {"preset": "constant", "matrix_real": [[0.5, 0.0], [0.0, 0.5]],
+                         "matrix_imag": [[0.0, 0.25], [-0.25, 0.0]]}}),
+            (TraceReplacement(Sine(1.0), BlochZSineTarget(1.2)),
+             {"variant": "trace_replacement",
+              "rate": {"preset": "sine", "amplitude": 1.0, "angular_frequency": 1.0,
+                       "phase": 0.0},
+              "target": {"preset": "bloch_z_sine", "scale": 1.2, "angular_frequency": 1.0}}),
+            (SpinBoson(ExponentialKernel(2.0, 0.5)),
+             {"variant": "spin_boson",
+              "kernel": {"preset": "exponential", "coupling": 2.0, "rate": 0.5}}),
+            (SpinBoson(TabulatedKernel([0.0, 1.0, 2.0], [1.0, 0.5, 0.25])),
+             {"variant": "spin_boson", "kernel": {"preset": "table", "times": [0.0, 1.0, 2.0],
+                                                  "values": [1.0, 0.5, 0.25]}}),
+            (Lindblad(hamiltonian=SIGMA_Z, noise=((SIGMA_MINUS, Constant(1.0)),), dim=2),
+             {"variant": "gksl", "dim": 2, "noise_terms": 1}),
+            (Dephasing(lambda t: np.ones_like(t)),
+             {"variant": "dephasing", "rate": {"preset": "custom"}}),
+            (TraceReplacement(Constant(1.0), unit_trace),
+             {"variant": "trace_replacement", "rate": {"preset": "constant", "value": 1.0},
+              "target": {"preset": "custom"}}),
+            (None, {}),
+        ]
+        identity = np.broadcast_to(np.eye(4, dtype=complex), (3, 4, 4))
+        for model, echo in cases:
+            assert dyn.describe_model(model) == echo
+            traj = Trajectory(times=np.linspace(0.0, 1.0, 3), maps=identity, model=model)
+            assert traj.meta == echo
+            save_trajectory(traj, tmp_path / "t.traj")
+            assert load_trajectory(tmp_path / "t.traj").meta == echo
 
     def test_invariant_checked_on_load(self, tmp_path):
         traj = evolve(Dephasing(rate=Constant(1.0)), np.linspace(0, 1, 17))
