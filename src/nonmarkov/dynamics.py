@@ -106,9 +106,10 @@ def apply_superop(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return w.reshape(*w.shape[:-1], d, d).swapaxes(-1, -2)
 
 
-# OpenBLAS spreads a GEMM over its threads from m·n·k = 2**16 on, and the
-# woken helper thread then spins through the rest of a search candidate, on
-# the CPU of another search worker.  Row blocks below that stay on one thread.
+# OpenBLAS spreads a GEMM over its threads from m·n·k = 2**16 on.  For these
+# thin products that gains no time, and waking the helper threads raises the
+# peak memory of a run (by 0.6 MB on a 2001-node stack).  Row blocks below
+# that size stay on one thread.
 _SERIAL_GEMM_MNK = 2**16 - 1
 
 
@@ -124,6 +125,18 @@ def apply_extended(m: np.ndarray, y: np.ndarray) -> np.ndarray:
     for start in range(0, rows.shape[0], step):
         np.matmul(rows[start:start + step], blocks, out=w[start:start + step])
     return w.reshape(-1, d, d, d, d).transpose(0, 3, 2, 4, 1).reshape(*m.shape[:-2], n, n)
+
+
+def pull_back(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Σ_k (id_a ⊗ Λ_k)†(y_k) for a map stack (K, d^2, d^2) and a stack y
+    (K, ad, ad): the adjoint of ``apply_extended`` (a = d) or of
+    ``apply_superop`` (a = 1), summed over the stack; entry [e', b', e, b] of
+    m[k] as (d, d, d, d) weighs X[b, e] in Λ_k(X)[b', e']."""
+    d = isqrt(m.shape[-1])
+    a = y.shape[-1] // d
+    pulled = np.tensordot(m.reshape(-1, d, d, d, d).conj(), y.reshape(-1, a, d, a, d),
+                          axes=([0, 1, 2], [0, 4, 2]))
+    return pulled.transpose(2, 1, 3, 0).reshape(a * d, a * d)
 
 
 def choi_matrix(m: np.ndarray) -> np.ndarray:
@@ -634,26 +647,36 @@ _PRESETS = {Constant: "constant", Sine: "sine", OffsetSine: "offset_sine", Table
             ExponentialKernel: "exponential", TabulatedKernel: "table"}
 
 
+def _echo(values: dict) -> dict:
+    """JSON echo of dataclass fields: a matrix as its real and imaginary parts
+    (``<key>_real``, ``<key>_imag``), a rate, target or kernel as its preset
+    name and fields ("custom" outside the name table), the rest as it is."""
+    echo = {}
+    for key, value in values.items():
+        if np.ndim(value) == 2:
+            matrix = np.asarray(value, dtype=complex)
+            echo[f"{key}_real"], echo[f"{key}_imag"] = matrix.real.tolist(), matrix.imag.tolist()
+        elif type(value) in _PRESETS:
+            echo[key] = {"preset": _PRESETS[type(value)], **_echo(vars(value))}
+        elif callable(value):
+            echo[key] = {"preset": "custom"}
+        else:
+            echo[key] = np.asarray(value).tolist() if np.ndim(value) else value
+    return echo
+
+
 def describe_model(model: GeneratorModel | None) -> dict:
-    """The JSON echo of a model, "custom" for a class outside the name tables."""
+    """The JSON echo of a model, "custom" for a class outside the name tables;
+    a GKSL model's noise is a list of jump operators with their rates."""
     if model is None:
         return {}
     if type(model) not in _VARIANTS:
         return {"variant": "custom"}
     if isinstance(model, Lindblad):
-        return {"variant": "gksl", "dim": model.dim, "noise_terms": len(model.noise)}
-    echo = {"variant": _VARIANTS[type(model)]}
-    for key, part in vars(model).items():
-        if type(part) not in _PRESETS:
-            echo[key] = {"preset": "custom"}
-        elif isinstance(part, ConstantTarget):
-            echo[key] = {"preset": "constant", "matrix_real": part.matrix.real.tolist(),
-                         "matrix_imag": part.matrix.imag.tolist()}
-        else:
-            fields = {k: np.asarray(v).tolist() if np.ndim(v) else v
-                      for k, v in vars(part).items()}
-            echo[key] = {"preset": _PRESETS[type(part)], **fields}
-    return echo
+        noise = [_echo({"operator": op, "rate": rate}) for op, rate in model.noise]
+        return {"variant": "gksl", **_echo({"hamiltonian": model.hamiltonian}),
+                "noise": noise, "dim": model.dim}
+    return {"variant": _VARIANTS[type(model)], **_echo(vars(model))}
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
@@ -693,6 +716,9 @@ def load_trajectory(path) -> Trajectory:
     header = json.loads(data[16:16 + blob_len].decode("utf-8"))
     if not isinstance(header, dict):
         header = {}
+    for key, value in (("format", "nonmarkov-trajectory"), ("version", 1)):
+        if header.get(key) != value or type(header.get(key)) is not type(value):
+            raise ValueError(f"trajectory header needs {key!r} {value!r}, got {header.get(key)!r}")
     dim, nodes = header.get("dim"), header.get("nodes")
     if not all(type(v) is int and v >= 1 for v in (dim, nodes)):
         raise ValueError(f"trajectory header needs positive integer 'dim' and 'nodes', "

@@ -14,10 +14,9 @@ Three measures are computed over a finite, user-configured horizon:
 * the state-distinguishability (BLP) measure, the same supremum over pairs of
   states.
 
-The last two share one seeded derivative-free hill climber, ``_search``, over
-one kind of point: a Hermitian operator of unit trace norm, fed to a
-trace-norm witness family and moved by adding a step times a random Hermitian
-direction.  The witness search ranges over operators on H ⊗ H
+The last two share one seeded hill climber, ``_search``, over one kind of
+point: a Hermitian operator of unit trace norm, fed to a trace-norm witness
+family.  The witness search ranges over operators on H ⊗ H
 (``ExtendedTraceNormWitness``) and starts from tensor-product basis
 candidates, the negative-Choi-direction candidate and random witnesses.  The
 BLP search ranges over traceless operators X on H (``PlainTraceNormWitness``)
@@ -26,29 +25,22 @@ operators.  That loses nothing: the BLP flow of a pair (ρ1, ρ2) is
 ½‖ρ1 − ρ2‖₁ ≤ 1 times the trace-norm flow of X = (ρ1 − ρ2)/‖ρ1 − ρ2‖₁, a
 traceless operator of unit trace norm, and conversely the pair (2X⁺, 2X⁻) of
 the positive and negative parts of such an X has ρ1 − ρ2 = 2X, so its BLP
-flow is exactly the flow of X.  Each seed climbs on its own random stream and
-accepts a move only if it strictly raises the integrated positive flow.  The
-step starts at ``INITIAL_STEP``, grows by 1.4 after an accepted move (up to
-``MAX_STEP``) and shrinks by 0.8 otherwise (down to ``MIN_STEP``).
+flow is exactly the flow of X.
 
-The seed climbs are independent, so they run in parallel in forked worker
-processes, one per CPU available to this process.  Search results are
-reproducible lower bounds: values never decrease during refinement and depend
-only on the recorded seed, not on the number of CPUs.
-
-Each search candidate costs one ``series`` call, and nearly all of a search
-is these calls.  On a qubit the 2 × 2 spectra are closed-form
-(``operators.eigvalsh``), so what is left of a witness candidate is mostly
-LAPACK: about 70% of an extended trace-norm candidate is the batched 4 × 4
-``eigvalsh`` of the evolved witnesses.  Further gains have to come from fewer
-evaluations per search, not from cheaper ones.
+The climbs run in seed order in this process.  Where the flow of the point
+is positive somewhere, a move follows the family's ``gradient`` in the
+tangent space of the search space: the exact gradient of the value with the
+eigenvalue signs read at every node of the derivative stencil.  Unlike the
+gradient of the value itself, it sees the zero crossing of an evolved
+eigenvalue move between nodes.  Elsewhere a move adds a random direction
+from the seed's own random stream.  A move is kept only if its ``series``
+strictly raises the value, so values never decrease and depend only on the
+recorded seed.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -236,23 +228,17 @@ def _choi_candidates(data: StepChoiData, n: int) -> list:
     return [proj - np.eye(n) / n]
 
 
-def _random_traceless(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian random Hermitian d × d matrix with its trace removed."""
-    x = ops.random_hermitian(d, rng)
-    return x - (np.trace(x).real / d) * np.eye(d)
+def _traceless(x: np.ndarray) -> np.ndarray:
+    """Hermitian part of ``x`` with its trace removed: the projection onto the
+    BLP search space."""
+    x = ops.hermitian_part(x)
+    return x - (np.trace(x).real / len(x)) * np.eye(len(x))
 
 
 def _pair(x: np.ndarray) -> tuple:
     """(2X⁺, 2X⁻) of a traceless Hermitian X of unit trace norm, from one ``eigh``."""
     w, v = np.linalg.eigh(x)
     return tuple(2.0 * (v * np.clip(sign * w, 0.0, None)) @ v.conj().T for sign in (1, -1))
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on; 1 where the platform cannot tell."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
 
 
 def _point(spec_cls, x):
@@ -266,66 +252,62 @@ def _point(spec_cls, x):
     return getattr(spec, fields(spec)[0].name), spec
 
 
-def _climb(job, i):
-    """Hill climb of seed ``i`` of ``job``; returns its (operator, series, value)."""
-    traj, seeded, spec_cls, direction, stream, search = job
-    point, ws, value = seeded[i]
-    rng = np.random.default_rng((search.rng_seed, stream, i))
+def _ascent(traj, point, spec, project):
+    """The family's ``gradient`` at ``point``, projected, less its part along
+    the projected normal sign(point) of the unit trace-norm sphere; scaled to
+    unit trace norm, or None where it vanishes."""
+    grad = project(spec.gradient(traj.times, traj.maps))
+    w, v = np.linalg.eigh(point)
+    normal = project((v * np.sign(w)) @ v.conj().T)
+    grad = grad - np.vdot(normal, grad).real / np.vdot(normal, normal).real * normal
+    norm = ops.trace_norm(grad)
+    return grad / norm if norm > 0.0 else None
+
+
+def _climb(traj, spec_cls, project, rng, start, iterations):
+    """Best (operator, series, value) of a climb from the triple ``start``;
+    the step doubles after a kept move and halves otherwise, and the climb
+    ends once it falls below ``MIN_STEP``."""
+    point, ws, value = start
+    ascent = None
     step = INITIAL_STEP
-    for _ in range(search.iterations):
-        moved = _point(spec_cls, point + step * direction(rng))
+    for _ in range(iterations):
+        if step < MIN_STEP:
+            break
+        if value > 0.0 and ascent is None:
+            ascent = _ascent(traj, point, ws.spec, project)
+        move = project(ops.random_hermitian(len(point), rng)) if ascent is None else ascent
+        moved = _point(spec_cls, point + step * move)
         if moved is not None:
-            cand_series = series(traj, moved[1])
-            cand_value = cand_series.total_violation
-            if cand_value > value:
-                point, ws, value = moved[0], cand_series, cand_value
-                step = min(step * 1.4, MAX_STEP)
+            cand = series(traj, moved[1])
+            if cand.total_violation > value:
+                point, ws, value = moved[0], cand, cand.total_violation
+                ascent = None
+                step = min(2.0 * step, MAX_STEP)
                 continue
-        step = max(step * 0.8, MIN_STEP)
+        step /= 2.0
     return point, ws, value
 
 
-# The search job of a pool worker.  Set only inside forked workers, by the
-# pool initializer, so that each worker inherits the job (the trajectory and
-# the seed series) once instead of receiving it with every task.
-_worker_job = None
-
-
-def _start_worker(job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _climb_in_worker(i):
-    return _climb(_worker_job, i)
-
-
-def _search(traj, data, basis, spec_cls, direction, stream, search):
+def _search(traj, data, basis, spec_cls, project, stream, search):
     """Best (operator, series, value) of a hill climb from every seed.
 
     ``spec_cls`` is a trace-norm witness family that stores its Hermitian
-    operator with unit trace norm, and ``direction(rng)`` draws a random
-    Hermitian operator.  The seeds are the ``basis`` operators, filled up with
-    ``direction`` draws on the random stream ``search.rng_seed`` and cut to
-    ``search.seeds`` (at least one); a seed or a move that ``spec_cls``
-    rejects is skipped.  Seed i climbs for ``search.iterations`` moves on the
-    random stream ``(search.rng_seed, stream, i)``; a move adds ``step`` times
-    a ``direction`` draw to the current operator.  The value of a spec is the
-    integrated positive part of its flow.  When every step propagator is CP
-    and no seed shows a positive flow the climb is skipped, since contraction
-    forces every flow to be non-positive.  Returns ``(None, None, 0.0)`` when
-    no positive value is found.
-
-    The climbs are independent, so they run in forked worker processes, one
-    per CPU available to this process (in process with one CPU or where
-    ``fork`` is missing).  The best climb is picked in seed order, so the
-    result does not depend on the number of workers.  The pool is closed
-    before this returns or raises; an exception in a worker reaches the caller.
+    operator with unit trace norm; ``project`` projects onto the search space
+    (Hermitian or traceless operators).  The seeds are the ``basis``
+    operators, filled up with projected Gaussian draws on the random stream
+    ``search.rng_seed`` and cut to ``search.seeds``; a seed or move that
+    ``spec_cls`` rejects is skipped.  Seed i climbs for at most
+    ``search.iterations`` moves on the random stream ``(search.rng_seed,
+    stream, i)``.  With every step propagator CP and no positive seed the
+    climb is skipped, since contraction keeps every flow non-positive.
+    Returns ``(None, None, 0.0)`` when no positive value is found.
     """
     seeds = list(basis)
     rng = np.random.default_rng(search.rng_seed)
+    size = traj.dim ** 2 if spec_cls._doubled else traj.dim
     while len(seeds) < search.seeds:
-        seeds.append(direction(rng))
+        seeds.append(project(ops.random_hermitian(size, rng)))
     seeded = []
     for point, spec in filter(None, (_point(spec_cls, x) for x in seeds[:max(search.seeds, 1)])):
         ws = series(traj, spec)
@@ -335,21 +317,11 @@ def _search(traj, data, basis, spec_cls, direction, stream, search):
     best = (None, None, 0.0)
     if not cp_violated and all(v == 0.0 for _, _, v in seeded):
         return best
-
-    job = (traj, seeded, spec_cls, direction, stream, search)
-    workers = min(_cpu_count(), len(seeded))
-    import multiprocessing  # here, so that importing the package stays cheap
-
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("fork")
-        with context.Pool(workers, _start_worker, (job,)) as pool:
-            climbed = pool.map(_climb_in_worker, range(len(seeded)), chunksize=1)
-    else:
-        climbed = [_climb(job, i) for i in range(len(seeded))]
-
-    for result in climbed:
-        if result[2] > best[2]:
-            best = result
+    for i, start in enumerate(seeded):
+        rng = np.random.default_rng((search.rng_seed, stream, i))
+        climbed = _climb(traj, spec_cls, project, rng, start, search.iterations)
+        if climbed[2] > best[2]:
+            best = climbed
     return best
 
 
@@ -364,7 +336,7 @@ def witness_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
     choi = _choi_candidates(data, n)
     basis = _product_candidates(traj.dim, max(search.seeds, 1) - len(choi)) + choi
     witness, ws, value = _search(traj, data, basis, ExtendedTraceNormWitness,
-                                 partial(ops.random_hermitian, n), 1, search)
+                                 ops.hermitian_part, 1, search)
     return WitnessMeasureResult(value=float(value), witness=witness, series=ws)
 
 
@@ -378,6 +350,6 @@ def blp_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
     """
     data = steps if steps is not None else step_choi_data(traj)
     x, ws, value = _search(traj, data, gell_mann_basis(traj.dim), PlainTraceNormWitness,
-                           partial(_random_traceless, traj.dim), 2, search)
+                           _traceless, 2, search)
     return BlpMeasureResult(value=float(value), pair=None if x is None else _pair(x), series=ws)
 

@@ -6,7 +6,8 @@ oriented flow signals a breakdown of divisibility.  Each family is one spec
 class, the only place it is defined: ``derivative(times, maps)`` is the
 derivative of its functional on a map stack at the interior nodes,
 ``orientation`` its sign, and ``invariant()`` the state or observable it needs
-left fixed, or None:
+left fixed, or None.  The two trace-norm families also give a ``gradient``,
+the ascent the measure searches climb (``_trace_norm_gradient``):
 
 * extended/plain trace-norm witnesses: d/dt of the evolved trace norm
   (witnesses are stored with unit trace norm, so the flow is scale-free);
@@ -42,6 +43,7 @@ from .dynamics import (
     apply_extended,
     apply_superop,
     dual_superop,
+    pull_back,
 )
 
 VIOLATION_ENTER = 1e-9
@@ -85,6 +87,18 @@ def derivative_series(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _derivative_adjoint(times: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Dᵀ of ``weights``, one per interior node, for the linear map D of
+    :func:`derivative_series`, so that Σ weights·D[v] = Σ Dᵀ[weights]·v.
+    Row j of D reads nodes j − 1 to j + 3, one of each residue mod 5, so D
+    of the five combs of a residue gives the band of D."""
+    n = np.asarray(times).size
+    band = derivative_series(times, np.arange(n)[:, None] % 5 == np.arange(5))
+    first = np.arange(n - 2)[:, None] - 1
+    cols = np.clip(first + (np.arange(5) - first) % 5, 0, n - 1)  # zero band off the grid
+    return np.bincount(cols.ravel(), (band * weights[:, None]).ravel(), minlength=n)
+
+
 # ---------------------------------------------------------------------------
 # Norm flows from the sorted spectrum
 # ---------------------------------------------------------------------------
@@ -96,6 +110,22 @@ def _trace_norm_derivative(times: np.ndarray, stack: np.ndarray) -> np.ndarray:
     each other add up to a smooth sum, so no kink needs detecting."""
     eigs = ops.eigvalsh(stack)
     return (np.sign(eigs[1:-1]) * derivative_series(times, eigs)).sum(axis=1)
+
+
+def _trace_norm_gradient(times: np.ndarray, maps: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Gradient of Σⱼ wⱼ max(0, D[‖·‖₁]ⱼ) (w the trapezoid weights) with
+    respect to the operator that ``maps`` evolve into ``stack``: the
+    eigenprojectors Pᵢ of the stack, weighted by c = sign(λ) Dᵀ(w [D[‖·‖₁] > 0])
+    and pulled back.  This flow reads sign(λᵢ) at every stencil node, where
+    ``_trace_norm_derivative`` reads it at the centre; the two agree wherever
+    no eigenvalue changes sign inside a stencil.  The centred flow jumps each
+    time an eigenvalue's zero crossing passes a node, and its gradient pushes
+    crossings into those jumps; this flow is continuous and sees them move."""
+    eigs, vecs = np.linalg.eigh(stack)
+    flow = derivative_series(times, np.abs(eigs).sum(axis=1))
+    weights = np.convolve(np.diff(times[1:-1]), [0.5, 0.5]) * (flow > 0.0)
+    coeffs = np.sign(eigs) * _derivative_adjoint(times, weights)[:, None]
+    return pull_back(maps, (vecs * coeffs[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
 
 
 def _operator_norm_derivative(times: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -155,6 +185,9 @@ class ExtendedTraceNormWitness(WitnessSpec):
     def derivative(self, times: np.ndarray, maps: np.ndarray):
         return _trace_norm_derivative(times, apply_extended(maps, self.witness))
 
+    def gradient(self, times: np.ndarray, maps: np.ndarray):
+        return _trace_norm_gradient(times, maps, apply_extended(maps, self.witness))
+
 
 @dataclass(frozen=True)
 class PlainTraceNormWitness(WitnessSpec):
@@ -171,6 +204,9 @@ class PlainTraceNormWitness(WitnessSpec):
 
     def derivative(self, times: np.ndarray, maps: np.ndarray):
         return _trace_norm_derivative(times, apply_superop(maps, self.operator))
+
+    def gradient(self, times: np.ndarray, maps: np.ndarray):
+        return _trace_norm_gradient(times, maps, apply_superop(maps, self.operator))
 
 
 @dataclass(frozen=True)

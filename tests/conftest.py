@@ -59,7 +59,7 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def no_child_processes_left():
-    """Fail a test that leaves child processes running, such as search workers."""
+    """Fail a test that leaves child processes running, such as an unclosed pool."""
     yield
     left = multiprocessing.active_children()
     if left:

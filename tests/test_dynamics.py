@@ -617,6 +617,11 @@ class TestTrajectoryFile:
             (with_header(dim=True), "integer 'dim'"),
             (with_header(model="not a model"), "JSON object 'model'"),
             (with_header(backend=[1, 2]), "string or null 'backend'"),
+            (with_header(format="not-nonmarkov"), "'format' 'nonmarkov-trajectory'"),
+            (with_header(format="drop"), "'format' 'nonmarkov-trajectory', got None"),
+            (with_header(version=99), "'version' 1, got 99"),
+            (with_header(version=1.0), "'version' 1, got 1.0"),
+            (with_header(version="drop"), "'version' 1, got None"),
         ):
             path.write_bytes(broken)
             with pytest.raises(ValueError, match=message):
@@ -655,7 +660,21 @@ class TestTrajectoryFile:
              {"variant": "spin_boson", "kernel": {"preset": "table", "times": [0.0, 1.0, 2.0],
                                                   "values": [1.0, 0.5, 0.25]}}),
             (Lindblad(hamiltonian=SIGMA_Z, noise=((SIGMA_MINUS, Constant(1.0)),), dim=2),
-             {"variant": "gksl", "dim": 2, "noise_terms": 1}),
+             {"variant": "gksl", "hamiltonian_real": [[1, 0], [0, -1]],
+              "hamiltonian_imag": [[0, 0], [0, 0]],
+              "noise": [{"operator_real": [[0, 1], [0, 0]], "operator_imag": [[0, 0], [0, 0]],
+                         "rate": {"preset": "constant", "value": 1.0}}],
+              "dim": 2}),
+            (Lindblad(hamiltonian=None, noise=((SIGMA_Z, Sine(0.5)), (0.5j * SIGMA_Z, dyn.Table(
+                (0.0, 1.0), (1.0, 2.0)))), dim=2),
+             {"variant": "gksl", "hamiltonian": None,
+              "noise": [{"operator_real": [[1, 0], [0, -1]], "operator_imag": [[0, 0], [0, 0]],
+                         "rate": {"preset": "sine", "amplitude": 0.5,
+                                  "angular_frequency": 1.0, "phase": 0.0}},
+                        {"operator_real": [[0, 0], [0, 0]], "operator_imag": [[0.5, 0], [0, -0.5]],
+                         "rate": {"preset": "table", "times": [0.0, 1.0],
+                                  "values": [1.0, 2.0]}}],
+              "dim": 2}),
             (Dephasing(lambda t: np.ones_like(t)),
              {"variant": "dephasing", "rate": {"preset": "custom"}}),
             (TraceReplacement(Constant(1.0), unit_trace),
@@ -670,6 +689,15 @@ class TestTrajectoryFile:
             assert traj.meta == echo
             save_trajectory(traj, tmp_path / "t.traj")
             assert load_trajectory(tmp_path / "t.traj").meta == echo
+
+    def test_gksl_models_differing_in_one_rate_echo_differently(self):
+        def model(rate):
+            return Lindblad(hamiltonian=0.5 * SIGMA_Z,
+                            noise=((SIGMA_MINUS, OffsetSine(0.2, 1.0)), (SIGMA_Z, Sine(rate))),
+                            dim=2)
+
+        assert dyn.describe_model(model(0.5)) != dyn.describe_model(model(0.25))
+        assert dyn.describe_model(model(0.5)) == dyn.describe_model(model(0.5))
 
     def test_invariant_checked_on_load(self, tmp_path):
         traj = evolve(Dephasing(rate=Constant(1.0)), np.linspace(0, 1, 17))

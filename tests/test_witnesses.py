@@ -29,6 +29,7 @@ from nonmarkov.witnesses import (
     HeisenbergSkew,
     PlainTraceNormWitness,
     SchrodingerSkew,
+    _derivative_adjoint,
     derivative_series,
     detect_violations,
     series,
@@ -490,3 +491,16 @@ class TestDerivativeReference:
         for column, estimate in zip(columns, stacked.reshape(times.size - 2, -1).T):
             np.testing.assert_array_equal(estimate, _reference_derivative(times, column))
             np.testing.assert_array_equal(estimate, derivative_series(times, column))
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=_grids())
+    def test_adjoint_pairs_with_the_stencil(self, grid):
+        # Σ w·D[v] = Σ Dᵀ[w]·v, which the gradient of the search rests on
+        times, values = grid
+        weights = np.random.default_rng(times.size).normal(size=times.size - 2)
+        adjoint = _derivative_adjoint(times, weights)
+        assert adjoint.shape == (times.size,)
+        scale = np.abs(weights).sum() * np.abs(values).max() / np.diff(times).min()
+        np.testing.assert_array_less(
+            np.abs(np.tensordot(weights, derivative_series(times, values), axes=(0, 0))
+                   - np.tensordot(adjoint, values, axes=(0, 0))), 1e-13 * scale)
