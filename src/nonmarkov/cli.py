@@ -221,6 +221,10 @@ def main(argv=None) -> int:
             except (ValueError, OSError) as exc:
                 print(f"error: trajectory file rejected: {exc}", file=sys.stderr)
                 return 2
+            for descriptor, spec in cfg.witnesses:
+                if spec.system_dim != traj.dim:
+                    raise ConfigError("witnesses.specs", f"{descriptor} acts on dimension "
+                                      f"{spec.system_dim}, the trajectory file on {traj.dim}")
         return _run_pipeline(cfg, args, traj=traj)
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)

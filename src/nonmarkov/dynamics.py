@@ -98,40 +98,35 @@ def commutator(h: np.ndarray) -> np.ndarray:
     return -1j * (superop(h, eye) - superop(eye, h))
 
 
-def apply_superop(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply a superoperator to an operator.  A stack of maps (..., d^2, d^2)
-    gives the stack of results."""
-    d = isqrt(m.shape[-1])
-    w = np.einsum("...nm,m->...n", m, vec(x))
-    return w.reshape(*w.shape[:-1], d, d).swapaxes(-1, -2)
-
-
 # OpenBLAS spreads a GEMM over its threads from m·n·k = 2**16 on.  For these
 # thin products that gains no time, and waking the helper threads raises the
 # peak memory of a run (by 0.6 MB on a 2001-node stack).  Row blocks below
-# that size stay on one thread.
+# that size stay on one thread.  With a = 1 the product is a GEMV, which
+# OpenBLAS spreads from m·n = 2**12 on.
 _SERIAL_GEMM_MNK = 2**16 - 1
+_SERIAL_GEMV_MN = 2**12 - 1
 
 
-def apply_extended(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Apply (id ⊗ Λ) to an operator on the doubled space H ⊗ H.  A stack of
-    maps (..., d^2, d^2) gives the stack of results."""
+def apply_superop(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Apply Λ to an operator on H, or id_a ⊗ Λ to one on H_a ⊗ H, with the
+    ancilla size a read from ``y``.  A stack of maps (..., d^2, d^2) gives
+    the stack of results."""
     n = m.shape[-1]
     d = isqrt(n)
-    blocks = y.reshape(d, d, d, d).transpose(0, 2, 3, 1).reshape(d * d, n).T
+    a = y.shape[-1] // d
+    blocks = y.reshape(a, d, a, d).transpose(0, 2, 3, 1).reshape(a * a, n).T
     rows = m.reshape(-1, n)
-    w = np.empty(rows.shape, dtype=np.result_type(rows, blocks))
-    step = max(_SERIAL_GEMM_MNK // (n * n), 1)
+    w = np.empty((rows.shape[0], a * a), dtype=np.result_type(rows, blocks))
+    step = max((_SERIAL_GEMM_MNK if a > 1 else _SERIAL_GEMV_MN) // (n * a * a), 1)
     for start in range(0, rows.shape[0], step):
         np.matmul(rows[start:start + step], blocks, out=w[start:start + step])
-    return w.reshape(-1, d, d, d, d).transpose(0, 3, 2, 4, 1).reshape(*m.shape[:-2], n, n)
+    return w.reshape(-1, d, d, a, a).transpose(0, 3, 2, 4, 1).reshape(*m.shape[:-2], a * d, a * d)
 
 
 def pull_back(m: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Σ_k (id_a ⊗ Λ_k)†(y_k) for a map stack (K, d^2, d^2) and a stack y
-    (K, ad, ad): the adjoint of ``apply_extended`` (a = d) or of
-    ``apply_superop`` (a = 1), summed over the stack; entry [e', b', e, b] of
-    m[k] as (d, d, d, d) weighs X[b, e] in Λ_k(X)[b', e']."""
+    (K, ad, ad): the adjoint of :func:`apply_superop`, summed over the stack;
+    entry [e', b', e, b] of m[k] as (d, d, d, d) weighs X[b, e] in Λ_k(X)[b', e']."""
     d = isqrt(m.shape[-1])
     a = y.shape[-1] // d
     pulled = np.tensordot(m.reshape(-1, d, d, d, d).conj(), y.reshape(-1, a, d, a, d),
@@ -485,14 +480,16 @@ class Trajectory:
         ident_err = np.abs(self.maps[0] - np.eye(n)).max()
         if ident_err > IDENTITY_TOL:
             raise ValueError(f"map at node 0 deviates from identity by {ident_err:.3e}")
-        d = self.dim
-        ident = vec(np.eye(d, dtype=complex)).conj()
-        residual = np.abs(np.einsum("i,kij->kj", ident, self.maps) - ident.conj()).max(axis=1)
+        # <I|Λ_k = <I|, judged relative to max(1, max|Λ_k|): a growing map
+        # carries rounding of its own size
+        ident = vec(np.eye(self.dim))
+        residual = (np.abs(ident @ self.maps - ident).max(axis=1)
+                    / np.maximum(1.0, np.abs(self.maps).max(axis=(1, 2))))
         worst = int(np.argmax(residual))
         if residual[worst] > TRACE_PRESERVATION_TOL:
             raise ValueError(
                 f"map at node {worst} (t={self.times[worst]}) violates trace preservation "
-                f"by {residual[worst]:.3e}"
+                f"by {residual[worst]:.3e} relative to max(1, max|map|)"
             )
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("trajectory times must be strictly increasing")
@@ -681,7 +678,6 @@ def describe_model(model: GeneratorModel | None) -> dict:
 
 def save_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory file: magic, JSON header, grid, interleaved re/im maps."""
-    n = traj.maps.shape[1]
     header = {
         "format": "nonmarkov-trajectory",
         "version": 1,
@@ -691,15 +687,12 @@ def save_trajectory(traj: Trajectory, path) -> None:
         "backend": traj.backend,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    interleaved = np.empty((traj.nodes, n, n, 2), dtype="<f8")
-    interleaved[..., 0] = traj.maps.real
-    interleaved[..., 1] = traj.maps.imag
     with open(path, "wb") as fh:
         fh.write(TRAJECTORY_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         fh.write(traj.times.astype("<f8").tobytes())
-        fh.write(interleaved.tobytes())
+        fh.write(traj.maps.astype("<c16").tobytes())
 
 
 def load_trajectory(path) -> Trajectory:
@@ -735,7 +728,6 @@ def load_trajectory(path) -> Trajectory:
         raise ValueError(f"trajectory file holds {len(data)} bytes, but its header "
                          f"({nodes} maps of dimension {dim}) needs {expected}")
     times = np.frombuffer(data, dtype="<f8", count=nodes, offset=start).copy()
-    raw = np.frombuffer(data, dtype="<f8", count=nodes * n * n * 2, offset=start + nodes * 8)
-    interleaved = raw.reshape(nodes, n, n, 2)
-    maps = interleaved[..., 0] + 1j * interleaved[..., 1]
+    maps = np.frombuffer(data, dtype="<c16", count=nodes * n * n,
+                         offset=start + nodes * 8).reshape(nodes, n, n).copy()
     return Trajectory(times=times, maps=maps, backend=backend, meta=model)

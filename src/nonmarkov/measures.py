@@ -48,7 +48,7 @@ from . import operators as ops
 from .dynamics import (
     GeneratorModel,
     Trajectory,
-    apply_extended,
+    apply_superop,
     choi_matrix,
     generator_superoperator,
     propagators,
@@ -175,7 +175,7 @@ def rhp_rate(model: GeneratorModel, t: float | np.ndarray) -> float | np.ndarray
     gens = generator_superoperator(model, times.reshape(-1))
     projector = ops.max_entangled_projector(model.dim)
     complement = np.eye(projector.shape[0]) - projector
-    delta = apply_extended(gens, projector)
+    delta = apply_superop(gens, projector)
     w = ops.eigvalsh(complement @ delta @ complement)
     scale = np.abs(w).max(axis=-1, keepdims=True, initial=1.0)
     rates = 2.0 * np.where(w < -ops.ZERO_EIG_TOL * scale, -w, 0.0).sum(axis=-1)

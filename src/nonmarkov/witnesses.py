@@ -40,7 +40,6 @@ import numpy as np
 from . import operators as ops
 from .dynamics import (
     Trajectory,
-    apply_extended,
     apply_superop,
     dual_superop,
     pull_back,
@@ -183,10 +182,10 @@ class ExtendedTraceNormWitness(WitnessSpec):
         object.__setattr__(self, "witness", _non_psd_witness(self.witness, "extended", np.sum))
 
     def derivative(self, times: np.ndarray, maps: np.ndarray):
-        return _trace_norm_derivative(times, apply_extended(maps, self.witness))
+        return _trace_norm_derivative(times, apply_superop(maps, self.witness))
 
     def gradient(self, times: np.ndarray, maps: np.ndarray):
-        return _trace_norm_gradient(times, maps, apply_extended(maps, self.witness))
+        return _trace_norm_gradient(times, maps, apply_superop(maps, self.witness))
 
 
 @dataclass(frozen=True)
@@ -355,7 +354,7 @@ class DualOperatorNormWitness(WitnessSpec):
         object.__setattr__(self, "witness", _non_psd_witness(self.witness, "dual", np.max))
 
     def derivative(self, times: np.ndarray, maps: np.ndarray):
-        return _operator_norm_derivative(times, apply_extended(dual_superop(maps), self.witness))
+        return _operator_norm_derivative(times, apply_superop(dual_superop(maps), self.witness))
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +366,9 @@ def verify_invariance(traj: Trajectory, state: np.ndarray | None = None,
     """Check Λ_t σ0 = σ0 (or Λ*_t X0 = X0) across the grid; returns (ok, max dev)."""
     if (state is None) == (observable is None):
         raise ValueError("pass exactly one of state or observable")
-    if state is not None:
-        evolved = apply_superop(traj.maps, np.asarray(state, dtype=complex))
-        dev = float(np.abs(evolved - np.asarray(state)).max())
-    else:
-        evolved = apply_superop(dual_superop(traj.maps), np.asarray(observable, dtype=complex))
-        dev = float(np.abs(evolved - np.asarray(observable)).max())
+    maps = traj.maps if state is not None else dual_superop(traj.maps)
+    fixed = np.asarray(state if state is not None else observable, dtype=complex)
+    dev = float(np.abs(apply_superop(maps, fixed) - fixed).max())
     return dev <= INVARIANCE_TOL, dev
 
 

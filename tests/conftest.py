@@ -44,7 +44,7 @@ def unvec(vector, dim=None):
 
 def extended_superop(m):
     """Materialize the (d^2)^2 x (d^2)^2 matrix of id ⊗ Λ (small d only), the
-    reference for the blockwise apply_extended."""
+    reference for apply_superop on H ⊗ H."""
     n = m.shape[0]
     d = isqrt(n)
     eye = np.eye(d)

@@ -17,7 +17,7 @@ from nonmarkov.dynamics import (
     Sine,
     SpinBoson,
     TraceReplacement,
-    apply_extended,
+    apply_superop,
     averaged_target_series,
     evolve,
     intermediate_map,
@@ -246,7 +246,7 @@ def test_criterion_7_property_suites(sine_traj):
     for i in range(200):
         x = ops.random_hermitian(4, rng)
         m = snapshots[i % len(snapshots)]
-        if ops.trace_norm(apply_extended(m, x)) > ops.trace_norm(x) + 1e-8:
+        if ops.trace_norm(apply_superop(m, x)) > ops.trace_norm(x) + 1e-8:
             failures.append("contraction")
             break
 
@@ -263,7 +263,7 @@ def test_criterion_7_property_suites(sine_traj):
     # PSD witnesses carry no signal
     psd = ops.random_hermitian(4, rng)
     psd = psd @ psd.conj().T + 0.05 * np.eye(4)
-    values = np.asarray([ops.trace_norm(apply_extended(m, psd)) for m in sine_traj.maps])
+    values = np.asarray([ops.trace_norm(apply_superop(m, psd)) for m in sine_traj.maps])
     flows = derivative_series(sine_traj.times, values)
     if np.abs(flows).max() > 1e-8:
         failures.append("psd-nullity")
@@ -273,7 +273,6 @@ def test_criterion_7_property_suites(sine_traj):
         channel = random_cptp(2, rng)
         rho = ops.random_density_matrix(2, rng)
         sigma = ops.random_density_matrix(2, rng)
-        from nonmarkov.dynamics import apply_superop
         crho, csigma = apply_superop(channel, rho), apply_superop(channel, sigma)
         checks = [
             ops.relative_entropy(crho, csigma) <= ops.relative_entropy(rho, sigma) + 1e-9,

@@ -16,6 +16,7 @@ from nonmarkov.config import ConfigError, load_config, parse_witness_descriptor
 from nonmarkov.dynamics import (
     BlochZSineTarget,
     Constant,
+    ConstantTarget,
     Dephasing,
     Sine,
     TraceReplacement,
@@ -524,6 +525,19 @@ prefix = imp
                      "--out", str(out), "--quiet"]) == 0
         report = json.loads((out / "imp_report.json").read_text())
         assert report["verdict"]["markovian"] is False
+
+    def test_import_rejects_witness_of_another_dimension(self, tmp_path, capsys):
+        model = TraceReplacement(Constant(1.0), ConstantTarget(np.eye(3) / 3))
+        path = tmp_path / "qutrit.traj"
+        save_trajectory(evolve(model, np.linspace(0, 1, 17)), path)
+        cfg_path = _write(tmp_path, "[witnesses]\nspecs = trace_norm_extended(pauli:xx)\n")
+        out = tmp_path / "out"
+        assert main(["import", str(path), "--config", cfg_path, "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "witnesses.specs" in err and "trace_norm_extended(pauli:xx)" in err
+        assert "dimension 2" in err and "on 3" in err
+        assert not out.exists()
 
     def test_import_echoes_file_model_and_skips_rhp(self, tmp_path):
         model = TraceReplacement(Constant(1.0), BlochZSineTarget(1.2))

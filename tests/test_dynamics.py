@@ -26,7 +26,6 @@ from nonmarkov.dynamics import (
     SpinBoson,
     TraceReplacement,
     Trajectory,
-    apply_extended,
     apply_superop,
     choi_matrix,
     dual_superop,
@@ -34,6 +33,7 @@ from nonmarkov.dynamics import (
     generator_superoperator,
     intermediate_map,
     load_trajectory,
+    pull_back,
     save_trajectory,
     vec,
 )
@@ -75,7 +75,7 @@ class TestVectorization:
         m = dyn.sandwich(PAULI_X) @ np.diag([1.0, 0.5, 0.5, 1.0]).astype(complex)
         y = random_hermitian(4, rng)
         via_matrix = unvec(extended_superop(m) @ vec(y), 4)
-        np.testing.assert_allclose(apply_extended(m, y), via_matrix, atol=1e-12)
+        np.testing.assert_allclose(apply_superop(m, y), via_matrix, atol=1e-12)
 
 
 class TestGenerator:
@@ -536,6 +536,22 @@ class TestTrajectoryValidation:
         with pytest.raises(ValueError, match="node 5"):
             Trajectory(times=traj.times, maps=maps)
 
+    @pytest.mark.parametrize("backend", ["analytic", "numeric"])
+    @pytest.mark.parametrize("rate", [-5.0, -6.0])
+    def test_trace_preservation_relative_to_map_scale(self, rate, backend):
+        # Γ = 4 rate at the end, so the maps grow like e^{-Γ} and carry
+        # rounding of that size in their traces
+        model = TraceReplacement(Constant(rate), BlochZSineTarget(1.2))
+        traj = evolve(model, np.linspace(0, 4, 129), backend=backend)
+        assert np.abs(traj.maps).max() > 1e8
+
+    def test_trace_defect_at_unit_scale_rejected(self):
+        traj = evolve(Dephasing(rate=Constant(1.0)), np.linspace(0, 1, 17))
+        maps = traj.maps.copy()
+        maps[5, 0, 0] += 1e-6
+        with pytest.raises(ValueError, match="node 5"):
+            Trajectory(times=traj.times, maps=maps)
+
     def test_monotone_times(self):
         maps = np.stack([np.eye(4), np.eye(4)]).astype(complex)
         with pytest.raises(ValueError):
@@ -572,11 +588,12 @@ class TestTrajectoryValidation:
 class TestTrajectoryFile:
     def test_round_trip_bit_exact(self, tmp_path):
         traj = evolve(Dephasing(rate=Sine(1.0)), np.linspace(0, 2 * np.pi, 65))
+        traj.maps[3, 1, 2] = complex(-0.0, 0.0)  # a signed zero survives too
         path = tmp_path / "t.traj"
         save_trajectory(traj, path)
         loaded = load_trajectory(path)
-        assert np.array_equal(loaded.times, traj.times)
-        assert np.array_equal(loaded.maps, traj.maps)
+        assert loaded.times.tobytes() == traj.times.tobytes()
+        assert loaded.maps.tobytes() == traj.maps.tobytes()
         assert loaded.meta["variant"] == "dephasing"
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -806,32 +823,49 @@ class TestBackendAgreement:
         _assert_backends_agree(TraceReplacement(rate=rate, target=target), times)
 
 
-class TestApplyExtendedStack:
+class TestApplySuperopStack:
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 3))
-    def test_matches_materialized_superop(self, seed, dim):
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 3), extended=st.booleans())
+    def test_matches_materialized_superop(self, seed, dim, extended):
         rng = np.random.default_rng(seed)
         n = dim * dim
+        size = n if extended else dim  # the operator acts on H ⊗ H or on H
         maps = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
-        y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        stacked = apply_extended(maps, y)
-        assert stacked.shape == (5, n, n)
+        y = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        stacked = apply_superop(maps, y)
+        assert stacked.shape == (5, size, size)
         for m, got in zip(maps, stacked):
-            want = unvec(extended_superop(m) @ vec(y), n)
+            want = unvec((extended_superop(m) if extended else m) @ vec(y), size)
             tol = 1e-13 * np.abs(m).max() * np.abs(y).max() * n
             np.testing.assert_allclose(got, want, rtol=0, atol=tol)
-            np.testing.assert_array_equal(apply_extended(m, y), got)
+            np.testing.assert_array_equal(apply_superop(m, y), got)
+
+    @pytest.mark.parametrize("dim, ancilla", [(2, 1), (2, 2), (3, 1), (3, 3)])
+    def test_pull_back_is_the_adjoint(self, dim, ancilla):
+        # Σ_k <(id_a ⊗ Λ_k)(x), y_k> = <x, pull_back(m, y)>, with <A, B> = Tr A†B
+        rng = np.random.default_rng(10 * dim + ancilla)
+        n, size = dim * dim, ancilla * dim
+        maps = rng.normal(size=(7, n, n)) + 1j * rng.normal(size=(7, n, n))
+        x = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        y = rng.normal(size=(7, size, size)) + 1j * rng.normal(size=(7, size, size))
+        evolved = apply_superop(maps, x)
+        lhs = np.vdot(evolved, y)
+        rhs = np.vdot(x, pull_back(maps, y))
+        assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(evolved) * np.linalg.norm(y)
 
     @pytest.mark.parametrize("dim, size", [(2, 1100), (3, 100)])
     def test_stack_spanning_several_row_blocks(self, dim, size):
-        # more rows than one GEMM block takes, split inside a map for dim 3
+        # more rows than one GEMM (H ⊗ H) or GEMV (H) block takes, split
+        # inside a map for dim 3 and for the GEMV
         rng = np.random.default_rng(dim)
         n = dim * dim
         maps = rng.normal(size=(size, n, n)) + 1j * rng.normal(size=(size, n, n))
-        y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        assert size * n * n * n > dyn._SERIAL_GEMM_MNK
-        stacked = apply_extended(maps, y)
-        tol = 1e-13 * np.abs(maps).max() * np.abs(y).max() * n
-        for k in range(size):
-            want = unvec(extended_superop(maps[k]) @ vec(y), n)
-            np.testing.assert_allclose(stacked[k], want, rtol=0, atol=tol)
+        assert size * n * n * n > dyn._SERIAL_GEMM_MNK and size * n * n > dyn._SERIAL_GEMV_MN
+        for side in (n, dim):
+            y = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+            stacked = apply_superop(maps, y)
+            tol = 1e-13 * np.abs(maps).max() * np.abs(y).max() * n
+            for k in range(size):
+                matrix = extended_superop(maps[k]) if side == n else maps[k]
+                want = unvec(matrix @ vec(y), side)
+                np.testing.assert_allclose(stacked[k], want, rtol=0, atol=tol)

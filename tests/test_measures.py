@@ -16,7 +16,6 @@ from nonmarkov.dynamics import (
     SpinBoson,
     TraceReplacement,
     Trajectory,
-    apply_extended,
     apply_superop,
     choi_matrix,
     evolve,
@@ -153,7 +152,7 @@ def _rhp_rate_reference(model, t, eps=1e-6):
     """Finite-difference RHP rate: the trace-norm quotient
     (||P + e Δ||_1 - 1) / e, Richardson-extrapolated from e = eps and eps/2."""
     projector = ops.max_entangled_projector(model.dim)
-    delta = apply_extended(generator_superoperator(model, t), projector)
+    delta = apply_superop(generator_superoperator(model, t), projector)
 
     def quotient(e):
         return (ops.trace_norm(projector + e * delta) - 1.0) / e
@@ -333,7 +332,7 @@ class TestClimb:
         traj = request.getfixturevalue(name)
         extended = family is ExtendedTraceNormWitness
         n = traj.dim ** 2 if extended else traj.dim
-        evolved = lambda x: (apply_extended if extended else apply_superop)(traj.maps, x)
+        evolved = lambda x: apply_superop(traj.maps, x)
         nodes = traj.times.size
         # the nodes that each interior node's stencil may read
         stencils = np.clip(np.arange(1, nodes - 1)[:, None] + np.arange(-2, 3), 0, nodes - 1)

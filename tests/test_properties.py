@@ -17,7 +17,6 @@ from nonmarkov.dynamics import (
     Sine,
     SpinBoson,
     TraceReplacement,
-    apply_extended,
     apply_superop,
     choi_matrix,
     dual_superop,
@@ -131,14 +130,14 @@ class TestContraction:
         while count < 200:
             x = ops.random_hermitian(4, rng)
             m = snapshots[count % len(snapshots)]
-            assert ops.trace_norm(apply_extended(m, x)) <= ops.trace_norm(x) + 1e-8
+            assert ops.trace_norm(apply_superop(m, x)) <= ops.trace_norm(x) + 1e-8
             count += 1
 
     def test_psd_witness_is_blind(self, rng):
         traj = evolve(Dephasing(rate=Sine(1.0)), np.linspace(0, 2 * np.pi, 129))
         psd = ops.random_hermitian(4, rng)
         psd = psd @ psd.conj().T + 0.1 * np.eye(4)
-        values = np.asarray([ops.trace_norm(apply_extended(m, psd)) for m in traj.maps])
+        values = np.asarray([ops.trace_norm(apply_superop(m, psd)) for m in traj.maps])
         np.testing.assert_allclose(values, np.trace(psd).real, atol=1e-10)
         flows = derivative_series(traj.times, values)
         assert np.abs(flows).max() <= 1e-8

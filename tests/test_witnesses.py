@@ -12,7 +12,6 @@ from nonmarkov.dynamics import (
     Sine,
     SpinBoson,
     TraceReplacement,
-    apply_extended,
     apply_superop,
     dual_superop,
     evolve,
@@ -144,7 +143,7 @@ XX = 0.5 * np.kron(PAULI_X, PAULI_X)
 FAMILY_REFERENCES = {
     "trace_norm_extended": (
         lambda: ExtendedTraceNormWitness(XX), "sine_traj", 1.0,
-        lambda s, m: ops.trace_norm(apply_extended(m, s.witness))),
+        lambda s, m: ops.trace_norm(apply_superop(m, s.witness))),
     "trace_norm_plain": (
         lambda: PlainTraceNormWitness(PAULI_X), "sine_traj", 1.0,
         lambda s, m: ops.trace_norm(apply_superop(m, s.operator))),
@@ -177,7 +176,7 @@ FAMILY_REFERENCES = {
                                           s.exponent)),
     "dual_operator_norm": (
         lambda: DualOperatorNormWitness(XX), "sine_traj", 1.0,
-        lambda s, m: np.abs(ops.eigvalsh(apply_extended(dual_superop(m), s.witness))).max(-1)),
+        lambda s, m: np.abs(ops.eigvalsh(apply_superop(dual_superop(m), s.witness))).max(-1)),
 }
 
 
@@ -377,9 +376,9 @@ class TestNormFlows:
         for _ in range(50):
             spec = ExtendedTraceNormWitness(ops.random_hermitian(4, rng))
             ws = series(sine_traj, spec)
-            eigs, vecs = np.linalg.eigh(apply_extended(sine_traj.maps, spec.witness))
+            eigs, vecs = np.linalg.eigh(apply_superop(sine_traj.maps, spec.witness))
             signs = np.einsum("kij,kj,klj->kil", vecs, np.sign(eigs), vecs.conj())
-            rate = apply_extended(rates, spec.witness)
+            rate = apply_superop(rates, spec.witness)
             exact = np.einsum("kij,kji->k", signs, rate).real[1:-1]
             assert np.abs(ws.values - exact)[1:-1].max() <= 1e-5
             positive = np.trapezoid(np.clip(exact, 0.0, None), ws.times)
