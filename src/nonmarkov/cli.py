@@ -151,7 +151,7 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
                 "violation_intervals": wm.series.violation_intervals if wm.series else [],
             }
         if cfg.measure_blp:
-            bm = _stage("measure:blp", blp_measure, traj, cfg.search, steps)
+            bm = _stage("measure:blp", blp_measure, traj, cfg.search)
             measures["blp"] = {
                 "value": bm.value,
                 "pair": (

@@ -18,7 +18,9 @@ The last two share one seeded hill climber, ``_search``, over one kind of
 point: a Hermitian operator of unit trace norm, fed to a trace-norm witness
 family.  The witness search ranges over operators on H ⊗ H
 (``ExtendedTraceNormWitness``) and starts from tensor-product basis
-candidates, the negative-Choi-direction candidate and random witnesses.  The
+candidates, the negative-Choi-direction candidate, the certified candidates
+(id ⊗ Λ_{t_k})⁻¹P₊ of violating steps k, whose flow is positive right after
+t_k, and random witnesses.  The
 BLP search ranges over traceless operators X on H (``PlainTraceNormWitness``)
 and starts from the generalized Gell-Mann basis and random traceless
 operators.  That loses nothing: the BLP flow of a pair (ρ1, ρ2) is
@@ -27,15 +29,15 @@ traceless operator of unit trace norm, and conversely the pair (2X⁺, 2X⁻) of
 the positive and negative parts of such an X has ρ1 − ρ2 = 2X, so its BLP
 flow is exactly the flow of X.
 
-The climbs run in seed order in this process.  Where the flow of the point
-is positive somewhere, a move follows the family's ``gradient`` in the
+Every seed is valued once, and only the seeds of positive value climb, in
+seed order in this process.  A move follows the family's ``gradient`` in the
 tangent space of the search space: the exact gradient of the value with the
 eigenvalue signs read at every node of the derivative stencil.  Unlike the
 gradient of the value itself, it sees the zero crossing of an evolved
-eigenvalue move between nodes.  Elsewhere a move adds a random direction
-from the seed's own random stream.  A move is kept only if its ``series``
-strictly raises the value, so values never decrease and depend only on the
-recorded seed.
+eigenvalue move between nodes.  Where it vanishes, a move adds a random
+direction from the seed's own random stream.  A move is kept only if its
+``series`` strictly raises the value, so values never decrease and depend
+only on the recorded seed.
 """
 
 from __future__ import annotations
@@ -215,9 +217,10 @@ def gell_mann_basis(d: int) -> list:
 
 def _product_candidates(d: int, cap: int) -> list:
     """The first ``cap`` tensor products of single-system basis elements
-    (identity included), skipping the PSD identity x identity direction."""
+    (identity included), skipping the PSD identity x identity direction; none
+    for a ``cap`` below 1."""
     basis = [np.eye(d, dtype=complex)] + gell_mann_basis(d)
-    return [0.5 * np.kron(a, b) for a in basis for b in basis][1:cap + 1]
+    return [0.5 * np.kron(a, b) for a in basis for b in basis][1:max(cap, 0) + 1]
 
 
 def _choi_candidates(data: StepChoiData, n: int) -> list:
@@ -226,6 +229,25 @@ def _choi_candidates(data: StepChoiData, n: int) -> list:
         return []
     proj = np.outer(data.worst_vector, data.worst_vector.conj())
     return [proj - np.eye(n) / n]
+
+
+def _certified_candidates(traj: Trajectory, data: StepChoiData) -> list:
+    """W_k = (id ⊗ Λ_{t_k})⁻¹P₊ for the first and the worst step k of each run
+    of violating steps (minimum Choi eigenvalue below ``DIVISIBILITY_TOL``).
+
+    (id ⊗ Λ_{t_k})W_k = P₊ has trace norm 1 and (id ⊗ Λ_{t_{k+1}})W_k =
+    (id ⊗ V_k)P₊ has trace norm ‖Choi(V_k)‖₁/d > 1 where V_k is not CP, so the
+    flow of W_k is positive right after t_k (Chruściński, Kossakowski and
+    Rivas, PRA 83, 052128 (2011)).  A violating step is never excluded, so
+    Λ_{t_k} is well conditioned."""
+    violating = ~data.excluded & (data.min_eigenvalues < -DIVISIBILITY_TOL)
+    steps = []
+    for first, last in _runs(violating):
+        worst = first + int(np.argmin(data.min_eigenvalues[first:last + 1]))
+        steps += [first] if worst == first else [first, worst]
+    return [ops.hermitian_part(apply_superop(np.linalg.inv(traj.maps[k]),
+                                             ops.max_entangled_projector(traj.dim)))
+            for k in steps]
 
 
 def _traceless(x: np.ndarray) -> np.ndarray:
@@ -265,16 +287,16 @@ def _ascent(traj, point, spec, project):
 
 
 def _climb(traj, spec_cls, project, rng, start, iterations):
-    """Best (operator, series, value) of a climb from the triple ``start``;
-    the step doubles after a kept move and halves otherwise, and the climb
-    ends once it falls below ``MIN_STEP``."""
+    """Best (operator, series, value) of a climb from the triple ``start``,
+    whose value is positive; the step doubles after a kept move and halves
+    otherwise, and the climb ends once it falls below ``MIN_STEP``."""
     point, ws, value = start
     ascent = None
     step = INITIAL_STEP
     for _ in range(iterations):
         if step < MIN_STEP:
             break
-        if value > 0.0 and ascent is None:
+        if ascent is None:
             ascent = _ascent(traj, point, ws.spec, project)
         move = project(ops.random_hermitian(len(point), rng)) if ascent is None else ascent
         moved = _point(spec_cls, point + step * move)
@@ -289,19 +311,20 @@ def _climb(traj, spec_cls, project, rng, start, iterations):
     return point, ws, value
 
 
-def _search(traj, data, basis, spec_cls, project, stream, search):
-    """Best (operator, series, value) of a hill climb from every seed.
+def _search(traj, basis, spec_cls, project, stream, search):
+    """Best (operator, series, value) of a hill climb from every positive seed.
 
     ``spec_cls`` is a trace-norm witness family that stores its Hermitian
     operator with unit trace norm; ``project`` projects onto the search space
     (Hermitian or traceless operators).  The seeds are the ``basis``
     operators, filled up with projected Gaussian draws on the random stream
     ``search.rng_seed`` and cut to ``search.seeds``; a seed or move that
-    ``spec_cls`` rejects is skipped.  Seed i climbs for at most
-    ``search.iterations`` moves on the random stream ``(search.rng_seed,
-    stream, i)``.  With every step propagator CP and no positive seed the
-    climb is skipped, since contraction keeps every flow non-positive.
-    Returns ``(None, None, 0.0)`` when no positive value is found.
+    ``spec_cls`` rejects is skipped.  Each seed is evaluated once.  A seed
+    whose value is 0 is not climbed: no direction is known to raise it, and a
+    random move would climb on rounding noise.  Seed i of positive value
+    climbs for at most ``search.iterations`` moves on the random stream
+    ``(search.rng_seed, stream, i)``.  Returns ``(None, None, 0.0)`` when no
+    positive value is found.
     """
     seeds = list(basis)
     rng = np.random.default_rng(search.rng_seed)
@@ -313,15 +336,13 @@ def _search(traj, data, basis, spec_cls, project, stream, search):
         ws = series(traj, spec)
         seeded.append((point, ws, ws.total_violation))
 
-    cp_violated = bool(np.any(~data.excluded & (data.min_eigenvalues < -1e-12)))
     best = (None, None, 0.0)
-    if not cp_violated and all(v == 0.0 for _, _, v in seeded):
-        return best
     for i, start in enumerate(seeded):
-        rng = np.random.default_rng((search.rng_seed, stream, i))
-        climbed = _climb(traj, spec_cls, project, rng, start, search.iterations)
-        if climbed[2] > best[2]:
-            best = climbed
+        if start[2] > 0.0:
+            rng = np.random.default_rng((search.rng_seed, stream, i))
+            climbed = _climb(traj, spec_cls, project, rng, start, search.iterations)
+            if climbed[2] > best[2]:
+                best = climbed
     return best
 
 
@@ -329,27 +350,26 @@ def witness_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
                     steps: StepChoiData | None = None) -> WitnessMeasureResult:
     """Lower bound on the optimal-witness measure with the witness that attains it.
 
-    The negative-Choi candidate is a seed whenever it exists; the product
-    candidates fill the rest of the seed budget."""
+    The seeds are, in this order, the product candidates, the negative-Choi
+    candidate and the certified candidates of the violating steps, then random
+    witnesses.  The Choi and certified candidates are seeds whenever they
+    exist and the budget holds them; the products fill what they leave."""
     n = traj.dim ** 2
     data = steps if steps is not None else step_choi_data(traj)
-    choi = _choi_candidates(data, n)
-    basis = _product_candidates(traj.dim, max(search.seeds, 1) - len(choi)) + choi
-    witness, ws, value = _search(traj, data, basis, ExtendedTraceNormWitness,
+    directed = _choi_candidates(data, n) + _certified_candidates(traj, data)
+    basis = _product_candidates(traj.dim, max(search.seeds, 1) - len(directed)) + directed
+    witness, ws, value = _search(traj, basis, ExtendedTraceNormWitness,
                                  ops.hermitian_part, 1, search)
     return WitnessMeasureResult(value=float(value), witness=witness, series=ws)
 
 
-def blp_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
-                steps: StepChoiData | None = None) -> BlpMeasureResult:
+def blp_measure(traj: Trajectory, search: SearchConfig = SearchConfig()) -> BlpMeasureResult:
     """Lower bound on the state-distinguishability measure with the best pair.
 
     Searches traceless Hermitian X of unit trace norm for the largest positive
     trace-norm flow; the pair is (2X⁺, 2X⁻), the doubled positive and negative
     parts of the best X, whose BLP flow is the flow of X (module docstring).
     """
-    data = steps if steps is not None else step_choi_data(traj)
-    x, ws, value = _search(traj, data, gell_mann_basis(traj.dim), PlainTraceNormWitness,
+    x, ws, value = _search(traj, gell_mann_basis(traj.dim), PlainTraceNormWitness,
                            _traceless, 2, search)
     return BlpMeasureResult(value=float(value), pair=None if x is None else _pair(x), series=ws)
-

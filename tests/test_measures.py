@@ -20,6 +20,7 @@ from nonmarkov.dynamics import (
     choi_matrix,
     evolve,
     generator_superoperator,
+    vec,
 )
 from nonmarkov.measures import (
     SearchConfig,
@@ -40,7 +41,7 @@ from nonmarkov.witnesses import (
     series,
 )
 
-from conftest import PAULI_X
+from conftest import PAULI_X, extended_superop, unvec
 
 SINE_GRID = np.linspace(0, 2 * np.pi, 257)
 QUICK = SearchConfig(seeds=12, iterations=40, rng_seed=3)
@@ -60,6 +61,25 @@ def markov_traj():
 def replacement_traj():
     model = TraceReplacement(rate=Constant(1.0), target=BlochZSineTarget(scale=1.2))
     return evolve(model, np.linspace(0, 2 * np.pi, 513))
+
+
+def _pulled_back_projector(traj, k):
+    """(id ⊗ Λ_{t_k})⁻¹P₊ through the materialized matrix of id ⊗ Λ_{t_k}⁻¹."""
+    n = traj.dim ** 2
+    inverse = extended_superop(np.linalg.inv(traj.maps[k]))
+    return unvec(inverse @ vec(ops.max_entangled_projector(traj.dim)), n)
+
+
+def _certified_reference(traj, data):
+    """The pulled-back projectors of the first and the worst step of each
+    verdict window, in time order."""
+    seeds = []
+    for start, end, _ in divisibility_verdict(traj, steps=data).violation_intervals:
+        first = int(np.searchsorted(data.start_times, start))
+        last = int(np.searchsorted(data.end_times, end))
+        worst = first + int(np.argmin(data.min_eigenvalues[first:last + 1]))
+        seeds += [_pulled_back_projector(traj, k) for k in sorted({first, worst})]
+    return seeds
 
 
 def _qutrit_dephasing(rate):
@@ -226,32 +246,69 @@ class TestWitnessMeasure:
         result = witness_measure(replacement_traj, QUICK)
         assert result.value > 1e-4
 
-    @pytest.mark.parametrize("name,seeds,products", [
+    @pytest.mark.parametrize("name,seeds,room", [
         ("sine_traj", 1, 0), ("sine_traj", 12, 11), ("sine_traj", 15, 14),
         ("sine_traj", 16, 15), ("sine_traj", 64, 15), ("qutrit_traj", 64, 63),
     ])
-    def test_choi_candidate_is_always_a_seed(self, name, seeds, products, request,
-                                             monkeypatch):
-        # the products fill what the negative-Choi candidate leaves of the
-        # budget, in their tensor-basis order
+    def test_choi_candidate_is_always_a_seed(self, name, seeds, room, request, monkeypatch):
+        # ``room`` products, in their tensor-basis order, fit beside the
+        # negative-Choi candidate.  The certified candidates follow it and take
+        # the place of the last of those products, never of the Choi candidate.
         traj = request.getfixturevalue(name)
         bases = []
 
-        def record(traj, data, basis, *rest):
+        def record(traj, basis, *rest):
             bases.append(basis)
             return None, None, 0.0
 
         monkeypatch.setattr(measures, "_search", record)
         witness_measure(traj, SearchConfig(seeds=seeds))
         (basis,) = bases
-        worst = step_choi_data(traj).worst_vector
+        data = step_choi_data(traj)
+        worst = data.worst_vector
         n = traj.dim ** 2
+        certified = _certified_reference(traj, data)
+        assert len(certified) == 2
+        products = min(room, max(seeds - 1 - len(certified), 0))
         local = [np.eye(traj.dim, dtype=complex)] + gell_mann_basis(traj.dim)
         expected = [0.5 * np.kron(a, b) for a in local for b in local][1:products + 1]
         expected.append(np.outer(worst, worst.conj()) - np.eye(n) / n)
-        assert len(basis) == len(expected)
+        assert len(basis) == len(expected) + len(certified)
         for got, want in zip(basis, expected):
             np.testing.assert_array_equal(got, want)
+        for got, want in zip(basis[len(expected):], certified):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("case", [
+        "example1-129", "example1-257", "example1-513",
+        "example2-129", "example2-257", "example2-513",
+        "qutrit", "replacement-rate5",
+    ])
+    def test_certified_seed_of_each_window_is_positive(self, case, qutrit_traj):
+        # Where the verdict finds a violation, the certified seed of the
+        # window's first step has a positive flow, so the search has a
+        # positive value to climb from.
+        if case == "qutrit":
+            traj = qutrit_traj
+        elif case == "replacement-rate5":
+            traj = evolve(TraceReplacement(rate=Constant(5.0), target=BlochZSineTarget(1.2)),
+                          np.linspace(0, 10, 257))
+        else:
+            example, nodes = case.split("-")
+            model = (Dephasing(rate=Sine(1.0)) if example == "example1" else
+                     TraceReplacement(rate=Constant(1.0), target=BlochZSineTarget(scale=1.2)))
+            traj = evolve(model, np.linspace(0, 2 * np.pi, int(nodes)))
+        data = step_choi_data(traj)
+        verdict = divisibility_verdict(traj, steps=data)
+        assert verdict.violation_intervals
+        certified = measures._certified_candidates(traj, data)
+        for start, _, _ in verdict.violation_intervals:
+            first = int(np.searchsorted(data.start_times, start))
+            seed = _pulled_back_projector(traj, first)
+            assert any(np.allclose(seed, x, rtol=0, atol=1e-12 * np.abs(seed).max())
+                       for x in certified)
+            assert series(traj, ExtendedTraceNormWitness(seed)).total_violation > 0.0
+        assert witness_measure(traj, QUICK).value > 0.0
 
     def test_reproducible_under_seed(self, sine_traj, replacement_traj):
         a = witness_measure(sine_traj, QUICK)
@@ -259,13 +316,14 @@ class TestWitnessMeasure:
         assert a.value == b.value
         np.testing.assert_array_equal(a.witness, b.witness)
         # reference values of the seed-3 search; a refactor must reproduce them.
-        # Example 2's climb is routed by rounding noise, so its pin moves with
-        # any change to the flow arithmetic or the moves (re-pinned when the
-        # norm flows moved to the derivative of the sorted spectrum, and when
-        # gradient moves replaced random ones where the flow is positive)
+        # Example 2's pin moved when the norm flows moved to the derivative of
+        # the sorted spectrum and when gradient moves replaced random ones,
+        # both times on a climb from a seed of value 0, routed by rounding
+        # noise.  Only seeds of positive value climb now; this value is the
+        # climb from a certified seed.
         assert a.value == pytest.approx(0.8643064805615197, rel=1e-12)
         assert witness_measure(replacement_traj, QUICK).value == pytest.approx(
-            0.023003129024298602, rel=1e-12)
+            0.013897496628432095, rel=1e-12)
 
 
 class TestBlpMeasure:
@@ -397,6 +455,23 @@ class TestClimb:
             assert evaluate(traj, spec).total_violation == result.value
             # the first QUICK.seeds evaluations are the seeds
             assert result.value >= max(seeded[:QUICK.seeds])
+
+    def test_seeds_of_value_zero_are_not_climbed(self, markov_traj, replacement_traj,
+                                                 monkeypatch):
+        # each of the QUICK seeds is evaluated once; none has a positive flow
+        calls = []
+        evaluate = measures.series
+
+        def count(traj, spec):
+            calls.append(spec)
+            return evaluate(traj, spec)
+
+        monkeypatch.setattr(measures, "series", count)
+        assert blp_measure(replacement_traj, QUICK).value == 0.0
+        assert len(calls) == QUICK.seeds == 12
+        calls.clear()
+        assert witness_measure(markov_traj, QUICK).value == 0.0
+        assert len(calls) == 12
 
     def test_one_dimensional_trajectory_has_nothing_to_climb(self):
         # d = 1 has no traceless operator and no Gell-Mann basis to seed from
