@@ -144,7 +144,8 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
             _write_csv(out_dir / f"{cfg.prefix}_rhp_rate.csv", ["t", "value"], "%.17g,%.17g",
                        traj.times, rate_values)
         if cfg.measure_witness:
-            wm = _stage("measure:witness", witness_measure, traj, cfg.search, steps)
+            wm = _stage("measure:witness", witness_measure, traj, cfg.search, steps,
+                        cfg.divisibility_tol)
             measures["witness"] = {
                 "value": wm.value,
                 "witness": _matrix_json(wm.witness) if wm.witness is not None else None,

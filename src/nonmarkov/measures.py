@@ -14,30 +14,29 @@ Three measures are computed over a finite, user-configured horizon:
 * the state-distinguishability (BLP) measure, the same supremum over pairs of
   states.
 
-The last two share one seeded hill climber, ``_search``, over one kind of
-point: a Hermitian operator of unit trace norm, fed to a trace-norm witness
-family.  The witness search ranges over operators on H ⊗ H
-(``ExtendedTraceNormWitness``) and starts from tensor-product basis
-candidates, the negative-Choi-direction candidate, the certified candidates
+The last two share one hill climber, ``_search``, over one kind of point: a
+Hermitian operator of unit trace norm, fed to a trace-norm witness family.
+The witness search ranges over operators on H ⊗ H
+(``ExtendedTraceNormWitness``).  Its seeds are the certified candidates
 (id ⊗ Λ_{t_k})⁻¹P₊ of violating steps k, whose flow is positive right after
-t_k, and random witnesses.  The
+t_k, then the tensor-product basis candidates, then random witnesses.  The
 BLP search ranges over traceless operators X on H (``PlainTraceNormWitness``)
-and starts from the generalized Gell-Mann basis and random traceless
+and starts from the generalized Gell-Mann basis, then random traceless
 operators.  That loses nothing: the BLP flow of a pair (ρ1, ρ2) is
 ½‖ρ1 − ρ2‖₁ ≤ 1 times the trace-norm flow of X = (ρ1 − ρ2)/‖ρ1 − ρ2‖₁, a
 traceless operator of unit trace norm, and conversely the pair (2X⁺, 2X⁻) of
 the positive and negative parts of such an X has ρ1 − ρ2 = 2X, so its BLP
 flow is exactly the flow of X.
 
-Every seed is valued once, and only the seeds of positive value climb, in
-seed order in this process.  A move follows the family's ``gradient`` in the
-tangent space of the search space: the exact gradient of the value with the
-eigenvalue signs read at every node of the derivative stencil.  Unlike the
-gradient of the value itself, it sees the zero crossing of an evolved
-eigenvalue move between nodes.  Where it vanishes, a move adds a random
-direction from the seed's own random stream.  A move is kept only if its
-``series`` strictly raises the value, so values never decrease and depend
-only on the recorded seed.
+Seeds are taken in order in one pass: each is valued once and, if its value
+is positive, climbed at once.  A move follows the family's ``gradient`` in
+the tangent space of the search space: the exact gradient of the value with
+the eigenvalue signs read at every node of the derivative stencil.  Unlike
+the gradient of the value itself, it sees the zero crossing of an evolved
+eigenvalue move between nodes.  A climb ends where that ascent vanishes.  A
+move is kept only if its ``series`` strictly raises the value, so values
+never decrease, and the random numbers drawn for the fill-up seeds are the
+only ones in the search.
 """
 
 from __future__ import annotations
@@ -71,7 +70,9 @@ MAX_STEP = 2.0
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and reproducibility knobs for the measure optimizers."""
+    """Budget of the measure searches: ``seeds`` starting points, each climbed
+    for at most ``iterations`` moves; ``rng_seed`` seeds the random draws
+    that fill the seeds up after the directed ones, and nothing else."""
 
     seeds: int = 64
     iterations: int = 200
@@ -136,17 +137,22 @@ def step_choi_data(traj: Trajectory) -> StepChoiData:
     )
 
 
+def _violating_runs(data: StepChoiData, tol: float) -> list:
+    """(first, last) step of each run of violating steps: not excluded, with a
+    minimum Choi eigenvalue below -``tol``."""
+    return _runs(~data.excluded & (data.min_eigenvalues < -tol))
+
+
 def divisibility_verdict(traj: Trajectory, tol: float = DIVISIBILITY_TOL,
                          steps: StepChoiData | None = None) -> Verdict:
     """Markovian iff every step propagator is CP (no violations, no exclusions)."""
     if traj.nodes < 2:
         raise ValueError("need at least two nodes for a divisibility verdict")
     data = steps if steps is not None else step_choi_data(traj)
-    violating = ~data.excluded & (data.min_eigenvalues < -tol)
     violations = [
         (float(data.start_times[a]), float(data.end_times[b]),
          float(np.nanmin(data.min_eigenvalues[a:b + 1])))
-        for a, b in _runs(violating)
+        for a, b in _violating_runs(data, tol)
     ]
     excluded = [
         (float(data.start_times[a]), float(data.end_times[b]))
@@ -215,34 +221,26 @@ def gell_mann_basis(d: int) -> list:
     return mats
 
 
-def _product_candidates(d: int, cap: int) -> list:
-    """The first ``cap`` tensor products of single-system basis elements
-    (identity included), skipping the PSD identity x identity direction; none
-    for a ``cap`` below 1."""
+def _product_candidates(d: int) -> list:
+    """Tensor products ½ a ⊗ b of single-system basis elements, the identity
+    first and then the Gell-Mann basis, skipping the PSD identity ⊗ identity
+    direction."""
     basis = [np.eye(d, dtype=complex)] + gell_mann_basis(d)
-    return [0.5 * np.kron(a, b) for a in basis for b in basis][1:max(cap, 0) + 1]
+    return [0.5 * np.kron(a, b) for a in basis for b in basis][1:]
 
 
-def _choi_candidates(data: StepChoiData, n: int) -> list:
-    """Witness directions from the most negative Choi eigenvector."""
-    if data.worst_vector is None or not np.isfinite(data.worst_value):
-        return []
-    proj = np.outer(data.worst_vector, data.worst_vector.conj())
-    return [proj - np.eye(n) / n]
-
-
-def _certified_candidates(traj: Trajectory, data: StepChoiData) -> list:
+def _certified_candidates(traj: Trajectory, data: StepChoiData,
+                          tol: float = DIVISIBILITY_TOL) -> list:
     """W_k = (id ⊗ Λ_{t_k})⁻¹P₊ for the first and the worst step k of each run
-    of violating steps (minimum Choi eigenvalue below ``DIVISIBILITY_TOL``).
+    of violating steps (``_violating_runs``), in time order.
 
     (id ⊗ Λ_{t_k})W_k = P₊ has trace norm 1 and (id ⊗ Λ_{t_{k+1}})W_k =
     (id ⊗ V_k)P₊ has trace norm ‖Choi(V_k)‖₁/d > 1 where V_k is not CP, so the
     flow of W_k is positive right after t_k (Chruściński, Kossakowski and
     Rivas, PRA 83, 052128 (2011)).  A violating step is never excluded, so
     Λ_{t_k} is well conditioned."""
-    violating = ~data.excluded & (data.min_eigenvalues < -DIVISIBILITY_TOL)
     steps = []
-    for first, last in _runs(violating):
+    for first, last in _violating_runs(data, tol):
         worst = first + int(np.argmin(data.min_eigenvalues[first:last + 1]))
         steps += [first] if worst == first else [first, worst]
     return [ops.hermitian_part(apply_superop(np.linalg.inv(traj.maps[k]),
@@ -286,20 +284,20 @@ def _ascent(traj, point, spec, project):
     return grad / norm if norm > 0.0 else None
 
 
-def _climb(traj, spec_cls, project, rng, start, iterations):
+def _climb(traj, spec_cls, project, start, iterations):
     """Best (operator, series, value) of a climb from the triple ``start``,
-    whose value is positive; the step doubles after a kept move and halves
-    otherwise, and the climb ends once it falls below ``MIN_STEP``."""
+    whose value is positive.  Each move is a step along ``_ascent``; the step
+    doubles after a kept move and halves otherwise.  The climb ends where the
+    ascent vanishes or once the step falls below ``MIN_STEP``."""
     point, ws, value = start
     ascent = None
     step = INITIAL_STEP
     for _ in range(iterations):
-        if step < MIN_STEP:
-            break
         if ascent is None:
             ascent = _ascent(traj, point, ws.spec, project)
-        move = project(ops.random_hermitian(len(point), rng)) if ascent is None else ascent
-        moved = _point(spec_cls, point + step * move)
+        if ascent is None or step < MIN_STEP:
+            break
+        moved = _point(spec_cls, point + step * ascent)
         if moved is not None:
             cand = series(traj, moved[1])
             if cand.total_violation > value:
@@ -311,55 +309,48 @@ def _climb(traj, spec_cls, project, rng, start, iterations):
     return point, ws, value
 
 
-def _search(traj, basis, spec_cls, project, stream, search):
+def _search(traj, directed, spec_cls, project, search):
     """Best (operator, series, value) of a hill climb from every positive seed.
 
     ``spec_cls`` is a trace-norm witness family that stores its Hermitian
     operator with unit trace norm; ``project`` projects onto the search space
-    (Hermitian or traceless operators).  The seeds are the ``basis``
-    operators, filled up with projected Gaussian draws on the random stream
-    ``search.rng_seed`` and cut to ``search.seeds``; a seed or move that
-    ``spec_cls`` rejects is skipped.  Each seed is evaluated once.  A seed
-    whose value is 0 is not climbed: no direction is known to raise it, and a
-    random move would climb on rounding noise.  Seed i of positive value
-    climbs for at most ``search.iterations`` moves on the random stream
-    ``(search.rng_seed, stream, i)``.  Returns ``(None, None, 0.0)`` when no
+    (Hermitian or traceless operators).  The seeds are the ``directed``
+    operators, filled up with projected Gaussian draws from
+    ``np.random.default_rng(search.rng_seed)`` and cut to ``search.seeds``; a
+    seed or move that ``spec_cls`` rejects is skipped.  In one pass, each
+    seed is valued once and climbed at once for at most ``search.iterations``
+    moves if its value is positive.  A seed of value 0 is not climbed: no
+    direction is known to raise it.  Returns ``(None, None, 0.0)`` when no
     positive value is found.
     """
-    seeds = list(basis)
+    seeds = list(directed)
     rng = np.random.default_rng(search.rng_seed)
     size = traj.dim ** 2 if spec_cls._doubled else traj.dim
     while len(seeds) < search.seeds:
         seeds.append(project(ops.random_hermitian(size, rng)))
-    seeded = []
+    best = (None, None, 0.0)
     for point, spec in filter(None, (_point(spec_cls, x) for x in seeds[:max(search.seeds, 1)])):
         ws = series(traj, spec)
-        seeded.append((point, ws, ws.total_violation))
-
-    best = (None, None, 0.0)
-    for i, start in enumerate(seeded):
-        if start[2] > 0.0:
-            rng = np.random.default_rng((search.rng_seed, stream, i))
-            climbed = _climb(traj, spec_cls, project, rng, start, search.iterations)
+        if ws.total_violation > 0.0:
+            climbed = _climb(traj, spec_cls, project, (point, ws, ws.total_violation),
+                             search.iterations)
             if climbed[2] > best[2]:
                 best = climbed
     return best
 
 
 def witness_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
-                    steps: StepChoiData | None = None) -> WitnessMeasureResult:
+                    steps: StepChoiData | None = None,
+                    tol: float = DIVISIBILITY_TOL) -> WitnessMeasureResult:
     """Lower bound on the optimal-witness measure with the witness that attains it.
 
-    The seeds are, in this order, the product candidates, the negative-Choi
-    candidate and the certified candidates of the violating steps, then random
-    witnesses.  The Choi and certified candidates are seeds whenever they
-    exist and the budget holds them; the products fill what they leave."""
-    n = traj.dim ** 2
+    The seeds are, in this order, the certified candidates of the steps that
+    violate divisibility at tolerance ``tol`` (the verdict's), the product
+    candidates, then random witnesses, cut to ``search.seeds``."""
     data = steps if steps is not None else step_choi_data(traj)
-    directed = _choi_candidates(data, n) + _certified_candidates(traj, data)
-    basis = _product_candidates(traj.dim, max(search.seeds, 1) - len(directed)) + directed
-    witness, ws, value = _search(traj, basis, ExtendedTraceNormWitness,
-                                 ops.hermitian_part, 1, search)
+    directed = _certified_candidates(traj, data, tol) + _product_candidates(traj.dim)
+    witness, ws, value = _search(traj, directed, ExtendedTraceNormWitness,
+                                 ops.hermitian_part, search)
     return WitnessMeasureResult(value=float(value), witness=witness, series=ws)
 
 
@@ -371,5 +362,5 @@ def blp_measure(traj: Trajectory, search: SearchConfig = SearchConfig()) -> BlpM
     parts of the best X, whose BLP flow is the flow of X (module docstring).
     """
     x, ws, value = _search(traj, gell_mann_basis(traj.dim), PlainTraceNormWitness,
-                           _traceless, 2, search)
+                           _traceless, search)
     return BlpMeasureResult(value=float(value), pair=None if x is None else _pair(x), series=ws)

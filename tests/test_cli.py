@@ -398,6 +398,27 @@ prefix = sb
         err = capsys.readouterr().err
         assert "numeric failure in measure:witness: objective failed in a search" in err
 
+    def test_witness_search_takes_the_verdict_tolerance(self, tmp_path, monkeypatch):
+        # At rate 1e-7 only a tolerance below the default finds the window; the
+        # witness search seeds from the steps that the verdict judges violating.
+        tols = []
+        search = cli.witness_measure
+
+        def record(traj, search_cfg, steps, tol):
+            tols.append(tol)
+            return search(traj, search_cfg, steps, tol)
+
+        monkeypatch.setattr(cli, "witness_measure", record)
+        text = EXAMPLE1.replace("rate.amplitude = 1.0", "rate.amplitude = 1e-7").replace(
+            "enabled = true", "enabled = true\ndivisibility_tol = 1e-10")
+        out = tmp_path / "out"
+        assert main(["report", "--config", _write(tmp_path, text), "--out", str(out),
+                     "--quiet"]) == 0
+        report = json.loads((out / "run_report.json").read_text())
+        assert tols == [1e-10]
+        assert len(report["verdict"]["violation_intervals"]) == 1
+        assert report["measures"]["witness"]["value"] > 0.0
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         cfg_path = _write(tmp_path, EXAMPLE1)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -70,16 +70,32 @@ def _pulled_back_projector(traj, k):
     return unvec(inverse @ vec(ops.max_entangled_projector(traj.dim)), n)
 
 
-def _certified_reference(traj, data):
+def _certified_reference(traj, data, tol=measures.DIVISIBILITY_TOL):
     """The pulled-back projectors of the first and the worst step of each
     verdict window, in time order."""
     seeds = []
-    for start, end, _ in divisibility_verdict(traj, steps=data).violation_intervals:
+    for start, end, _ in divisibility_verdict(traj, tol, data).violation_intervals:
         first = int(np.searchsorted(data.start_times, start))
         last = int(np.searchsorted(data.end_times, end))
         worst = first + int(np.argmin(data.min_eigenvalues[first:last + 1]))
         seeds += [_pulled_back_projector(traj, k) for k in sorted({first, worst})]
     return seeds
+
+
+def _valued_seeds(traj, search, monkeypatch, **kwargs):
+    """The operators that ``witness_measure`` values as seeds, in order, with
+    the climbs switched off."""
+    seen = []
+    point = measures._point
+
+    def record(spec_cls, x):
+        seen.append(x)
+        return point(spec_cls, x)
+
+    monkeypatch.setattr(measures, "_point", record)
+    monkeypatch.setattr(measures, "_climb", lambda traj, spec_cls, project, start, its: start)
+    witness_measure(traj, search, **kwargs)
+    return seen
 
 
 def _qutrit_dephasing(rate):
@@ -246,38 +262,46 @@ class TestWitnessMeasure:
         result = witness_measure(replacement_traj, QUICK)
         assert result.value > 1e-4
 
-    @pytest.mark.parametrize("name,seeds,room", [
-        ("sine_traj", 1, 0), ("sine_traj", 12, 11), ("sine_traj", 15, 14),
-        ("sine_traj", 16, 15), ("sine_traj", 64, 15), ("qutrit_traj", 64, 63),
+    @pytest.mark.parametrize("name,seeds", [
+        ("sine_traj", 1), ("sine_traj", 2), ("sine_traj", 12), ("sine_traj", 15),
+        ("sine_traj", 16), ("sine_traj", 17), ("sine_traj", 64), ("qutrit_traj", 64),
     ])
-    def test_choi_candidate_is_always_a_seed(self, name, seeds, room, request, monkeypatch):
-        # ``room`` products, in their tensor-basis order, fit beside the
-        # negative-Choi candidate.  The certified candidates follow it and take
-        # the place of the last of those products, never of the Choi candidate.
+    def test_seed_order(self, name, seeds, request, monkeypatch):
+        # The certified seeds in time order (first and worst step of each
+        # window), then the products in tensor-basis order, then random draws
+        # from the search's rng_seed, cut to the budget.
         traj = request.getfixturevalue(name)
-        bases = []
-
-        def record(traj, basis, *rest):
-            bases.append(basis)
-            return None, None, 0.0
-
-        monkeypatch.setattr(measures, "_search", record)
-        witness_measure(traj, SearchConfig(seeds=seeds))
-        (basis,) = bases
-        data = step_choi_data(traj)
-        worst = data.worst_vector
-        n = traj.dim ** 2
-        certified = _certified_reference(traj, data)
+        seen = _valued_seeds(traj, SearchConfig(seeds=seeds, rng_seed=5), monkeypatch)
+        certified = _certified_reference(traj, step_choi_data(traj))
         assert len(certified) == 2
-        products = min(room, max(seeds - 1 - len(certified), 0))
         local = [np.eye(traj.dim, dtype=complex)] + gell_mann_basis(traj.dim)
-        expected = [0.5 * np.kron(a, b) for a in local for b in local][1:products + 1]
-        expected.append(np.outer(worst, worst.conj()) - np.eye(n) / n)
-        assert len(basis) == len(expected) + len(certified)
-        for got, want in zip(basis, expected):
-            np.testing.assert_array_equal(got, want)
-        for got, want in zip(basis[len(expected):], certified):
+        products = [0.5 * np.kron(a, b) for a in local for b in local][1:]
+        rng = np.random.default_rng(5)
+        draws = [ops.hermitian_part(ops.random_hermitian(traj.dim ** 2, rng))
+                 for _ in range(seeds - len(certified) - len(products))]
+        expected = (certified + products + draws)[:seeds]
+        assert len(seen) == seeds
+        for got, want in zip(seen, certified):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        for got, want in zip(seen[len(certified):], expected[len(certified):]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_certified_seeds_follow_the_verdict_tolerance(self, monkeypatch):
+        # At a weak rate the step Choi eigenvalues stay above the default
+        # tolerance; the verdict at a finer one finds a window, and the
+        # witness search at that tolerance starts from its certified seeds.
+        traj = evolve(Dephasing(rate=Sine(1e-7)), SINE_GRID)
+        data = step_choi_data(traj)
+        tol = 1e-10
+        (window,) = divisibility_verdict(traj, tol, data).violation_intervals
+        assert -measures.DIVISIBILITY_TOL < window[2] < -tol
+        assert measures._certified_candidates(traj, data) == []
+        certified = _certified_reference(traj, data, tol)
+        assert len(certified) == 2
+        seen = _valued_seeds(traj, QUICK, monkeypatch, tol=tol)
+        for got, want in zip(seen, certified):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            assert series(traj, ExtendedTraceNormWitness(want)).total_violation > 0.0
 
     @pytest.mark.parametrize("case", [
         "example1-129", "example1-257", "example1-513",
@@ -453,8 +477,8 @@ class TestClimb:
             if operator is not None:
                 np.testing.assert_array_equal(getattr(spec, operator), result.witness)
             assert evaluate(traj, spec).total_violation == result.value
-            # the first QUICK.seeds evaluations are the seeds
-            assert result.value >= max(seeded[:QUICK.seeds])
+            # seeds and moves alike: no evaluated point beats the result
+            assert result.value >= max(seeded)
 
     def test_seeds_of_value_zero_are_not_climbed(self, markov_traj, replacement_traj,
                                                  monkeypatch):
@@ -472,6 +496,38 @@ class TestClimb:
         calls.clear()
         assert witness_measure(markov_traj, QUICK).value == 0.0
         assert len(calls) == 12
+
+    @pytest.mark.parametrize("name", ["sine_traj", "qutrit_traj"])
+    def test_climb_ends_where_its_ascent_vanishes(self, name, request, monkeypatch):
+        # With no ascent anywhere, every accepted seed is valued once and
+        # never moved, and random numbers are drawn only for the fill-up.
+        traj = request.getfixturevalue(name)
+        search = SearchConfig(seeds=24, iterations=40, rng_seed=3)
+        values, draws = [], []
+        evaluate, draw = measures.series, ops.random_hermitian
+
+        def record(traj, spec):
+            ws = evaluate(traj, spec)
+            values.append(ws.total_violation)
+            return ws
+
+        def count(dim, rng):
+            draws.append(dim)
+            return draw(dim, rng)
+
+        monkeypatch.setattr(measures, "_ascent", lambda *args: None)
+        monkeypatch.setattr(measures, "series", record)
+        monkeypatch.setattr(ops, "random_hermitian", count)
+        # the certified seeds and the d⁴ - 1 products; the d² - 1 Gell-Mann matrices
+        certified = _certified_reference(traj, step_choi_data(traj))
+        for measure, directed in ((witness_measure, len(certified) + traj.dim ** 4 - 1),
+                                  (blp_measure, traj.dim ** 2 - 1)):
+            values.clear()
+            draws.clear()
+            result = measure(traj, search)
+            assert len(values) == search.seeds
+            assert len(draws) == max(search.seeds - directed, 0)
+            assert result.value == max(values) > 0.0
 
     def test_one_dimensional_trajectory_has_nothing_to_climb(self):
         # d = 1 has no traceless operator and no Gell-Mann basis to seed from
