@@ -343,10 +343,14 @@ def load_config(path, seed_override: int | None = None,
     t_max = _number(grid.get("t_max"), "grid.t_max")
     if t_max <= 0:
         raise ConfigError("grid.t_max", f"must be positive, got {grid.get('t_max')!r}")
-    kernel = getattr(model, "kernel", None)
-    if not for_import and isinstance(kernel, TabulatedKernel) and t_max > kernel.times[-1]:
-        raise ConfigError("model.kernel.times", f"the table ends at t={kernel.times[-1]:.6g}, "
-                                                f"before grid.t_max = {t_max:.6g}")
+    tables = {f"model.{key}": getattr(model, key, None) for key in ("rate", "kernel")}
+    tables.update((f"model.noise.{n}.rate", rate)
+                  for n, (_, rate) in enumerate(getattr(model, "noise", ()), 1))
+    for name, table in tables.items():
+        if (not for_import and isinstance(table, (Table, TabulatedKernel))
+                and (table.times[0] > 0.0 or table.times[-1] < t_max)):
+            raise ConfigError(f"{name}.times", f"the table spans [{table.times[0]:.6g}, "
+                              f"{table.times[-1]:.6g}], not [0, grid.t_max = {t_max:.6g}]")
     try:
         nodes = int(grid.get("nodes", "257"))
     except ValueError as exc:
@@ -379,10 +383,10 @@ def load_config(path, seed_override: int | None = None,
 
     opt = parser["search"] if "search" in parser else {}
     try:
-        rng_seed = int(opt.get("rng_seed", "0"))
+        rng_seed = int(opt.get("rng_seed", SearchConfig.rng_seed))
         search = SearchConfig(
-            seeds=int(opt.get("seeds", "64")),
-            iterations=int(opt.get("iterations", "200")),
+            seeds=int(opt.get("seeds", SearchConfig.seeds)),
+            iterations=int(opt.get("iterations", SearchConfig.iterations)),
             rng_seed=rng_seed if seed_override is None else seed_override,
         )
     except ValueError as exc:

@@ -29,14 +29,14 @@ the positive and negative parts of such an X has ρ1 − ρ2 = 2X, so its BLP
 flow is exactly the flow of X.
 
 Seeds are taken in order in one pass: each is valued once and, if its value
-is positive, climbed at once.  A move follows the family's ``gradient`` in
-the tangent space of the search space: the exact gradient of the value with
-the eigenvalue signs read at every node of the derivative stencil.  Unlike
-the gradient of the value itself, it sees the zero crossing of an evolved
-eigenvalue move between nodes.  A climb ends where that ascent vanishes.  A
-move is kept only if its ``series`` strictly raises the value, so values
-never decrease, and the random numbers drawn for the fill-up seeds are the
-only ones in the search.
+is positive, climbed at once.  A move follows ``_trace_norm_gradient`` of the
+evolved operator in the tangent space of the search space: the exact gradient
+of the value with the eigenvalue signs read at every node of the derivative
+stencil.  Unlike the gradient of the value itself, it sees the zero crossing
+of an evolved eigenvalue move between nodes.  A climb ends where that ascent
+vanishes or its step falls below ``MIN_STEP``.  A move is kept only if its
+``series`` strictly raises the value, so values never decrease, and the
+random numbers drawn for the fill-up seeds are the only ones in the search.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .witnesses import (
     PlainTraceNormWitness,
     WitnessSeries,
     _runs,
+    _trace_norm_gradient,
     series,
 )
 
@@ -272,11 +273,11 @@ def _point(spec_cls, x):
     return getattr(spec, fields(spec)[0].name), spec
 
 
-def _ascent(traj, point, spec, project):
-    """The family's ``gradient`` at ``point``, projected, less its part along
+def _ascent(traj, point, project):
+    """``_trace_norm_gradient`` at ``point``, projected, less its part along
     the projected normal sign(point) of the unit trace-norm sphere; scaled to
     unit trace norm, or None where it vanishes."""
-    grad = project(spec.gradient(traj.times, traj.maps))
+    grad = project(_trace_norm_gradient(traj.times, traj.maps, apply_superop(traj.maps, point)))
     w, v = np.linalg.eigh(point)
     normal = project((v * np.sign(w)) @ v.conj().T)
     grad = grad - np.vdot(normal, grad).real / np.vdot(normal, normal).real * normal
@@ -294,7 +295,7 @@ def _climb(traj, spec_cls, project, start, iterations):
     step = INITIAL_STEP
     for _ in range(iterations):
         if ascent is None:
-            ascent = _ascent(traj, point, ws.spec, project)
+            ascent = _ascent(traj, point, project)
         if ascent is None or step < MIN_STEP:
             break
         moved = _point(spec_cls, point + step * ascent)

@@ -6,8 +6,7 @@ oriented flow signals a breakdown of divisibility.  Each family is one spec
 class, the only place it is defined: ``derivative(times, maps)`` is the
 derivative of its functional on a map stack at the interior nodes,
 ``orientation`` its sign, and ``invariant()`` the state or observable it needs
-left fixed, or None.  The two trace-norm families also give a ``gradient``,
-the ascent the measure searches climb (``_trace_norm_gradient``):
+left fixed, or None:
 
 * extended/plain trace-norm witnesses: d/dt of the evolved trace norm
   (witnesses are stored with unit trace norm, so the flow is scale-free);
@@ -184,9 +183,6 @@ class ExtendedTraceNormWitness(WitnessSpec):
     def derivative(self, times: np.ndarray, maps: np.ndarray):
         return _trace_norm_derivative(times, apply_superop(maps, self.witness))
 
-    def gradient(self, times: np.ndarray, maps: np.ndarray):
-        return _trace_norm_gradient(times, maps, apply_superop(maps, self.witness))
-
 
 @dataclass(frozen=True)
 class PlainTraceNormWitness(WitnessSpec):
@@ -203,9 +199,6 @@ class PlainTraceNormWitness(WitnessSpec):
 
     def derivative(self, times: np.ndarray, maps: np.ndarray):
         return _trace_norm_derivative(times, apply_superop(maps, self.operator))
-
-    def gradient(self, times: np.ndarray, maps: np.ndarray):
-        return _trace_norm_gradient(times, maps, apply_superop(maps, self.operator))
 
 
 @dataclass(frozen=True)

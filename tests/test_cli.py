@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import os
@@ -14,17 +15,26 @@ from nonmarkov import __version__, cli, config, measures
 from nonmarkov.cli import main
 from nonmarkov.config import ConfigError, load_config, parse_witness_descriptor
 from nonmarkov.dynamics import (
+    SIGMA_MINUS,
+    SIGMA_X,
+    SIGMA_Z,
     BlochZSineTarget,
     Constant,
     ConstantTarget,
     Dephasing,
+    Lindblad,
+    OffsetSine,
     Sine,
+    SpinBoson,
+    Table,
     TraceReplacement,
     Trajectory,
+    describe_model,
     evolve,
     load_trajectory,
     save_trajectory,
 )
+from nonmarkov.volterra import ExponentialKernel, TabulatedKernel
 from nonmarkov.witnesses import (
     DualOperatorNormWitness,
     ExtendedTraceNormWitness,
@@ -80,6 +90,45 @@ def _write(tmp_path, text, name="config.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _model_section(echo: dict) -> str:
+    """A [model] section for the model that ``echo`` describes: a constant
+    target by its state preset, a jump operator by its observable preset and
+    a Hamiltonian as <observable>:<coefficient>."""
+    def matrix(fields, key):
+        return np.array(fields[f"{key}_real"]) + 1j * np.array(fields[f"{key}_imag"])
+
+    def named(table, m):
+        return next(name for name, preset in table.items() if np.array_equal(preset, m))
+
+    def preset(prefix, fields):
+        lines = [f"{prefix} = {fields['preset']}"]
+        for key, value in fields.items():
+            if key != "preset":
+                text = ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
+                lines.append(f"{prefix}.{key} = {text}")
+        return lines
+
+    lines = ["[model]", f"variant = {echo['variant']}"]
+    for key in ("rate", "kernel"):
+        if key in echo:
+            lines += preset(key, echo[key])
+    target = echo.get("target")
+    if target is not None and target["preset"] == "constant":
+        lines.append(f"omega = {named(config._STATES, matrix(target, 'matrix'))}")
+    elif target is not None:
+        lines += preset("omega", target)
+    if "hamiltonian_real" in echo:
+        h = matrix(echo, "hamiltonian")
+        scale = {name: float(np.vdot(obs, h).real / np.vdot(obs, obs).real)
+                 for name, obs in config._OBSERVABLES.items()}
+        name = next(n for n, c in scale.items() if np.array_equal(c * config._OBSERVABLES[n], h))
+        lines.append(f"hamiltonian = {name}:{scale[name]!r}")
+    for n, term in enumerate(echo.get("noise", ()), 1):
+        lines.append(f"noise.{n}.op = {named(config._OBSERVABLES, matrix(term, 'operator'))}")
+        lines += preset(f"noise.{n}.rate", term["rate"])
+    return "\n".join(lines)
 
 
 class TestConfigParsing:
@@ -163,6 +212,14 @@ class TestConfigParsing:
          "model.rate.times"),
         (MODEL, "variant = dephasing\nrate = table\nrate.times = 0,1,1,7\nrate.values = 1,1,1,1",
          "model.rate.times"),
+        # np.interp would hold the end values of a short table: a rate never given
+        (MODEL, "variant = dephasing\nrate = table\nrate.times = 0,1\nrate.values = 1,-1",
+         "model.rate.times"),
+        (MODEL, "variant = dephasing\nrate = table\nrate.times = 0.5,7\nrate.values = 1,-1",
+         "model.rate.times"),
+        (MODEL, "variant = gksl\nnoise.1.op = sigma_z\nnoise.1.rate = constant\n"
+                "noise.2.op = sigma_minus\nnoise.2.rate = table\nnoise.2.rate.times = 0,1\n"
+                "noise.2.rate.values = 1,1", "model.noise.2.rate.times"),
         ("enabled = true", "enabled = true\nwitness = ture", "measures.witness"),
         ("enabled = true", "enabled =", "measures.enabled"),
         ("rng_seed = 7", "seed = 7", "search.seed"),
@@ -174,12 +231,18 @@ class TestConfigParsing:
             "coupling_abc", "coupling_negative", "table_after_zero", "table_before_t_max",
             "hamiltonian_abc", "duplicate_option",
             "no_section_header", "negative_seed", "rate_table_unsorted", "rate_table_repeated",
+            "rate_table_ends_early", "rate_table_starts_late", "noise_rate_table_ends_early",
             "flag_misspelt", "flag_empty", "unknown_search_key", "unknown_measures_key",
             "unknown_model_key", "key_of_another_variant", "unknown_section"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, old, new, field):
         cfg_path = _write(tmp_path, EXAMPLE1.replace(old, new, 1))
         assert main(["verdict", "--config", cfg_path, "--out", str(tmp_path), "--quiet"]) == 2
         assert f"invalid configuration: {field}:" in capsys.readouterr().err
+
+    def test_rate_table_may_end_at_t_max(self, tmp_path):
+        text = EXAMPLE1.replace(self.MODEL, "variant = dephasing\nrate = table\n"
+                                "rate.times = 0,6.283185307179586\nrate.values = 1,-1")
+        assert isinstance(load_config(_write(tmp_path, text)).model.rate, Table)
 
     @pytest.mark.parametrize("old, new, flag, field", [
         ("kind = analytic", "kind = analytc", ["--backend", "numeric"], "backend.kind"),
@@ -313,6 +376,36 @@ class TestWitnessKindTable:
         assert listed("State presets:") == set(config._STATES)
         assert listed("Observable presets:") == set(config._OBSERVABLES)
         assert set(config._KETS) == set(config._STATES) - {"maxmixed"}
+
+    def test_every_preset_model_echo_parses_back_to_itself(self):
+        # the report's model echo, written back as a [model] section, gives a
+        # model with the same echo
+        models = [
+            Dephasing(Constant(0.5)),
+            Dephasing(Sine(1.0, 2.0, 0.25)),
+            Dephasing(OffsetSine(0.5, 1.0, 3.0, -0.5)),
+            Dephasing(Table((0.0, 1.0, 2.0), (1.0, -1.0, 0.5))),
+            TraceReplacement(Constant(1.0), ConstantTarget(config._STATES["plus"])),
+            TraceReplacement(Sine(1.0), BlochZSineTarget(1.2, 0.5)),
+            SpinBoson(ExponentialKernel(4.0, 1.0)),
+            SpinBoson(TabulatedKernel(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25]))),
+            Lindblad(hamiltonian=0.5 * SIGMA_Z, noise=((SIGMA_MINUS, OffsetSine(0.2, 1.0)),
+                                                       (SIGMA_Z, Sine(0.5))), dim=2),
+            Lindblad(hamiltonian=-1.5 * SIGMA_X, noise=(), dim=2),
+            Lindblad(hamiltonian=None, noise=((SIGMA_Z, Table((0.0, 4.0), (1.0, -0.5))),), dim=2),
+            Lindblad(hamiltonian=None, noise=((SIGMA_MINUS, Constant(2.0)),), dim=2),
+        ]
+        presets = set()
+        for model in models:
+            echo = describe_model(model)
+            parser = configparser.ConfigParser(interpolation=None)
+            parser.read_string(_model_section(echo))
+            assert describe_model(config.parse_model(parser["model"])) == echo
+            scalars = [echo.get(key) for key in ("rate", "kernel", "target")]
+            presets |= {echo["variant"]} | {fields["preset"] for fields in scalars if fields}
+            presets |= {term["rate"]["preset"] for term in echo.get("noise", ())}
+        assert presets == {"dephasing", "trace_replacement", "spin_boson", "gksl", "constant",
+                           "sine", "offset_sine", "table", "bloch_z_sine", "exponential"}
 
 
 class TestPipeline:

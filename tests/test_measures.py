@@ -37,6 +37,7 @@ from nonmarkov.witnesses import (
     ExtendedTraceNormWitness,
     InformationFlowPair,
     PlainTraceNormWitness,
+    _trace_norm_gradient,
     derivative_series,
     series,
 )
@@ -429,7 +430,7 @@ class TestClimb:
         for _ in range(10):
             spec = family(ops.random_hermitian(n, rng))
             x = getattr(spec, "witness" if extended else "operator")
-            grad = spec.gradient(traj.times, traj.maps)
+            grad = _trace_norm_gradient(traj.times, traj.maps, evolved(x))
             w, v = np.linalg.eigh(x)
             normal = (v * np.sign(w)) @ v.conj().T
             d = ops.random_hermitian(n, rng)
@@ -496,6 +497,29 @@ class TestClimb:
         calls.clear()
         assert witness_measure(markov_traj, QUICK).value == 0.0
         assert len(calls) == 12
+
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_iterations_bound_every_climb(self, sine_traj, iterations, monkeypatch):
+        # each climb makes at most one ``series`` call per iteration after its
+        # seed's; uncapped, these climbs make far more than 4 calls per seed
+        search = SearchConfig(seeds=12, iterations=iterations, rng_seed=3)
+        values = []
+        evaluate = measures.series
+
+        def record(traj, spec):
+            ws = evaluate(traj, spec)
+            values.append(ws.total_violation)
+            return ws
+
+        monkeypatch.setattr(measures, "series", record)
+        for measure in (witness_measure, blp_measure):
+            values.clear()
+            result = measure(sine_traj, search)
+            if iterations == 0:
+                assert len(values) == search.seeds
+                assert result.value == max(values) > 0.0
+            else:
+                assert search.seeds < len(values) <= search.seeds * (1 + iterations)
 
     @pytest.mark.parametrize("name", ["sine_traj", "qutrit_traj"])
     def test_climb_ends_where_its_ascent_vanishes(self, name, request, monkeypatch):
