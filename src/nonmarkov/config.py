@@ -1,7 +1,9 @@
 """Run configuration: a flat INI file with sections model/grid/witnesses/
 measures/search/output/backend, presets only (no expression evaluation).
 
-The documented schema lives in the README.  Named qubit presets come from one
+The documented schema lives in the README.  The [model] vocabulary is the name
+tables of :mod:`dynamics`: a preset's keys are its class's fields, and a key
+left out takes the class default.  Named qubit presets come from one
 table per vocabulary: states (``maxmixed`` and the kets), pure states and
 observables; each lookup returns a fresh array.  A witness descriptor such as
 ``trace_norm_extended(pauli:xx)`` or ``renyi(plus,maxmixed,alpha=1.5)`` is one
@@ -13,32 +15,27 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import (
+    KERNELS,
+    RATES,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    BlochZSineTarget,
-    Constant,
+    TARGETS,
+    VARIANTS,
     ConstantTarget,
-    Dephasing,
     GeneratorModel,
     Lindblad,
-    OffsetSine,
-    Sine,
-    SpinBoson,
-    Table,
-    TraceReplacement,
 )
 from .measures import DIVISIBILITY_TOL, SearchConfig
-from .volterra import ExponentialKernel, TabulatedKernel
 from .witnesses import (
     DualOperatorNormWitness,
     ExtendedTraceNormWitness,
@@ -192,85 +189,70 @@ def _number(raw, fieldname: str) -> float:
     return value
 
 
-def _floats(raw: str, fieldname: str):
-    return tuple(_number(x, fieldname) for x in raw.split(","))
+def _parse_preset(section, key: str, fieldname: str, slot: dict, default: str,
+                  t_max: float | None):
+    """The preset of ``slot`` (a name table of :mod:`dynamics`) that ``key``
+    names, each dataclass field read from ``<key>.<field>``: one number if the
+    field has a default, which a key left out takes, else a number list.  A
+    preset with ``times`` is a table that must span [0, ``t_max``] (any, if None)."""
+    name = section.get(key, default).strip().lower()
+    if name not in slot:
+        raise ConfigError(fieldname, f"unknown preset {name!r}, expected one of "
+                                     f"{', '.join(slot)}")
+    values = {}
+    for field in fields(slot[name]):
+        listed = field.default is MISSING
+        raw = section.get(f"{key}.{field.name}", "" if listed else field.default)
+        number = partial(_number, fieldname=f"{fieldname}.{field.name}")
+        values[field.name] = tuple(map(number, raw.split(","))) if listed else number(raw)
+    table = "times" in values
+    try:
+        preset = slot[name](**values)
+        if table and t_max is not None and (preset.times[0] > 0.0 or preset.times[-1] < t_max):
+            raise ValueError(f"the table spans [{preset.times[0]:.6g}, {preset.times[-1]:.6g}],"
+                             f" not [0, grid.t_max = {t_max:.6g}]")
+    except ValueError as exc:
+        raise ConfigError(f"{fieldname}.times" if table else fieldname, str(exc)) from exc
+    return preset
 
 
-# Scalar presets: the class and its (parameter, default) pairs in argument order.
-_SCALARS = {
-    "constant": (Constant, (("value", 1.0),)),
-    "sine": (Sine, (("amplitude", 1.0), ("angular_frequency", 1.0), ("phase", 0.0))),
-    "offset_sine": (OffsetSine, (("offset", 0.0), ("amplitude", 1.0),
-                                 ("angular_frequency", 1.0), ("phase", 0.0))),
-}
+def _parse_target(section, t_max: float | None):
+    """``omega``: a target preset, or else a state preset as a constant target."""
+    omega = section.get("omega", "maxmixed")
+    if TARGETS.get(omega.strip().lower(), ConstantTarget) is ConstantTarget:
+        return ConstantTarget(state_preset(omega, "model.omega"))
+    return _parse_preset(section, "omega", "model.omega", TARGETS, omega, t_max)
 
 
-def _parse_scalar(section, prefix: str, fieldname: str):
-    preset = section.get(prefix, "constant").strip().lower()
-    if preset in _SCALARS:
-        cls, params = _SCALARS[preset]
-        return cls(*(_number(section.get(f"{prefix}.{key}", default), f"{fieldname}.{key}")
-                     for key, default in params))
-    if preset == "table":
-        times = _floats(section.get(f"{prefix}.times", ""), f"{fieldname}.times")
-        values = _floats(section.get(f"{prefix}.values", ""), f"{fieldname}.values")
-        if len(times) != len(values) or len(times) < 2:
-            raise ConfigError(fieldname, "table needs matching times/values lists")
-        try:
-            return Table(times, values)
-        except ValueError as exc:
-            raise ConfigError(f"{fieldname}.times", str(exc)) from exc
-    raise ConfigError(fieldname, f"unknown scalar preset {preset!r}")
-
-
-def parse_model(section) -> GeneratorModel:
-    variant = section.get("variant", "").strip().lower()
-    if variant == "dephasing":
-        return Dephasing(rate=_parse_scalar(section, "rate", "model.rate"))
-    if variant == "trace_replacement":
-        rate = _parse_scalar(section, "rate", "model.rate")
-        omega = section.get("omega", "maxmixed")
-        if omega.strip().lower() == "bloch_z_sine":
-            target = BlochZSineTarget(*(
-                _number(section.get(f"omega.{key}", 1.0), f"model.omega.{key}")
-                for key in ("scale", "angular_frequency")))
-        else:
-            target = ConstantTarget(state_preset(omega, "model.omega"))
-        return TraceReplacement(rate=rate, target=target)
-    if variant == "spin_boson":
-        kind = section.get("kernel", "exponential").strip().lower()
-        if kind == "exponential":
-            build = ExponentialKernel
-            args = [_number(section.get(f"kernel.{key}", 1.0), f"model.kernel.{key}")
-                    for key in ("coupling", "rate")]
-        elif kind == "table":
-            build = TabulatedKernel
-            args = [np.asarray(_floats(section.get(f"kernel.{key}", ""), f"model.kernel.{key}"))
-                    for key in ("times", "values")]
-        else:
-            raise ConfigError("model.kernel", f"unknown kernel preset {kind!r}")
-        try:
-            return SpinBoson(kernel=build(*args))
-        except ValueError as exc:
-            raise ConfigError("model.kernel", str(exc)) from exc
-    if variant == "gksl":
-        ham_spec = section.get("hamiltonian", "none").strip().lower()
-        hamiltonian = None
-        if ham_spec != "none":
-            name, _, coef = ham_spec.partition(":")
-            hamiltonian = _number(coef or 1.0, "model.hamiltonian") * observable_preset(
-                name, "model.hamiltonian")
-        noise = []
-        index = 1
-        while f"noise.{index}.op" in section:
-            op = observable_preset(section[f"noise.{index}.op"], f"model.noise.{index}.op")
-            rate = _parse_scalar(section, f"noise.{index}.rate", f"model.noise.{index}.rate")
-            noise.append((op, rate))
-            index += 1
-        if not noise and hamiltonian is None:
-            raise ConfigError("model.noise", "gksl model needs a hamiltonian or noise terms")
-        return Lindblad(hamiltonian=hamiltonian, noise=tuple(noise), dim=2)
-    raise ConfigError("model.variant", f"unknown model variant {variant!r}")
+def parse_model(section, t_max: float | None = None) -> GeneratorModel:
+    """The model of a [model] section, its tables spanning [0, ``t_max``] (any,
+    if None): one preset per field of the variant's class, or for gksl a
+    Hamiltonian ``<observable>:<coefficient>`` and numbered noise terms."""
+    name = section.get("variant", "").strip().lower()
+    if name not in VARIANTS:
+        raise ConfigError("model.variant", f"unknown model variant {name!r}")
+    variant = VARIANTS[name]
+    if variant is not Lindblad:
+        slots = {"rate": partial(_parse_preset, section, "rate", "model.rate", RATES, "constant"),
+                 "kernel": partial(_parse_preset, section, "kernel", "model.kernel", KERNELS,
+                                   "exponential"),
+                 "target": partial(_parse_target, section)}
+        return variant(**{field.name: slots[field.name](t_max) for field in fields(variant)})
+    ham_spec = section.get("hamiltonian", "none").strip().lower()
+    hamiltonian = None
+    if ham_spec != "none":
+        name, _, coef = ham_spec.partition(":")
+        hamiltonian = _number(coef or 1.0, "model.hamiltonian") * observable_preset(
+            name, "model.hamiltonian")
+    noise = []
+    while f"noise.{len(noise) + 1}.op" in section:
+        term = f"noise.{len(noise) + 1}"
+        op = observable_preset(section[f"{term}.op"], f"model.{term}.op")
+        noise.append((op, _parse_preset(section, f"{term}.rate", f"model.{term}.rate", RATES,
+                                        "constant", t_max)))
+    if not noise and hamiltonian is None:
+        raise ConfigError("model.noise", "gksl model needs a hamiltonian or noise terms")
+    return Lindblad(hamiltonian=hamiltonian, noise=tuple(noise), dim=2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,32 +313,24 @@ def load_config(path, seed_override: int | None = None,
     if not read:
         raise ConfigError("config", f"cannot read config file {path!r}")
 
-    model = None
-    if "model" in parser and parser["model"].get("variant", "").strip():
-        model = parse_model(parser["model"])
-    elif not for_import:
-        raise ConfigError("model", "missing [model] section")
-
     grid = parser["grid"] if "grid" in parser else {}
     if not grid and for_import:
         grid = {"t_max": "1.0", "nodes": str(MIN_NODES)}  # placeholders, file supplies the grid
     t_max = _number(grid.get("t_max"), "grid.t_max")
     if t_max <= 0:
         raise ConfigError("grid.t_max", f"must be positive, got {grid.get('t_max')!r}")
-    tables = {f"model.{key}": getattr(model, key, None) for key in ("rate", "kernel")}
-    tables.update((f"model.noise.{n}.rate", rate)
-                  for n, (_, rate) in enumerate(getattr(model, "noise", ()), 1))
-    for name, table in tables.items():
-        if (not for_import and isinstance(table, (Table, TabulatedKernel))
-                and (table.times[0] > 0.0 or table.times[-1] < t_max)):
-            raise ConfigError(f"{name}.times", f"the table spans [{table.times[0]:.6g}, "
-                              f"{table.times[-1]:.6g}], not [0, grid.t_max = {t_max:.6g}]")
     try:
         nodes = int(grid.get("nodes", "257"))
     except ValueError as exc:
         raise ConfigError("grid.nodes", "must be an integer") from exc
     if nodes < MIN_NODES:
         raise ConfigError("grid.nodes", f"must be at least {MIN_NODES}, got {nodes}")
+
+    model = None
+    if "model" in parser and parser["model"].get("variant", "").strip():
+        model = parse_model(parser["model"], None if for_import else t_max)
+    elif not for_import:
+        raise ConfigError("model", "missing [model] section")
 
     kind = parser["backend"].get("kind", "auto") if "backend" in parser else "auto"
     backend = (backend_override or kind).lower()

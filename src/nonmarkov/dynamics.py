@@ -154,7 +154,7 @@ def dual_superop(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Constant:
-    value: float
+    value: float = 1.0
 
     def __call__(self, t):
         return self.value * np.ones_like(np.asarray(t, dtype=float))
@@ -162,7 +162,7 @@ class Constant:
 
 @dataclass(frozen=True)
 class Sine:
-    amplitude: float
+    amplitude: float = 1.0
     angular_frequency: float = 1.0
     phase: float = 0.0
 
@@ -173,8 +173,8 @@ class Sine:
 
 @dataclass(frozen=True)
 class OffsetSine:
-    offset: float
-    amplitude: float
+    offset: float = 0.0
+    amplitude: float = 1.0
     angular_frequency: float = 1.0
     phase: float = 0.0
 
@@ -185,17 +185,23 @@ class OffsetSine:
 
 @dataclass(frozen=True)
 class Table:
-    """Piecewise-linear scalar function of time."""
+    """Piecewise-linear scalar function of time, never extrapolated past its times."""
 
     times: tuple
     values: tuple
 
     def __post_init__(self) -> None:
+        if len(self.times) != len(self.values) or len(self.times) < 2:
+            raise ValueError("table needs matching times and values lists of two or more")
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("table times must be strictly increasing")
 
     def __call__(self, t):
-        return np.interp(np.asarray(t, dtype=float), self.times, self.values)
+        t = np.asarray(t, dtype=float)
+        if t.size and (t.min() < self.times[0] or t.max() > self.times[-1]):
+            raise ValueError(f"the table spans [{self.times[0]:.6g}, {self.times[-1]:.6g}]; "
+                             f"it is not extrapolated to [{t.min():.6g}, {t.max():.6g}]")
+        return np.interp(t, self.times, self.values)
 
 
 RateFunction = Union[Constant, Sine, OffsetSine, Table, Callable]
@@ -218,7 +224,7 @@ class ConstantTarget:
 class BlochZSineTarget:
     """Qubit target (I + scale sin(w t) sigma_z) / 2; unit trace, possibly non-PSD."""
 
-    scale: float
+    scale: float = 1.0
     angular_frequency: float = 1.0
 
     def __call__(self, t) -> np.ndarray:
@@ -279,6 +285,13 @@ class Lindblad:
 
 
 GeneratorModel = Union[Dephasing, TraceReplacement, SpinBoson, Lindblad]
+
+# The [model] vocabulary of configs and echoes: preset names per model slot, and variants.
+RATES = {"constant": Constant, "sine": Sine, "offset_sine": OffsetSine, "table": Table}
+TARGETS = {"constant": ConstantTarget, "bloch_z_sine": BlochZSineTarget}
+KERNELS = {"exponential": ExponentialKernel, "table": TabulatedKernel}
+VARIANTS = {"dephasing": Dephasing, "trace_replacement": TraceReplacement,
+            "spin_boson": SpinBoson, "gksl": Lindblad}
 
 
 def _eval_scalar(fn, t) -> np.ndarray:
@@ -637,11 +650,9 @@ def intermediate_map(traj: Trajectory, t: float, s: float) -> np.ndarray:
 # Model descriptors and trajectory files
 # ---------------------------------------------------------------------------
 
-_VARIANTS = {Dephasing: "dephasing", TraceReplacement: "trace_replacement",
-             SpinBoson: "spin_boson", Lindblad: "gksl"}
-_PRESETS = {Constant: "constant", Sine: "sine", OffsetSine: "offset_sine", Table: "table",
-            ConstantTarget: "constant", BlochZSineTarget: "bloch_z_sine",
-            ExponentialKernel: "exponential", TabulatedKernel: "table"}
+# Class -> name, of the presets and of the variants.
+_NAMES = {cls: name for table in (RATES, TARGETS, KERNELS, VARIANTS)
+          for name, cls in table.items()}
 
 
 def _echo(values: dict) -> dict:
@@ -653,8 +664,8 @@ def _echo(values: dict) -> dict:
         if np.ndim(value) == 2:
             matrix = np.asarray(value, dtype=complex)
             echo[f"{key}_real"], echo[f"{key}_imag"] = matrix.real.tolist(), matrix.imag.tolist()
-        elif type(value) in _PRESETS:
-            echo[key] = {"preset": _PRESETS[type(value)], **_echo(vars(value))}
+        elif type(value) in _NAMES:
+            echo[key] = {"preset": _NAMES[type(value)], **_echo(vars(value))}
         elif callable(value):
             echo[key] = {"preset": "custom"}
         else:
@@ -667,13 +678,13 @@ def describe_model(model: GeneratorModel | None) -> dict:
     a GKSL model's noise is a list of jump operators with their rates."""
     if model is None:
         return {}
-    if type(model) not in _VARIANTS:
+    if _NAMES.get(type(model)) not in VARIANTS:
         return {"variant": "custom"}
     if isinstance(model, Lindblad):
         noise = [_echo({"operator": op, "rate": rate}) for op, rate in model.noise]
         return {"variant": "gksl", **_echo({"hamiltonian": model.hamiltonian}),
                 "noise": noise, "dim": model.dim}
-    return {"variant": _VARIANTS[type(model)], **_echo(vars(model))}
+    return {"variant": _NAMES[type(model)], **_echo(vars(model))}
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

@@ -43,8 +43,8 @@ class SingularAmplitudeError(RuntimeError):
 class ExponentialKernel:
     """Reservoir correlation f(t) = coupling * rate * exp(-rate * t) / 2."""
 
-    coupling: float  # gamma0 > 0
-    rate: float      # lam > 0
+    coupling: float = 1.0  # gamma0 > 0
+    rate: float = 1.0      # lam > 0
 
     def __post_init__(self) -> None:
         if self.coupling <= 0 or self.rate <= 0:

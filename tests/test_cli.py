@@ -201,7 +201,7 @@ class TestConfigParsing:
         (MODEL, "variant = spin_boson\nkernel.coupling = abc", "model.kernel.coupling"),
         (MODEL, "variant = spin_boson\nkernel.coupling = -1", "model.kernel"),
         (MODEL, "variant = spin_boson\nkernel = table\nkernel.times = 0.5,9\nkernel.values = 1,1",
-         "model.kernel"),
+         "model.kernel.times"),
         (MODEL, "variant = spin_boson\nkernel = table\nkernel.times = 0,1\nkernel.values = 1,1",
          "model.kernel.times"),
         (MODEL, "variant = gksl\nhamiltonian = sigma_z:abc", "model.hamiltonian"),
@@ -227,17 +227,44 @@ class TestConfigParsing:
         ("rate.amplitude = 1.0", "rat.amplitude = 3", "model.rat.amplitude"),
         (MODEL, MODEL + "\nkernel.coupling = 4.0", "model.kernel.coupling"),
         ("[output]", "[outptu]", "outptu.prefix"),
+        ("rate = sine", "rate = cosine", "model.rate"),
+        (MODEL, "variant = spin_boson\nkernel = gaussian", "model.kernel"),
+        (MODEL, "variant = gksl\nnoise.1.op = sigma_z\nnoise.1.rate = cosine",
+         "model.noise.1.rate"),
+        ("variant = dephasing", "variant = amplitude_damping", "model.variant"),
+        (MODEL, "variant = dephasing\nrate = table\nrate.times = 0,7\nrate.values = 1,1,1",
+         "model.rate.times"),
+        (MODEL, "variant = gksl", "model.noise"),
     ], ids=["tol_nan", "tol_inf", "amplitude_abc", "amplitude_nan", "omega_scale_abc",
             "coupling_abc", "coupling_negative", "table_after_zero", "table_before_t_max",
             "hamiltonian_abc", "duplicate_option",
             "no_section_header", "negative_seed", "rate_table_unsorted", "rate_table_repeated",
             "rate_table_ends_early", "rate_table_starts_late", "noise_rate_table_ends_early",
             "flag_misspelt", "flag_empty", "unknown_search_key", "unknown_measures_key",
-            "unknown_model_key", "key_of_another_variant", "unknown_section"])
+            "unknown_model_key", "key_of_another_variant", "unknown_section",
+            "unknown_rate_preset", "unknown_kernel_preset", "unknown_noise_rate_preset",
+            "unknown_variant", "table_lengths_differ", "gksl_without_terms"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, old, new, field):
         cfg_path = _write(tmp_path, EXAMPLE1.replace(old, new, 1))
         assert main(["verdict", "--config", cfg_path, "--out", str(tmp_path), "--quiet"]) == 2
         assert f"invalid configuration: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, slot, cls", [
+        ("variant = dephasing\nrate = constant", "rate", Constant),
+        ("variant = dephasing\nrate = sine", "rate", Sine),
+        ("variant = dephasing\nrate = offset_sine", "rate", OffsetSine),
+        ("variant = gksl\nnoise.1.op = sigma_z\nnoise.1.rate = constant", "noise", Constant),
+        ("variant = gksl\nnoise.1.op = sigma_z\nnoise.1.rate = sine", "noise", Sine),
+        ("variant = gksl\nnoise.1.op = sigma_z\nnoise.1.rate = offset_sine", "noise", OffsetSine),
+        ("variant = trace_replacement\nomega = bloch_z_sine", "target", BlochZSineTarget),
+        ("variant = spin_boson\nkernel = exponential", "kernel", ExponentialKernel),
+    ], ids=["constant", "sine", "offset_sine", "noise_constant", "noise_sine",
+            "noise_offset_sine", "bloch_z_sine", "exponential"])
+    def test_preset_without_keys_takes_the_class_defaults(self, section, slot, cls):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(f"[model]\n{section}")
+        model = config.parse_model(parser["model"])
+        assert (model.noise[0][1] if slot == "noise" else getattr(model, slot)) == cls()
 
     def test_rate_table_may_end_at_t_max(self, tmp_path):
         text = EXAMPLE1.replace(self.MODEL, "variant = dephasing\nrate = table\n"

@@ -37,7 +37,7 @@ from nonmarkov.dynamics import (
     save_trajectory,
     vec,
 )
-from nonmarkov.measures import step_choi_data
+from nonmarkov.measures import rhp_measure, step_choi_data
 from nonmarkov.operators import max_entangled_projector, random_hermitian
 from nonmarkov.volterra import ExponentialKernel, TabulatedKernel, amplitude, solve_memory_kernel
 
@@ -278,6 +278,17 @@ class TestEvolve:
         decay = np.exp(-2.0)
         expected = decay * rho + (1 - decay) * omega
         np.testing.assert_allclose(apply_superop(traj.maps[-1], rho), expected, atol=1e-9)
+
+    def test_rate_table_is_not_extrapolated(self):
+        # np.interp would hold the rate -1 past t = 1: n_RHP 5.53 from a rate never given
+        model = Dephasing(dyn.Table((0.0, 1.0), (1.0, -1.0)))
+        times = np.linspace(0, 2 * np.pi, 65)
+        for backend in ("analytic", "numeric"):
+            with pytest.raises(ValueError, match=r"spans \[0, 1\]"):
+                evolve(model, times, backend=backend)
+        with pytest.raises(ValueError, match=r"spans \[0, 1\]"):
+            rhp_measure(model, times)
+        assert evolve(model, times[times <= 1.0]).nodes == 11
 
     @pytest.mark.parametrize("model", [
         Dephasing(rate=Sine(1.0)),
