@@ -20,12 +20,7 @@ from .operators import (
     trace_norm,
     tsallis_relative_entropy,
 )
-from .volterra import (
-    AmplitudeSolution,
-    ExponentialKernel,
-    TabulatedKernel,
-    solve_memory_kernel,
-)
+from .volterra import AmplitudeSolution, ExponentialKernel, solve_memory_kernel
 from .dynamics import (
     BlochZSineTarget,
     Constant,

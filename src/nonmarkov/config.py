@@ -358,18 +358,16 @@ def load_config(path, seed_override: int | None = None,
     opt = parser["search"] if "search" in parser else {}
     try:
         rng_seed = int(opt.get("rng_seed", SearchConfig.rng_seed))
-        search = SearchConfig(
-            seeds=int(opt.get("seeds", SearchConfig.seeds)),
-            iterations=int(opt.get("iterations", SearchConfig.iterations)),
-            rng_seed=rng_seed if seed_override is None else seed_override,
-        )
+        budget = [int(opt.get(key, getattr(SearchConfig, key))) for key in ("seeds", "iterations")]
     except ValueError as exc:
         raise ConfigError("search", f"invalid search setting: {exc}") from exc
-    if search.seeds < 1 or search.iterations < 0:
-        raise ConfigError("search", "seeds must be >= 1 and iterations >= 0")
-    for seed in (rng_seed, search.rng_seed):
-        if seed < 0:
+    for seed in (rng_seed, seed_override):
+        if seed is not None and seed < 0:
             raise ConfigError("search.rng_seed", f"must be non-negative, got {seed}")
+    try:
+        search = SearchConfig(*budget, rng_seed if seed_override is None else seed_override)
+    except ValueError as exc:
+        raise ConfigError("search", f"invalid search setting: {exc}") from exc
 
     out = parser["output"] if "output" in parser else {}
     directory = out.get("directory", ".")

@@ -28,14 +28,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .operators import _dagger
-from .volterra import (
-    ExponentialKernel,
-    MemoryKernel,
-    TabulatedKernel,
-    amplitude,
-    solve_memory_kernel,
-    time_local_rates,
-)
+from .volterra import ExponentialKernel, amplitude, solve_memory_kernel, time_local_rates
 
 IDENTITY_TOL = 1e-12
 TRACE_PRESERVATION_TOL = 1e-8
@@ -185,7 +178,8 @@ class OffsetSine:
 
 @dataclass(frozen=True)
 class Table:
-    """Piecewise-linear scalar function of time, never extrapolated past its times."""
+    """Piecewise-linear function of time, a rate or a memory kernel, never
+    extrapolated past its times."""
 
     times: tuple
     values: tuple
@@ -195,6 +189,8 @@ class Table:
             raise ValueError("table needs matching times and values lists of two or more")
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("table times must be strictly increasing")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("table values must be finite")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -261,9 +257,10 @@ class TraceReplacement:
 
 @dataclass(frozen=True)
 class SpinBoson:
-    """Qubit amplitude damping driven by the memory-kernel amplitude G(t)."""
+    """Qubit amplitude damping driven by the memory-kernel amplitude G(t);
+    the kernel is an ExponentialKernel, a Table or any callable of an array of times."""
 
-    kernel: MemoryKernel
+    kernel: Callable
 
     @property
     def dim(self) -> int:
@@ -289,7 +286,7 @@ GeneratorModel = Union[Dephasing, TraceReplacement, SpinBoson, Lindblad]
 # The [model] vocabulary of configs and echoes: preset names per model slot, and variants.
 RATES = {"constant": Constant, "sine": Sine, "offset_sine": OffsetSine, "table": Table}
 TARGETS = {"constant": ConstantTarget, "bloch_z_sine": BlochZSineTarget}
-KERNELS = {"exponential": ExponentialKernel, "table": TabulatedKernel}
+KERNELS = {"exponential": ExponentialKernel, "table": Table}
 VARIANTS = {"dephasing": Dephasing, "trace_replacement": TraceReplacement,
             "spin_boson": SpinBoson, "gksl": Lindblad}
 
@@ -326,7 +323,8 @@ def generator(model: GeneratorModel) -> Callable[[float | np.ndarray], np.ndarra
     arrays at its times.  Trace replacement is rate(t) (|vec target(t)><vec I| - id).
     Spin-boson rates come from G at the given times (see
     :func:`volterra.amplitude`) and raise SingularAmplitudeError across a
-    zero of G; a tabulated kernel needs a uniform grid from 0."""
+    zero of G; a kernel other than the exponential one needs a uniform grid
+    from 0."""
     if isinstance(model, TraceReplacement):
         def replacement_generator(t):
             times = np.asarray(t, dtype=float)
@@ -596,7 +594,7 @@ def evolve(model: GeneratorModel, times: np.ndarray, backend: str = "auto") -> T
 
     ``backend='analytic'`` uses the closed-form solution (dephasing, trace
     replacement, spin-boson from the amplitude G: the closed form of an
-    exponential kernel, the memory-kernel stepper for a table).
+    exponential kernel, the memory-kernel stepper for any other kernel).
     ``backend='numeric'`` chains RK4 step maps of dLambda/dt = L_t Lambda to
     ``DEFAULT_ATOL``/``DEFAULT_RTOL`` (RuntimeError past ``STEP_STACK_BUDGET``);
     for spin-boson it builds the maps from the stepper's G on the grid

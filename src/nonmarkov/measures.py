@@ -79,6 +79,11 @@ class SearchConfig:
     iterations: int = 200
     rng_seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.seeds < 1 or self.iterations < 0 or self.rng_seed < 0:
+            raise ValueError("seeds must be >= 1, iterations >= 0 and rng_seed >= 0, got "
+                             f"{self.seeds}, {self.iterations} and {self.rng_seed}")
+
 
 @dataclass
 class Verdict:
@@ -330,7 +335,7 @@ def _search(traj, directed, spec_cls, project, search):
     while len(seeds) < search.seeds:
         seeds.append(project(ops.random_hermitian(size, rng)))
     best = (None, None, 0.0)
-    for point, spec in filter(None, (_point(spec_cls, x) for x in seeds[:max(search.seeds, 1)])):
+    for point, spec in filter(None, (_point(spec_cls, x) for x in seeds[:search.seeds])):
         ws = series(traj, spec)
         if ws.total_violation > 0.0:
             climbed = _climb(traj, spec_cls, project, (point, ws, ws.total_violation),

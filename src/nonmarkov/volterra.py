@@ -7,7 +7,9 @@ Solves the non-local equation
 on a uniform grid with trapezoidal product quadrature of the memory integral
 inside a predictor-corrector step (second order).  For the exponential kernel
 f(t) = gamma0 * lam * exp(-lam t) / 2 the closed form is exact at any times.
-Both kernel types are real, so G is real.  G alone fixes the spin-boson maps
+Any other kernel, a ``dynamics.Table`` or a custom callable of an array of
+times, goes through the stepper, whose step guard reads the kernel sampled on
+the grid.  A kernel is real, so G is real.  G alone fixes the spin-boson maps
 (populations |G|^2, coherences G*) and the time-local rates
 
     shift s(t) = -2 Im G'(t)/G(t),   decay gamma(t) = -2 Re G'(t)/G(t),
@@ -20,6 +22,7 @@ raises :class:`SingularAmplitudeError` where G vanishes or changes sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -53,10 +56,6 @@ class ExponentialKernel:
     def __call__(self, t: np.ndarray | float) -> np.ndarray | float:
         return 0.5 * self.coupling * self.rate * np.exp(-self.rate * np.asarray(t))
 
-    @property
-    def peak(self) -> float:
-        return 0.5 * self.coupling * self.rate
-
     def _closed_form(self, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
         """Exact (G, G') at ``t``, one evaluation for both; G as in
         :meth:`closed_form_amplitude`, G'(t) = -(g0 l / d) e^{-lt/2} sinh(dt/2)."""
@@ -75,39 +74,6 @@ class ExponentialKernel:
 
 
 @dataclass(frozen=True)
-class TabulatedKernel:
-    """Piecewise-linear kernel given by sample points from t = 0; it is not
-    extrapolated past its last time."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ValueError("times and values must be matching 1-d arrays")
-        if times.size == 0 or times[0] != 0.0:
-            raise ValueError("kernel times must start at t = 0")
-        if not np.all(np.diff(times) > 0):
-            raise ValueError("kernel times must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("kernel values must be finite")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    def __call__(self, t: np.ndarray | float) -> np.ndarray:
-        return np.interp(np.asarray(t), self.times, self.values)
-
-    @property
-    def peak(self) -> float:
-        return float(np.abs(self.values).max())
-
-
-MemoryKernel = ExponentialKernel | TabulatedKernel
-
-
-@dataclass(frozen=True)
 class AmplitudeSolution:
     """G and G' at the nodes of a uniform grid from t = 0."""
 
@@ -116,8 +82,10 @@ class AmplitudeSolution:
     derivatives: np.ndarray  # G'(t_k)
 
 
-def solve_memory_kernel(kernel: MemoryKernel, times: np.ndarray) -> AmplitudeSolution:
-    """Integrate the memory-kernel equation on a uniform grid starting at 0."""
+def solve_memory_kernel(kernel: Callable, times: np.ndarray) -> AmplitudeSolution:
+    """Integrate the memory-kernel equation on a uniform grid starting at 0,
+    for a kernel callable on an array of times, sampled once on the grid
+    (one value, or one per time: fv[k - j] = f(t_k - t_j))."""
     times = np.asarray(times, dtype=float)
     steps = np.diff(times) if times.ndim == 1 and times.size > 1 else np.zeros(1)
     h = float(steps[0])
@@ -125,17 +93,14 @@ def solve_memory_kernel(kernel: MemoryKernel, times: np.ndarray) -> AmplitudeSol
         raise ValueError("G of the memory-kernel stepper, so of any tabulated kernel, is "
                          "known only on a uniform grid of two or more times from t = 0; "
                          f"got t = {np.array2string(times.reshape(-1), threshold=6)}")
-    if h * kernel.peak > MAX_STEP_KERNEL_PRODUCT:
+    fv = np.broadcast_to(np.asarray(kernel(times), dtype=float), times.shape)
+    peak = float(np.abs(fv).max())
+    if not h * peak <= MAX_STEP_KERNEL_PRODUCT:  # NaN samples fail too
         raise VolterraStepError(
-            f"step {h:.3e} too large for kernel peak {kernel.peak:.3e} "
-            f"(h*max|f| = {h * kernel.peak:.3e} > {MAX_STEP_KERNEL_PRODUCT})"
+            f"step {h:.3e} too large for kernel peak {peak:.3e} on the grid "
+            f"(h*max|f| = {h * peak:.3e} > {MAX_STEP_KERNEL_PRODUCT})"
         )
-    if isinstance(kernel, TabulatedKernel) and times[-1] > kernel.times[-1]:
-        raise ValueError(f"grid runs to t={times[-1]:.6g}, past the kernel table's "
-                         f"last time t={kernel.times[-1]:.6g}")
-
     n = times.size
-    fv = np.asarray(kernel(times), dtype=float)  # f(t_k - t_j) = fv[k - j]
     g = np.zeros(n)
     gd = np.zeros(n)
     g[0] = 1.0
@@ -153,9 +118,10 @@ def solve_memory_kernel(kernel: MemoryKernel, times: np.ndarray) -> AmplitudeSol
     return AmplitudeSolution(times=times, values=g, derivatives=gd)
 
 
-def amplitude(kernel: MemoryKernel, times) -> tuple[np.ndarray, np.ndarray]:
+def amplitude(kernel: Callable, times) -> tuple[np.ndarray, np.ndarray]:
     """(G, G') at ``times``: the closed form of an exponential kernel at any
-    times, or the memory-kernel stepper's nodes for a table, where ``times``
+    times, or for any other kernel (a ``dynamics.Table`` or a custom callable
+    of an array of times) the memory-kernel stepper's nodes, where ``times``
     must be a uniform grid from 0 (ValueError otherwise)."""
     if isinstance(kernel, ExponentialKernel):
         return kernel._closed_form(times)

@@ -34,7 +34,7 @@ from nonmarkov.dynamics import (
     load_trajectory,
     save_trajectory,
 )
-from nonmarkov.volterra import ExponentialKernel, TabulatedKernel
+from nonmarkov.volterra import ExponentialKernel
 from nonmarkov.witnesses import (
     DualOperatorNormWitness,
     ExtendedTraceNormWitness,
@@ -180,6 +180,14 @@ class TestConfigParsing:
         assert main(["verdict", "--config", cfg_path, "--out", str(tmp_path / "out"),
                      "--quiet"]) == 0
 
+    def test_readme_library_quick_start_runs(self):
+        block = re.search(r"```python\n(.*?)```", ROOT.joinpath("README.md").read_text(),
+                          flags=re.S).group(1)
+        scope = {}
+        exec(block, scope)
+        assert scope["best"].value >= 1.0 - np.exp(-2.0) - 1e-3
+        assert scope["n_rhp"] == pytest.approx(2.0, abs=1e-2)
+
     def test_node_floor(self, tmp_path):
         bad = EXAMPLE1.replace("nodes = 257", "nodes = 8")
         with pytest.raises(ConfigError, match="grid.nodes"):
@@ -235,6 +243,8 @@ class TestConfigParsing:
         (MODEL, "variant = dephasing\nrate = table\nrate.times = 0,7\nrate.values = 1,1,1",
          "model.rate.times"),
         (MODEL, "variant = gksl", "model.noise"),
+        ("seeds = 16", "seeds = 0", "search"),
+        ("iterations = 30", "iterations = -3", "search"),
     ], ids=["tol_nan", "tol_inf", "amplitude_abc", "amplitude_nan", "omega_scale_abc",
             "coupling_abc", "coupling_negative", "table_after_zero", "table_before_t_max",
             "hamiltonian_abc", "duplicate_option",
@@ -243,7 +253,8 @@ class TestConfigParsing:
             "flag_misspelt", "flag_empty", "unknown_search_key", "unknown_measures_key",
             "unknown_model_key", "key_of_another_variant", "unknown_section",
             "unknown_rate_preset", "unknown_kernel_preset", "unknown_noise_rate_preset",
-            "unknown_variant", "table_lengths_differ", "gksl_without_terms"])
+            "unknown_variant", "table_lengths_differ", "gksl_without_terms", "seeds_zero",
+            "iterations_negative"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, old, new, field):
         cfg_path = _write(tmp_path, EXAMPLE1.replace(old, new, 1))
         assert main(["verdict", "--config", cfg_path, "--out", str(tmp_path), "--quiet"]) == 2
@@ -415,7 +426,7 @@ class TestWitnessKindTable:
             TraceReplacement(Constant(1.0), ConstantTarget(config._STATES["plus"])),
             TraceReplacement(Sine(1.0), BlochZSineTarget(1.2, 0.5)),
             SpinBoson(ExponentialKernel(4.0, 1.0)),
-            SpinBoson(TabulatedKernel(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25]))),
+            SpinBoson(Table(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25]))),
             Lindblad(hamiltonian=0.5 * SIGMA_Z, noise=((SIGMA_MINUS, OffsetSine(0.2, 1.0)),
                                                        (SIGMA_Z, Sine(0.5))), dim=2),
             Lindblad(hamiltonian=-1.5 * SIGMA_X, noise=(), dim=2),

@@ -39,7 +39,7 @@ from nonmarkov.dynamics import (
 )
 from nonmarkov.measures import rhp_measure, step_choi_data
 from nonmarkov.operators import max_entangled_projector, random_hermitian
-from nonmarkov.volterra import ExponentialKernel, TabulatedKernel, amplitude, solve_memory_kernel
+from nonmarkov.volterra import ExponentialKernel, amplitude, solve_memory_kernel
 
 from conftest import PAULI_X, PAULI_Z, projector, KET0, KET1, extended_superop, unvec
 
@@ -347,8 +347,8 @@ class TestEvolve:
     def test_spin_boson_longer_grid_solves_kernel_again(self, backend):
         # a model holds no state: reused on a longer grid it gives a fresh one's maps
         dense = np.linspace(0, 8, 801)
-        kernel = TabulatedKernel(times=dense,
-                                 values=ExponentialKernel(coupling=1.0, rate=4.0)(dense))
+        kernel = dyn.Table(times=dense,
+                           values=ExponentialKernel(coupling=1.0, rate=4.0)(dense))
         model = SpinBoson(kernel=kernel)
         evolve(model, np.linspace(0, 1, 65), backend=backend)
         grid = np.linspace(0, 6, 385)
@@ -684,7 +684,7 @@ class TestTrajectoryFile:
             (SpinBoson(ExponentialKernel(2.0, 0.5)),
              {"variant": "spin_boson",
               "kernel": {"preset": "exponential", "coupling": 2.0, "rate": 0.5}}),
-            (SpinBoson(TabulatedKernel([0.0, 1.0, 2.0], [1.0, 0.5, 0.25])),
+            (SpinBoson(dyn.Table([0.0, 1.0, 2.0], [1.0, 0.5, 0.25])),
              {"variant": "spin_boson", "kernel": {"preset": "table", "times": [0.0, 1.0, 2.0],
                                                   "values": [1.0, 0.5, 0.25]}}),
             (Lindblad(hamiltonian=SIGMA_Z, noise=((SIGMA_MINUS, Constant(1.0)),), dim=2),

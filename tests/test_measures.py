@@ -498,6 +498,14 @@ class TestClimb:
         assert witness_measure(markov_traj, QUICK).value == 0.0
         assert len(calls) == 12
 
+    @pytest.mark.parametrize("budget", [{"seeds": 0}, {"iterations": -3}, {"rng_seed": -1}],
+                             ids=["seeds_zero", "iterations_negative", "rng_seed_negative"])
+    def test_invalid_budget_is_rejected(self, budget):
+        # at seeds = 0 the search ran one seed, at iterations < 0 no moves, and
+        # a negative rng_seed failed only where random seeds were drawn
+        with pytest.raises(ValueError, match="seeds must be >= 1"):
+            SearchConfig(**budget)
+
     @pytest.mark.parametrize("iterations", [0, 3])
     def test_iterations_bound_every_climb(self, sine_traj, iterations, monkeypatch):
         # each climb makes at most one ``series`` call per iteration after its

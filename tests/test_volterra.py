@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nonmarkov.dynamics import SpinBoson
+from nonmarkov.dynamics import SpinBoson, Table, describe_model, evolve
 from nonmarkov.measures import rhp_rate
 from nonmarkov.volterra import (
     AmplitudeSolution,
     ExponentialKernel,
     SingularAmplitudeError,
-    TabulatedKernel,
     VolterraStepError,
     amplitude,
     solve_memory_kernel,
@@ -28,7 +27,7 @@ def test_initial_value_is_one():
 
 
 def test_zero_kernel_keeps_amplitude_constant():
-    kernel = TabulatedKernel(times=np.array([0.0, 10.0]), values=np.array([0.0, 0.0]))
+    kernel = Table(times=np.array([0.0, 10.0]), values=np.array([0.0, 0.0]))
     sol = solve_memory_kernel(kernel, np.linspace(0, 10, 101))
     np.testing.assert_allclose(sol.values, 1.0, atol=1e-14)
 
@@ -131,7 +130,7 @@ def test_no_collapse_for_overdamped():
 
 def test_tabulated_matches_exponential():
     dense = np.linspace(0, 12, 48001)
-    tab = TabulatedKernel(times=dense, values=np.asarray(OVERDAMPED(dense)))
+    tab = Table(times=dense, values=np.asarray(OVERDAMPED(dense)))
     times = np.linspace(0, 10, 2001)
     a = solve_memory_kernel(OVERDAMPED, times)
     b = solve_memory_kernel(tab, times)
@@ -139,15 +138,16 @@ def test_tabulated_matches_exponential():
 
 
 def test_table_must_start_at_zero():
-    with pytest.raises(ValueError, match="start at t = 0"):
-        TabulatedKernel(times=np.array([0.5, 1.0]), values=np.array([1.0, 1.0]))
+    table = Table((0.5, 1.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match=r"spans \[0.5, 1\]"):
+        solve_memory_kernel(table, np.linspace(0, 1, 11))
 
 
 @pytest.mark.parametrize("times", [0.7, np.linspace(0.5, 1.0, 11), np.array([0.0, 0.1, 0.3])],
                          ids=["one_time", "late_start", "non_uniform"])
 def test_table_amplitude_needs_a_uniform_grid_from_zero(times):
     dense = np.linspace(0, 2, 201)
-    model = SpinBoson(kernel=TabulatedKernel(times=dense, values=OVERDAMPED(dense)))
+    model = SpinBoson(kernel=Table(times=dense, values=OVERDAMPED(dense)))
     shown = np.array2string(np.ravel(times), threshold=6)
     with pytest.raises(ValueError, match="tabulated kernel.*uniform grid") as info:
         rhp_rate(model, times)
@@ -155,16 +155,39 @@ def test_table_amplitude_needs_a_uniform_grid_from_zero(times):
 
 
 def test_table_is_not_extrapolated():
-    table = TabulatedKernel(times=np.array([0.0, 1.0]), values=np.array([1.0, 0.5]))
+    table = Table(times=np.array([0.0, 1.0]), values=np.array([1.0, 0.5]))
     assert solve_memory_kernel(table, np.linspace(0, 1, 65)).values.shape == (65,)
-    with pytest.raises(ValueError, match=r"t=5.*last time t=1\b"):
+    with pytest.raises(ValueError, match=r"spans \[0, 1\]"):
         solve_memory_kernel(table, np.linspace(0, 5, 65))
+    with pytest.raises(ValueError, match=r"spans \[0, 1\]"):
+        Table((0.0, 1.0), (1.0, 0.5))(5.0)
+
+
+def test_guard_reads_the_kernel_on_the_grid():
+    # the table's values past the grid's end are never sampled: f = 1 on [0, 1]
+    table = Table((0.0, 1.0, 100.0), (1.0, 1.0, 1e3))
+    sol = solve_memory_kernel(table, np.linspace(0, 1, 101))
+    assert sol.values[-1] == pytest.approx(np.cos(1.0), abs=1e-3)
+
+
+@pytest.mark.parametrize("backend", ["analytic", "numeric"])
+def test_custom_kernel_goes_through_the_stepper(backend):
+    times = np.linspace(0, 4, 257)
+    model = SpinBoson(lambda t: 0.5 * np.exp(-np.asarray(t)))
+    assert describe_model(model)["kernel"] == {"preset": "custom"}
+    maps = evolve(model, times, backend=backend).maps
+    stepped = evolve(SpinBoson(ExponentialKernel()), times, backend="numeric").maps
+    np.testing.assert_array_equal(maps, stepped)
+    # a constant kernel may give one value for all times, as a rate may
+    constant = evolve(SpinBoson(lambda t: 0.5), times, backend=backend).maps
+    table = evolve(SpinBoson(Table((0.0, 4.0), (0.5, 0.5))), times, backend=backend).maps
+    np.testing.assert_array_equal(constant, table)
 
 
 def test_kernel_validation():
     with pytest.raises(ValueError):
         ExponentialKernel(coupling=-1.0, rate=1.0)
     with pytest.raises(ValueError):
-        TabulatedKernel(times=np.array([0.0, 0.0]), values=np.array([1.0, 1.0]))
+        Table(times=np.array([0.0, 0.0]), values=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        TabulatedKernel(times=np.array([0.0, 1.0]), values=np.array([1.0, np.inf]))
+        Table(times=np.array([0.0, 1.0]), values=np.array([1.0, np.inf]))
