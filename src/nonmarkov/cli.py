@@ -152,7 +152,8 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
                 "violation_intervals": wm.series.violation_intervals if wm.series else [],
             }
         if cfg.measure_blp:
-            bm = _stage("measure:blp", blp_measure, traj, cfg.search)
+            bm = _stage("measure:blp", blp_measure, traj, cfg.search, steps,
+                        cfg.divisibility_tol)
             measures["blp"] = {
                 "value": bm.value,
                 "pair": (

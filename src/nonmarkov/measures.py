@@ -16,10 +16,16 @@ Three measures are computed over a finite, user-configured horizon:
 
 The last two share one hill climber, ``_search``, over one kind of point: a
 Hermitian operator of unit trace norm, fed to a trace-norm witness family.
+A CP step raises no trace norm (Chruściński, Kossakowski and Rivas, PRA 83,
+052128 (2011)), so a flow can be positive only at the interior nodes whose
+stencil reads a violating or an excluded step, the ``_support``.  Both
+searches value an operator by the integral of its positive flow over that
+support alone, and on an empty support return 0 without evaluating a flow.
 The witness search ranges over operators on H ⊗ H
 (``ExtendedTraceNormWitness``).  Its seeds are the certified candidates
-(id ⊗ Λ_{t_k})⁻¹P₊ of violating steps k, whose flow is positive right after
-t_k, then the tensor-product basis candidates, then random witnesses.  The
+(id ⊗ Λ_{t_k})⁻¹ψψ† of violating steps k, ψψ† the ``_best_pure_input`` of
+the step, whose flow is positive right after t_k, then the tensor-product
+basis candidates, then random witnesses.  The
 BLP search ranges over traceless operators X on H (``PlainTraceNormWitness``)
 and starts from the generalized Gell-Mann basis, then random traceless
 operators.  That loses nothing: the BLP flow of a pair (ρ1, ρ2) is
@@ -29,11 +35,12 @@ the positive and negative parts of such an X has ρ1 − ρ2 = 2X, so its BLP
 flow is exactly the flow of X.
 
 Seeds are taken in order in one pass: each is valued once and, if its value
-is positive, climbed at once.  A move follows ``_trace_norm_gradient`` of the
-evolved operator in the tangent space of the search space: the exact gradient
-of the value with the eigenvalue signs read at every node of the derivative
-stencil.  Unlike the gradient of the value itself, it sees the zero crossing
-of an evolved eigenvalue move between nodes.  A climb ends where that ascent
+is above the ``_rounding_level``, climbed at once.  A move follows
+``_trace_norm_gradient`` of the evolved operator in the tangent space of the
+search space: the exact gradient of the value with the eigenvalue signs read
+at every node of the derivative stencil.  Unlike the gradient of the value
+itself, it sees the zero crossing of an evolved eigenvalue move between
+nodes.  A climb ends where that ascent
 vanishes or its step falls below ``MIN_STEP``.  A move is kept only if its
 ``series`` strictly raises the value, so values never decrease, and the
 random numbers drawn for the fill-up seeds are the only ones in the search.
@@ -42,6 +49,7 @@ random numbers drawn for the fill-up seeds are the only ones in the search.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import isqrt
 
 import numpy as np
 
@@ -53,6 +61,7 @@ from .dynamics import (
     choi_matrix,
     generator_superoperator,
     propagators,
+    pull_back,
 )
 from .witnesses import (
     ExtendedTraceNormWitness,
@@ -67,6 +76,10 @@ DIVISIBILITY_TOL = 1e-8
 INITIAL_STEP = 0.5
 MIN_STEP = 1e-6
 MAX_STEP = 2.0
+# Most see-saw rounds that look for a step's best pure input, and the
+# relative gain below which a round is not kept.
+SEESAW_ROUNDS = 100
+SEESAW_GAIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,10 +156,23 @@ def step_choi_data(traj: Trajectory) -> StepChoiData:
     )
 
 
+def _violating(data: StepChoiData, tol: float) -> np.ndarray:
+    """Mask of the violating steps: not excluded, with a minimum Choi
+    eigenvalue below -``tol``."""
+    return ~data.excluded & (data.min_eigenvalues < -tol)
+
+
 def _violating_runs(data: StepChoiData, tol: float) -> list:
-    """(first, last) step of each run of violating steps: not excluded, with a
-    minimum Choi eigenvalue below -``tol``."""
-    return _runs(~data.excluded & (data.min_eigenvalues < -tol))
+    """(first, last) step of each run of violating steps."""
+    return _runs(_violating(data, tol))
+
+
+def _support(data: StepChoiData, tol: float) -> np.ndarray:
+    """Mask over the interior nodes whose stencil (nodes i − 2 to i + 2)
+    reads a violating or an excluded step: the only nodes where a trace-norm
+    flow can be positive, since a CP step raises no trace norm."""
+    # entry i + 1 of the convolution counts the flagged steps i − 2 to i + 1
+    return np.convolve(_violating(data, tol) | data.excluded, np.ones(4))[2:-2] > 0.0
 
 
 def divisibility_verdict(traj: Trajectory, tol: float = DIVISIBILITY_TOL,
@@ -235,23 +261,50 @@ def _product_candidates(d: int) -> list:
     return [0.5 * np.kron(a, b) for a in basis for b in basis][1:]
 
 
+def _best_pure_input(v: np.ndarray) -> np.ndarray:
+    """A pure state Z on H ⊗ H of large ‖(id ⊗ V)Z‖₁, by a see-saw from P₊.
+
+    With S = sign((id ⊗ V)ψψ†), ‖(id ⊗ V)ψψ†‖₁ = ⟨ψ|(id ⊗ V)†(S)|ψ⟩, and the
+    top eigenvector ψ' of (id ⊗ V)†(S) has
+    ‖(id ⊗ V)ψ'ψ'†‖₁ ≥ ⟨ψ'|(id ⊗ V)†(S)|ψ'⟩ ≥ ⟨ψ|(id ⊗ V)†(S)|ψ⟩.  A round is
+    kept only if it raises the norm by more than ``SEESAW_GAIN`` relative, so
+    the result's norm is at least P₊'s, which exceeds 1 where V is not CP,
+    and rounding does not move it."""
+    best = ops.max_entangled_projector(isqrt(len(v)))
+    norm = ops.trace_norm(apply_superop(v, best))
+    for _ in range(SEESAW_ROUNDS):
+        w, u = np.linalg.eigh(ops.hermitian_part(apply_superop(v, best)))
+        dual = pull_back(v[None], (u * np.sign(w)) @ u.conj().T)
+        top = np.linalg.eigh(ops.hermitian_part(dual))[1][:, -1]
+        pure = np.outer(top, top.conj())
+        raised = ops.trace_norm(apply_superop(v, pure))
+        if not raised > norm * (1.0 + SEESAW_GAIN):
+            break
+        best, norm = pure, raised
+    return best
+
+
 def _certified_candidates(traj: Trajectory, data: StepChoiData,
                           tol: float = DIVISIBILITY_TOL) -> list:
-    """W_k = (id ⊗ Λ_{t_k})⁻¹P₊ for the first and the worst step k of each run
-    of violating steps (``_violating_runs``), in time order.
+    """W_k = (id ⊗ Λ_{t_k})⁻¹Z_k for the first and the worst step k of each
+    run of violating steps (``_violating_runs``), in time order, with Z_k
+    the ``_best_pure_input`` of the step propagator V_k = Λ_{t_{k+1}}Λ_{t_k}⁻¹.
 
-    (id ⊗ Λ_{t_k})W_k = P₊ has trace norm 1 and (id ⊗ Λ_{t_{k+1}})W_k =
-    (id ⊗ V_k)P₊ has trace norm ‖Choi(V_k)‖₁/d > 1 where V_k is not CP, so the
-    flow of W_k is positive right after t_k (Chruściński, Kossakowski and
-    Rivas, PRA 83, 052128 (2011)).  A violating step is never excluded, so
-    Λ_{t_k} is well conditioned."""
+    (id ⊗ Λ_{t_k})W_k = Z_k has trace norm 1 and (id ⊗ Λ_{t_{k+1}})W_k =
+    (id ⊗ V_k)Z_k has trace norm at least ‖(id ⊗ V_k)P₊‖₁ = ‖Choi(V_k)‖₁/d > 1
+    where V_k is not CP, so the flow of W_k is positive right after t_k
+    (Chruściński, Kossakowski and Rivas, PRA 83, 052128 (2011)).  A
+    violating step is never excluded, so Λ_{t_k} is well conditioned."""
     steps = []
     for first, last in _violating_runs(data, tol):
         worst = first + int(np.argmin(data.min_eigenvalues[first:last + 1]))
         steps += [first] if worst == first else [first, worst]
+    if not steps:
+        return []
+    props, _, _ = propagators(traj.maps[1:][steps], traj.maps[steps])
     return [ops.hermitian_part(apply_superop(np.linalg.inv(traj.maps[k]),
-                                             ops.max_entangled_projector(traj.dim)))
-            for k in steps]
+                                             _best_pure_input(v)))
+            for k, v in zip(steps, props)]
 
 
 def _traceless(x: np.ndarray) -> np.ndarray:
@@ -278,11 +331,12 @@ def _point(spec_cls, x):
     return getattr(spec, fields(spec)[0].name), spec
 
 
-def _ascent(traj, point, project):
-    """``_trace_norm_gradient`` at ``point``, projected, less its part along
-    the projected normal sign(point) of the unit trace-norm sphere; scaled to
-    unit trace norm, or None where it vanishes."""
-    grad = project(_trace_norm_gradient(traj.times, traj.maps, apply_superop(traj.maps, point)))
+def _ascent(traj, point, project, support):
+    """``_trace_norm_gradient`` at ``point`` on ``support``, projected, less
+    its part along the projected normal sign(point) of the unit trace-norm
+    sphere; scaled to unit trace norm, or None where it vanishes."""
+    grad = project(_trace_norm_gradient(traj.times, traj.maps, apply_superop(traj.maps, point),
+                                        support))
     w, v = np.linalg.eigh(point)
     normal = project((v * np.sign(w)) @ v.conj().T)
     grad = grad - np.vdot(normal, grad).real / np.vdot(normal, normal).real * normal
@@ -290,22 +344,22 @@ def _ascent(traj, point, project):
     return grad / norm if norm > 0.0 else None
 
 
-def _climb(traj, spec_cls, project, start, iterations):
-    """Best (operator, series, value) of a climb from the triple ``start``,
-    whose value is positive.  Each move is a step along ``_ascent``; the step
-    doubles after a kept move and halves otherwise.  The climb ends where the
+def _climb(traj, spec_cls, project, support, start, iterations):
+    """Best (operator, series, value) of a climb on ``support`` from the
+    triple ``start``, whose value is positive.  Each move is a step along
+    ``_ascent``; the step doubles after a kept move and halves otherwise.  The climb ends where the
     ascent vanishes or once the step falls below ``MIN_STEP``."""
     point, ws, value = start
     ascent = None
     step = INITIAL_STEP
     for _ in range(iterations):
         if ascent is None:
-            ascent = _ascent(traj, point, project)
+            ascent = _ascent(traj, point, project, support)
         if ascent is None or step < MIN_STEP:
             break
         moved = _point(spec_cls, point + step * ascent)
         if moved is not None:
-            cand = series(traj, moved[1])
+            cand = series(traj, moved[1], support=support)
             if cand.total_violation > value:
                 point, ws, value = moved[0], cand, cand.total_violation
                 ascent = None
@@ -315,8 +369,19 @@ def _climb(traj, spec_cls, project, start, iterations):
     return point, ws, value
 
 
-def _search(traj, directed, spec_cls, project, search):
-    """Best (operator, series, value) of a hill climb from every positive seed.
+def _rounding_level(traj, support):
+    """The value that rounding alone can give an operator whose evolved trace
+    norm stays near 1: each of its d² evolved eigenvalues off by one unit in
+    the last place of 1 at every node, differenced by a stencil of absolute
+    weight at most 1.5/h (h the smallest step), integrated over ``support``."""
+    width = np.trapezoid(support.astype(float), traj.times[1:-1])
+    return 1.5 * traj.dim ** 2 * np.finfo(float).eps * width / np.diff(traj.times).min()
+
+
+def _search(traj, directed, spec_cls, project, search, support):
+    """Best (operator, series, value) of a hill climb from every seed above
+    the rounding level, each operator valued by its flow on ``support``
+    (``_support``).
 
     ``spec_cls`` is a trace-norm witness family that stores its Hermitian
     operator with unit trace norm; ``project`` projects onto the search space
@@ -325,10 +390,14 @@ def _search(traj, directed, spec_cls, project, search):
     ``np.random.default_rng(search.rng_seed)`` and cut to ``search.seeds``; a
     seed or move that ``spec_cls`` rejects is skipped.  In one pass, each
     seed is valued once and climbed at once for at most ``search.iterations``
-    moves if its value is positive.  A seed of value 0 is not climbed: no
-    direction is known to raise it.  Returns ``(None, None, 0.0)`` when no
-    positive value is found.
+    moves if its value exceeds the ``_rounding_level``.  Any other seed is
+    not climbed: its value is rounding noise, and no direction is known to
+    raise it.  Returns ``(None, None, 0.0)`` when no seed is climbed, and
+    without any evaluation when ``support`` is empty.
     """
+    if not support.any():
+        return None, None, 0.0
+    floor = _rounding_level(traj, support)
     seeds = list(directed)
     rng = np.random.default_rng(search.rng_seed)
     size = traj.dim ** 2 if spec_cls._doubled else traj.dim
@@ -336,13 +405,20 @@ def _search(traj, directed, spec_cls, project, search):
         seeds.append(project(ops.random_hermitian(size, rng)))
     best = (None, None, 0.0)
     for point, spec in filter(None, (_point(spec_cls, x) for x in seeds[:search.seeds])):
-        ws = series(traj, spec)
-        if ws.total_violation > 0.0:
-            climbed = _climb(traj, spec_cls, project, (point, ws, ws.total_violation),
+        ws = series(traj, spec, support=support)
+        if ws.total_violation > floor:
+            climbed = _climb(traj, spec_cls, project, support, (point, ws, ws.total_violation),
                              search.iterations)
             if climbed[2] > best[2]:
                 best = climbed
-    return best
+    point, ws, value = best
+    if point is None:
+        return best
+    # Off the support the result's series is the full-grid flow where it is
+    # not positive, and 0 where it is: no step there can raise the norm.
+    full = series(traj, ws.spec).values
+    return point, WitnessSeries(ws.spec, ws.times, np.where(support, ws.values,
+                                                            np.minimum(full, 0.0))), value
 
 
 def witness_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
@@ -352,21 +428,26 @@ def witness_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
 
     The seeds are, in this order, the certified candidates of the steps that
     violate divisibility at tolerance ``tol`` (the verdict's), the product
-    candidates, then random witnesses, cut to ``search.seeds``."""
+    candidates, then random witnesses, cut to ``search.seeds``.  Flows are
+    valued on the ``_support`` of the steps at ``tol``."""
     data = steps if steps is not None else step_choi_data(traj)
     directed = _certified_candidates(traj, data, tol) + _product_candidates(traj.dim)
     witness, ws, value = _search(traj, directed, ExtendedTraceNormWitness,
-                                 ops.hermitian_part, search)
+                                 ops.hermitian_part, search, _support(data, tol))
     return WitnessMeasureResult(value=float(value), witness=witness, series=ws)
 
 
-def blp_measure(traj: Trajectory, search: SearchConfig = SearchConfig()) -> BlpMeasureResult:
+def blp_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
+                steps: StepChoiData | None = None,
+                tol: float = DIVISIBILITY_TOL) -> BlpMeasureResult:
     """Lower bound on the state-distinguishability measure with the best pair.
 
     Searches traceless Hermitian X of unit trace norm for the largest positive
-    trace-norm flow; the pair is (2X⁺, 2X⁻), the doubled positive and negative
-    parts of the best X, whose BLP flow is the flow of X (module docstring).
+    trace-norm flow on the ``_support`` of the steps at ``tol``; the pair is
+    (2X⁺, 2X⁻), the doubled positive and negative parts of the best X, whose
+    BLP flow is the flow of X (module docstring).
     """
+    data = steps if steps is not None else step_choi_data(traj)
     x, ws, value = _search(traj, gell_mann_basis(traj.dim), PlainTraceNormWitness,
-                           _traceless, search)
+                           _traceless, search, _support(data, tol))
     return BlpMeasureResult(value=float(value), pair=None if x is None else _pair(x), series=ws)

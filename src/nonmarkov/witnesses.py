@@ -74,15 +74,19 @@ def derivative_series(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     n = times.size
     if n < 3:
         raise ValueError("need at least three nodes for interior derivatives")
-    steps = np.diff(times)
-    h = steps[0]
     spans = (times[2:] - times[:-2]).reshape((-1,) + (1,) * (values.ndim - 1))
     out = (values[2:] - values[:-2]) / spans
-    # uniform within rtol 1e-8, atol 1e-14, as np.allclose(steps, h) judges it
-    if n >= 5 and (np.abs(steps - h) <= 1e-14 + 1e-8 * abs(h)).all():
+    if n >= 5 and _uniform(times):
         out[1:-1] = (-values[4:] + 8.0 * values[3:-1] - 8.0 * values[1:-3]
-                     + values[:-4]) / (12.0 * h)
+                     + values[:-4]) / (12.0 * (times[1] - times[0]))
     return out
+
+
+def _uniform(times: np.ndarray) -> bool:
+    """Whether the grid's steps are equal within rtol 1e-8, atol 1e-14, as
+    np.allclose(steps, first step) judges it."""
+    steps = np.diff(times)
+    return bool((np.abs(steps - steps[0]) <= 1e-14 + 1e-8 * abs(steps[0])).all())
 
 
 def _derivative_adjoint(times: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -110,7 +114,8 @@ def _trace_norm_derivative(times: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (np.sign(eigs[1:-1]) * derivative_series(times, eigs)).sum(axis=1)
 
 
-def _trace_norm_gradient(times: np.ndarray, maps: np.ndarray, stack: np.ndarray) -> np.ndarray:
+def _trace_norm_gradient(times: np.ndarray, maps: np.ndarray, stack: np.ndarray,
+                         support: np.ndarray | None = None) -> np.ndarray:
     """Gradient of Σⱼ wⱼ max(0, D[‖·‖₁]ⱼ) (w the trapezoid weights) with
     respect to the operator that ``maps`` evolve into ``stack``: the
     eigenprojectors Pᵢ of the stack, weighted by c = sign(λ) Dᵀ(w [D[‖·‖₁] > 0])
@@ -118,12 +123,21 @@ def _trace_norm_gradient(times: np.ndarray, maps: np.ndarray, stack: np.ndarray)
     ``_trace_norm_derivative`` reads it at the centre; the two agree wherever
     no eigenvalue changes sign inside a stencil.  The centred flow jumps each
     time an eigenvalue's zero crossing passes a node, and its gradient pushes
-    crossings into those jumps; this flow is continuous and sees them move."""
-    eigs, vecs = np.linalg.eigh(stack)
-    flow = derivative_series(times, np.abs(eigs).sum(axis=1))
+    crossings into those jumps; this flow is continuous and sees them move.
+
+    With ``support``, a mask over the interior nodes, the sum runs over
+    those nodes only, and only the nodes their stencils read are
+    diagonalized and pulled back."""
+    read = slice(None) if support is None else _stencil_nodes(support)
+    eigs, vecs = np.linalg.eigh(stack[read])
+    norms = np.zeros(times.size)
+    norms[read] = np.abs(eigs).sum(axis=1)
+    flow = derivative_series(times, norms)
     weights = np.convolve(np.diff(times[1:-1]), [0.5, 0.5]) * (flow > 0.0)
-    coeffs = np.sign(eigs) * _derivative_adjoint(times, weights)[:, None]
-    return pull_back(maps, (vecs * coeffs[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
+    if support is not None:
+        weights *= support
+    coeffs = np.sign(eigs) * _derivative_adjoint(times, weights)[read][:, None]
+    return pull_back(maps[read], (vecs * coeffs[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
 
 
 def _operator_norm_derivative(times: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -365,8 +379,20 @@ def verify_invariance(traj: Trajectory, state: np.ndarray | None = None,
     return dev <= INVARIANCE_TOL, dev
 
 
-def _flow(traj: Trajectory, spec: WitnessSpec) -> np.ndarray:
-    """Oriented witness flow at the interior nodes times[1:-1]."""
+def _stencil_nodes(support: np.ndarray) -> np.ndarray:
+    """Mask over all nodes of those that the stencils of the interior nodes
+    in ``support`` read: interior node i reads nodes i − 2 to i + 2."""
+    return np.convolve(support, np.ones(5))[1:-1] > 0.0
+
+
+def _flow(traj: Trajectory, spec: WitnessSpec, support: np.ndarray | None = None) -> np.ndarray:
+    """Oriented witness flow at the interior nodes times[1:-1]; with
+    ``support``, a mask over them, the flow at the nodes in it and 0 elsewhere.
+
+    Each run of nodes that the masked stencils read is differenced on its
+    own, so the flow at a masked node is the full grid's.  That needs the
+    five-point stencil on the runs exactly where the full grid has it, so on
+    a grid that is not uniform the one run is the whole grid."""
     if spec.system_dim != traj.dim:
         raise ValueError(
             f"spec dimension {spec.system_dim} does not match trajectory dimension {traj.dim}"
@@ -378,14 +404,21 @@ def _flow(traj: Trajectory, spec: WitnessSpec) -> np.ndarray:
             (kind,) = required
             raise InvarianceError(f"witness requires an invariant {kind}; max deviation "
                                   f"{dev:.3e} exceeds {INVARIANCE_TOL}")
-    return spec.orientation * spec.derivative(traj.times, traj.maps)
+    if support is None:
+        return spec.orientation * spec.derivative(traj.times, traj.maps)
+    flow = np.zeros(traj.nodes - 2)
+    runs = _runs(_stencil_nodes(support)) if _uniform(traj.times) else [(0, traj.nodes - 1)]
+    for first, last in runs:
+        flow[first:last - 1] = spec.derivative(traj.times[first:last + 1],
+                                               traj.maps[first:last + 1])
+    return np.where(support, spec.orientation * flow, 0.0)
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Inclusive (first, last) index pairs of the maximal True runs of a 1-d mask."""
-    edges = np.diff(np.asarray(mask, dtype=np.int8), prepend=0, append=0)
-    return list(zip(np.flatnonzero(edges == 1).tolist(),
-                    (np.flatnonzero(edges == -1) - 1).tolist()))
+    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2)
+    return [(first, end - 1) for first, end in edges.tolist()]
 
 
 def detect_violations(times: np.ndarray, values: np.ndarray):
@@ -431,9 +464,11 @@ class WitnessSeries:
         return float(np.trapezoid(np.clip(self.values, 0.0, None), self.times))
 
 
-def series(traj: Trajectory, spec: WitnessSpec) -> WitnessSeries:
-    """Evaluate the flow at every interior node."""
-    return WitnessSeries(spec=spec, times=traj.times[1:-1], values=_flow(traj, spec))
+def series(traj: Trajectory, spec: WitnessSpec,
+           support: np.ndarray | None = None) -> WitnessSeries:
+    """Evaluate the flow at every interior node, or with ``support``, a mask
+    over the interior nodes, at the nodes in it, the flow being 0 elsewhere."""
+    return WitnessSeries(spec=spec, times=traj.times[1:-1], values=_flow(traj, spec, support))
 
 
 # ---------------------------------------------------------------------------

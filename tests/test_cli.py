@@ -519,7 +519,7 @@ prefix = sb
         assert "numeric failure in measure:rhp: G changes sign between t=1.46 and t=1.465" in err
 
     def test_search_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        def failing(traj, spec):
+        def failing(traj, spec, support=None):
             raise FloatingPointError("objective failed in a search")
 
         monkeypatch.setattr(measures, "series", failing)
@@ -531,24 +531,28 @@ prefix = sb
 
     def test_witness_search_takes_the_verdict_tolerance(self, tmp_path, monkeypatch):
         # At rate 1e-7 only a tolerance below the default finds the window; the
-        # witness search seeds from the steps that the verdict judges violating.
+        # witness search seeds from the steps that the verdict judges violating,
+        # and both searches value flows on the nodes those steps reach.
         tols = []
-        search = cli.witness_measure
 
-        def record(traj, search_cfg, steps, tol):
-            tols.append(tol)
-            return search(traj, search_cfg, steps, tol)
+        def recording(search):
+            def record(traj, search_cfg, steps, tol):
+                tols.append(tol)
+                return search(traj, search_cfg, steps, tol)
+            return record
 
-        monkeypatch.setattr(cli, "witness_measure", record)
+        monkeypatch.setattr(cli, "witness_measure", recording(cli.witness_measure))
+        monkeypatch.setattr(cli, "blp_measure", recording(cli.blp_measure))
         text = EXAMPLE1.replace("rate.amplitude = 1.0", "rate.amplitude = 1e-7").replace(
             "enabled = true", "enabled = true\ndivisibility_tol = 1e-10")
         out = tmp_path / "out"
         assert main(["report", "--config", _write(tmp_path, text), "--out", str(out),
                      "--quiet"]) == 0
         report = json.loads((out / "run_report.json").read_text())
-        assert tols == [1e-10]
+        assert tols == [1e-10, 1e-10]
         assert len(report["verdict"]["violation_intervals"]) == 1
         assert report["measures"]["witness"]["value"] > 0.0
+        assert report["measures"]["blp"]["value"] > 0.0
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         cfg_path = _write(tmp_path, EXAMPLE1)

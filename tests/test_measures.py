@@ -64,23 +64,37 @@ def replacement_traj():
     return evolve(model, np.linspace(0, 2 * np.pi, 513))
 
 
-def _pulled_back_projector(traj, k):
-    """(id ⊗ Λ_{t_k})⁻¹P₊ through the materialized matrix of id ⊗ Λ_{t_k}⁻¹."""
-    n = traj.dim ** 2
-    inverse = extended_superop(np.linalg.inv(traj.maps[k]))
-    return unvec(inverse @ vec(ops.max_entangled_projector(traj.dim)), n)
-
-
-def _certified_reference(traj, data, tol=measures.DIVISIBILITY_TOL):
-    """The pulled-back projectors of the first and the worst step of each
-    verdict window, in time order."""
-    seeds = []
+def _certified_steps(traj, data, tol=measures.DIVISIBILITY_TOL):
+    """The first and the worst step of each verdict window, in time order."""
+    steps = []
     for start, end, _ in divisibility_verdict(traj, tol, data).violation_intervals:
         first = int(np.searchsorted(data.start_times, start))
         last = int(np.searchsorted(data.end_times, end))
         worst = first + int(np.argmin(data.min_eigenvalues[first:last + 1]))
-        seeds += [_pulled_back_projector(traj, k) for k in sorted({first, worst})]
-    return seeds
+        steps += sorted({first, worst})
+    return steps
+
+
+def _assert_best_pure_seed(traj, k, seed):
+    """``seed`` is (id ⊗ Λ_{t_k})⁻¹Z for a pure state Z whose image under
+    id ⊗ V_k, V_k = Λ_{t_{k+1}}Λ_{t_k}⁻¹, has a trace norm no lower than P₊'s
+    and that no see-saw round raises, through the materialized matrices of
+    id ⊗ Λ."""
+    n = traj.dim ** 2
+    z = unvec(extended_superop(traj.maps[k]) @ vec(seed), n)
+    # rounding of Z = Λ_{t_k}(seed) grows with the sizes of both, and so
+    # does that of the norms read from Z
+    atol = 1e-12 * max(1.0, np.abs(seed).max() * np.abs(traj.maps[k]).max())
+    np.testing.assert_allclose(z @ z, z, rtol=0, atol=atol)
+    assert np.trace(z).real == pytest.approx(1.0, abs=atol)
+    step = extended_superop(traj.maps[k + 1] @ np.linalg.inv(traj.maps[k]))
+    evolved = lambda x: ops.hermitian_part(unvec(step @ vec(x), n))
+    norm = lambda x: np.abs(np.linalg.eigvalsh(evolved(x))).sum()
+    assert norm(z) >= norm(ops.max_entangled_projector(traj.dim)) - atol
+    w, u = np.linalg.eigh(evolved(z))
+    dual = unvec(step.conj().T @ vec((u * np.sign(w)) @ u.conj().T), n)
+    top = np.linalg.eigh(ops.hermitian_part(dual))[1][:, -1]
+    assert norm(np.outer(top, top.conj())) <= norm(z) * (1.0 + measures.SEESAW_GAIN) + atol
 
 
 def _valued_seeds(traj, search, monkeypatch, **kwargs):
@@ -94,7 +108,8 @@ def _valued_seeds(traj, search, monkeypatch, **kwargs):
         return point(spec_cls, x)
 
     monkeypatch.setattr(measures, "_point", record)
-    monkeypatch.setattr(measures, "_climb", lambda traj, spec_cls, project, start, its: start)
+    monkeypatch.setattr(measures, "_climb",
+                        lambda traj, spec_cls, project, support, start, its: start)
     witness_measure(traj, search, **kwargs)
     return seen
 
@@ -273,8 +288,12 @@ class TestWitnessMeasure:
         # from the search's rng_seed, cut to the budget.
         traj = request.getfixturevalue(name)
         seen = _valued_seeds(traj, SearchConfig(seeds=seeds, rng_seed=5), monkeypatch)
-        certified = _certified_reference(traj, step_choi_data(traj))
-        assert len(certified) == 2
+        data = step_choi_data(traj)
+        certified = measures._certified_candidates(traj, data)
+        steps = _certified_steps(traj, data)
+        assert len(certified) == len(steps) == 2
+        for k, seed in zip(steps, certified):
+            _assert_best_pure_seed(traj, k, seed)
         local = [np.eye(traj.dim, dtype=complex)] + gell_mann_basis(traj.dim)
         products = [0.5 * np.kron(a, b) for a in local for b in local][1:]
         rng = np.random.default_rng(5)
@@ -282,9 +301,7 @@ class TestWitnessMeasure:
                  for _ in range(seeds - len(certified) - len(products))]
         expected = (certified + products + draws)[:seeds]
         assert len(seen) == seeds
-        for got, want in zip(seen, certified):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
-        for got, want in zip(seen[len(certified):], expected[len(certified):]):
+        for got, want in zip(seen, expected):
             np.testing.assert_array_equal(got, want)
 
     def test_certified_seeds_follow_the_verdict_tolerance(self, monkeypatch):
@@ -297,11 +314,13 @@ class TestWitnessMeasure:
         (window,) = divisibility_verdict(traj, tol, data).violation_intervals
         assert -measures.DIVISIBILITY_TOL < window[2] < -tol
         assert measures._certified_candidates(traj, data) == []
-        certified = _certified_reference(traj, data, tol)
-        assert len(certified) == 2
+        certified = measures._certified_candidates(traj, data, tol)
+        steps = _certified_steps(traj, data, tol)
+        assert len(certified) == len(steps) == 2
         seen = _valued_seeds(traj, QUICK, monkeypatch, tol=tol)
-        for got, want in zip(seen, certified):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        for got, want, k in zip(seen, certified, steps):
+            np.testing.assert_array_equal(got, want)
+            _assert_best_pure_seed(traj, k, want)
             assert series(traj, ExtendedTraceNormWitness(want)).total_violation > 0.0
 
     @pytest.mark.parametrize("case", [
@@ -310,7 +329,8 @@ class TestWitnessMeasure:
         "qutrit", "replacement-rate5",
     ])
     def test_certified_seed_of_each_window_is_positive(self, case, qutrit_traj):
-        # Where the verdict finds a violation, the certified seed of the
+        # Where the verdict finds a violation, each certified seed is the
+        # pulled-back best pure input of its step, and the seed of the
         # window's first step has a positive flow, so the search has a
         # positive value to climb from.
         if case == "qutrit":
@@ -327,11 +347,12 @@ class TestWitnessMeasure:
         verdict = divisibility_verdict(traj, steps=data)
         assert verdict.violation_intervals
         certified = measures._certified_candidates(traj, data)
+        steps = _certified_steps(traj, data)
+        assert len(certified) == len(steps)
+        for k, seed in zip(steps, certified):
+            _assert_best_pure_seed(traj, k, seed)
         for start, _, _ in verdict.violation_intervals:
-            first = int(np.searchsorted(data.start_times, start))
-            seed = _pulled_back_projector(traj, first)
-            assert any(np.allclose(seed, x, rtol=0, atol=1e-12 * np.abs(seed).max())
-                       for x in certified)
+            seed = certified[steps.index(int(np.searchsorted(data.start_times, start)))]
             assert series(traj, ExtendedTraceNormWitness(seed)).total_violation > 0.0
         assert witness_measure(traj, QUICK).value > 0.0
 
@@ -344,11 +365,101 @@ class TestWitnessMeasure:
         # Example 2's pin moved when the norm flows moved to the derivative of
         # the sorted spectrum and when gradient moves replaced random ones,
         # both times on a climb from a seed of value 0, routed by rounding
-        # noise.  Only seeds of positive value climb now; this value is the
-        # climb from a certified seed.
+        # noise, and again when the certified seeds became the best pure
+        # inputs of their steps; this value is the climb from one of them.
         assert a.value == pytest.approx(0.8643064805615197, rel=1e-12)
         assert witness_measure(replacement_traj, QUICK).value == pytest.approx(
-            0.013897496628432095, rel=1e-12)
+            0.05946777325775693, rel=1e-12)
+
+
+class TestSupport:
+    def test_support_reads_violating_and_excluded_steps(self):
+        # 14 nodes, 13 steps: step 3 violates, step 11 is excluded and step 6
+        # violates only at a tolerance below 1e-9.  Interior node i reads
+        # steps i - 2 to i + 1.
+        mins = np.zeros(13)
+        mins[3], mins[6], mins[11] = -1e-3, -1e-9, np.nan
+        data = measures.StepChoiData(
+            start_times=np.arange(13.0), end_times=np.arange(1.0, 14.0), min_eigenvalues=mins,
+            excluded=np.isnan(mins), worst_vector=None, worst_value=-1e-3)
+        nodes = lambda support: (np.flatnonzero(support) + 1).tolist()
+        assert nodes(measures._support(data, 1e-8)) == [2, 3, 4, 5, 10, 11, 12]
+        assert nodes(measures._support(data, 1e-10)) == [2, 3, 4, 5, 6, 7, 8, 10, 11, 12]
+
+    def test_markovian_measures_are_exactly_zero_without_evaluation(self, markov_traj,
+                                                                    monkeypatch):
+        # Every step is CP, so no node is in the support, and neither search
+        # evaluates a flow: rounding has nothing to integrate.
+        calls = []
+        evaluate = measures.series
+
+        def count(traj, spec, support=None):
+            calls.append(spec)
+            return evaluate(traj, spec, support=support)
+
+        monkeypatch.setattr(measures, "series", count)
+        search = SearchConfig(rng_seed=7)
+        assert witness_measure(markov_traj, search).value == 0.0
+        assert blp_measure(markov_traj, search).value == 0.0
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["sine_traj", "replacement_traj", "qutrit_traj"])
+    def test_gradient_on_the_support(self, name, request):
+        # With a support the gradient is that of the positive flow summed
+        # over the masked nodes alone; with every node masked it is the
+        # gradient without one.
+        traj = request.getfixturevalue(name)
+        support = measures._support(step_choi_data(traj), measures.DIVISIBILITY_TOL)
+        assert 0 < support.sum() < support.size
+        evolved = lambda x: apply_superop(traj.maps, x)
+
+        def value(x):
+            flow = derivative_series(traj.times, np.abs(np.linalg.eigvalsh(evolved(x))).sum(1))
+            return np.trapezoid(np.clip(flow, 0.0, None) * support, traj.times[1:-1])
+
+        rng = np.random.default_rng(5)
+        eps = 1e-6
+        for _ in range(5):
+            x = ops.random_hermitian(traj.dim ** 2, rng)
+            x /= ops.trace_norm(x)
+            d = ops.random_hermitian(traj.dim ** 2, rng)
+            d /= np.linalg.norm(d)
+            grad = _trace_norm_gradient(traj.times, traj.maps, evolved(x), support)
+            assert np.vdot(grad, d).real == pytest.approx(
+                (value(x + eps * d) - value(x - eps * d)) / (2 * eps), abs=1e-8)
+            np.testing.assert_allclose(
+                _trace_norm_gradient(traj.times, traj.maps, evolved(x),
+                                     np.ones(support.size, dtype=bool)),
+                _trace_norm_gradient(traj.times, traj.maps, evolved(x)), rtol=0, atol=1e-12)
+
+
+class TestExample2Stability:
+    # paper example 2 at the budget of the trace-replacement benchmark
+    BUDGET = {"seeds": 32, "iterations": 100}
+
+    def test_every_rng_seed_finds_the_same_value(self, replacement_traj):
+        values = [witness_measure(replacement_traj,
+                                  SearchConfig(**self.BUDGET, rng_seed=seed)).value
+                  for seed in range(9)]
+        assert min(values) >= 0.0594
+        assert max(values) - min(values) <= 1e-9 * max(values)
+
+    def test_refinement_keeps_the_value(self):
+        model = TraceReplacement(rate=Constant(1.0), target=BlochZSineTarget(scale=1.2))
+        values = [witness_measure(evolve(model, np.linspace(0, 2 * np.pi, nodes)),
+                                  SearchConfig(**self.BUDGET, rng_seed=7)).value
+                  for nodes in (257, 513, 1025)]
+        assert max(values) <= 1.01 * min(values)
+
+    def test_rounding_level_noise_does_not_move_the_value(self, replacement_traj):
+        rng = np.random.default_rng(2024)
+        shape = replacement_traj.maps.shape
+        noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        perturbed = Trajectory(times=replacement_traj.times,
+                               maps=replacement_traj.maps + 1e-14 * noise)
+        search = SearchConfig(**self.BUDGET, rng_seed=7)
+        exact = witness_measure(replacement_traj, search).value
+        assert abs(witness_measure(perturbed, search).value - exact) < 1e-3 * exact
 
 
 class TestBlpMeasure:
@@ -459,12 +570,14 @@ class TestClimb:
     def test_value_is_the_series_of_the_result_and_beats_every_seed(self, name, request,
                                                                    monkeypatch):
         traj = request.getfixturevalue(name)
+        support = measures._support(step_choi_data(traj), measures.DIVISIBILITY_TOL)
         seeded = []
         evaluate = measures.series
 
-        def record(traj, spec):
-            ws = evaluate(traj, spec)
-            seeded.append(ws.total_violation)
+        def record(traj, spec, support=None):
+            ws = evaluate(traj, spec, support=support)
+            if support is not None:  # a candidate, not the result's full-grid series
+                seeded.append(ws.total_violation)
             return ws
 
         monkeypatch.setattr(measures, "series", record)
@@ -477,26 +590,60 @@ class TestClimb:
             spec = result.series.spec
             if operator is not None:
                 np.testing.assert_array_equal(getattr(spec, operator), result.witness)
-            assert evaluate(traj, spec).total_violation == result.value
+            assert result.series.total_violation == result.value
+            assert evaluate(traj, spec, support=support).total_violation == result.value
+            # the result's series is the full-grid flow on the support, and
+            # off it wherever that flow is not positive
+            full = evaluate(traj, spec).values
+            np.testing.assert_allclose(result.series.values[support], full[support],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(result.series.values[~support],
+                                          np.minimum(full, 0.0)[~support])
             # seeds and moves alike: no evaluated point beats the result
             assert result.value >= max(seeded)
 
     def test_seeds_of_value_zero_are_not_climbed(self, markov_traj, replacement_traj,
                                                  monkeypatch):
-        # each of the QUICK seeds is evaluated once; none has a positive flow
+        # each of the QUICK seeds is evaluated once; none has a positive flow.
+        # A Markovian trajectory has an empty support: nothing is evaluated.
         calls = []
         evaluate = measures.series
 
-        def count(traj, spec):
+        def count(traj, spec, support=None):
             calls.append(spec)
-            return evaluate(traj, spec)
+            return evaluate(traj, spec, support=support)
 
         monkeypatch.setattr(measures, "series", count)
         assert blp_measure(replacement_traj, QUICK).value == 0.0
         assert len(calls) == QUICK.seeds == 12
         calls.clear()
         assert witness_measure(markov_traj, QUICK).value == 0.0
-        assert len(calls) == 12
+        assert len(calls) == 0
+
+    def test_seeds_at_the_rounding_level_are_not_climbed(self, replacement_traj, monkeypatch):
+        # On example 2 some product seeds keep a constant evolved norm; their
+        # value on the support is rounding noise.  Only the four certified
+        # seeds are climbed.
+        support = measures._support(step_choi_data(replacement_traj), measures.DIVISIBILITY_TOL)
+        floor = measures._rounding_level(replacement_traj, support)
+        assert 0.0 < floor < 1e-12
+        starts, values = [], []
+        climb, evaluate = measures._climb, measures.series
+
+        def record_climb(traj, spec_cls, project, support, start, its):
+            starts.append(start[2])
+            return climb(traj, spec_cls, project, support, start, its)
+
+        def record(traj, spec, support=None):
+            ws = evaluate(traj, spec, support=support)
+            values.append(ws.total_violation)
+            return ws
+
+        monkeypatch.setattr(measures, "_climb", record_climb)
+        monkeypatch.setattr(measures, "series", record)
+        witness_measure(replacement_traj, SearchConfig(seeds=32, iterations=100, rng_seed=7))
+        assert len(starts) == 4 and min(starts) > 1e-3
+        assert any(0.0 < v <= floor for v in values)
 
     @pytest.mark.parametrize("budget", [{"seeds": 0}, {"iterations": -3}, {"rng_seed": -1}],
                              ids=["seeds_zero", "iterations_negative", "rng_seed_negative"])
@@ -514,9 +661,10 @@ class TestClimb:
         values = []
         evaluate = measures.series
 
-        def record(traj, spec):
-            ws = evaluate(traj, spec)
-            values.append(ws.total_violation)
+        def record(traj, spec, support=None):
+            ws = evaluate(traj, spec, support=support)
+            if support is not None:  # a candidate, not the result's full-grid series
+                values.append(ws.total_violation)
             return ws
 
         monkeypatch.setattr(measures, "series", record)
@@ -538,9 +686,10 @@ class TestClimb:
         values, draws = [], []
         evaluate, draw = measures.series, ops.random_hermitian
 
-        def record(traj, spec):
-            ws = evaluate(traj, spec)
-            values.append(ws.total_violation)
+        def record(traj, spec, support=None):
+            ws = evaluate(traj, spec, support=support)
+            if support is not None:  # a candidate, not the result's full-grid series
+                values.append(ws.total_violation)
             return ws
 
         def count(dim, rng):
@@ -551,7 +700,7 @@ class TestClimb:
         monkeypatch.setattr(measures, "series", record)
         monkeypatch.setattr(ops, "random_hermitian", count)
         # the certified seeds and the d⁴ - 1 products; the d² - 1 Gell-Mann matrices
-        certified = _certified_reference(traj, step_choi_data(traj))
+        certified = _certified_steps(traj, step_choi_data(traj))
         for measure, directed in ((witness_measure, len(certified) + traj.dim ** 4 - 1),
                                   (blp_measure, traj.dim ** 2 - 1)):
             values.clear()

@@ -12,6 +12,7 @@ from nonmarkov.dynamics import (
     Sine,
     SpinBoson,
     TraceReplacement,
+    Trajectory,
     apply_superop,
     dual_superop,
     evolve,
@@ -190,6 +191,29 @@ def test_family_matches_single_matrix_reference(family, request):
     reference = sign * derivative_series(traj.times, values)
     assert np.abs(reference).max() > 1e-3
     np.testing.assert_allclose(series(traj, spec).values, reference, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
+@pytest.mark.parametrize("family", FAMILY_REFERENCES)
+def test_series_on_a_support_is_the_full_grid_flow(family, grid, request):
+    # With a mask over the interior nodes, the flow at a masked node is the
+    # full grid's, at the grid's edges too, and 0 elsewhere.  Dropping one
+    # node makes the grid non-uniform: the secants read only neighbours, and
+    # a uniform run must not switch to the five-point stencil.
+    make, traj_name, _, _ = FAMILY_REFERENCES[family]
+    spec, traj = make(), request.getfixturevalue(traj_name)
+    if grid == "nonuniform":
+        keep = np.arange(traj.nodes) != traj.nodes // 2
+        traj = Trajectory(times=traj.times[keep], maps=traj.maps[keep])
+    full = series(traj, spec).values
+    support = np.zeros(full.size, dtype=bool)
+    support[[0, 9, 10, 11, 40, full.size // 2, full.size - 3, full.size - 1]] = True
+    values = series(traj, spec, support=support).values
+    np.testing.assert_allclose(values[support], full[support], rtol=0, atol=1e-12)
+    assert (values[~support] == 0.0).all()
+    np.testing.assert_allclose(series(traj, spec, support=np.ones(full.size, dtype=bool)).values,
+                               full, rtol=0, atol=1e-12)
+    assert (series(traj, spec, support=np.zeros(full.size, dtype=bool)).values == 0.0).all()
 
 
 class TestSeries:
