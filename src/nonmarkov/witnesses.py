@@ -115,7 +115,7 @@ def _trace_norm_derivative(times: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def _trace_norm_gradient(times: np.ndarray, maps: np.ndarray, stack: np.ndarray,
-                         support: np.ndarray | None = None) -> np.ndarray:
+                         support: np.ndarray) -> np.ndarray:
     """Gradient of Σⱼ wⱼ max(0, D[‖·‖₁]ⱼ) (w the trapezoid weights) with
     respect to the operator that ``maps`` evolve into ``stack``: the
     eigenprojectors Pᵢ of the stack, weighted by c = sign(λ) Dᵀ(w [D[‖·‖₁] > 0])
@@ -125,17 +125,14 @@ def _trace_norm_gradient(times: np.ndarray, maps: np.ndarray, stack: np.ndarray,
     time an eigenvalue's zero crossing passes a node, and its gradient pushes
     crossings into those jumps; this flow is continuous and sees them move.
 
-    With ``support``, a mask over the interior nodes, the sum runs over
-    those nodes only, and only the nodes their stencils read are
-    diagonalized and pulled back."""
-    read = slice(None) if support is None else _stencil_nodes(support)
+    The sum runs over the interior nodes in ``support``, a mask over them,
+    and only the nodes their stencils read are diagonalized and pulled back."""
+    read = _stencil_nodes(support)
     eigs, vecs = np.linalg.eigh(stack[read])
     norms = np.zeros(times.size)
     norms[read] = np.abs(eigs).sum(axis=1)
     flow = derivative_series(times, norms)
-    weights = np.convolve(np.diff(times[1:-1]), [0.5, 0.5]) * (flow > 0.0)
-    if support is not None:
-        weights *= support
+    weights = np.convolve(np.diff(times[1:-1]), [0.5, 0.5]) * (flow > 0.0) * support
     coeffs = np.sign(eigs) * _derivative_adjoint(times, weights)[read][:, None]
     return pull_back(maps[read], (vecs * coeffs[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
 
@@ -385,14 +382,15 @@ def _stencil_nodes(support: np.ndarray) -> np.ndarray:
     return np.convolve(support, np.ones(5))[1:-1] > 0.0
 
 
-def _flow(traj: Trajectory, spec: WitnessSpec, support: np.ndarray | None = None) -> np.ndarray:
-    """Oriented witness flow at the interior nodes times[1:-1]; with
-    ``support``, a mask over them, the flow at the nodes in it and 0 elsewhere.
+def _flow(traj: Trajectory, spec: WitnessSpec, support: np.ndarray) -> np.ndarray:
+    """Oriented witness flow at the interior nodes times[1:-1] in ``support``,
+    a mask over them, and 0 at the others.
 
     Each run of nodes that the masked stencils read is differenced on its
     own, so the flow at a masked node is the full grid's.  That needs the
     five-point stencil on the runs exactly where the full grid has it, so on
-    a grid that is not uniform the one run is the whole grid."""
+    a grid without it (not uniform, or under five nodes) the one run is the
+    whole grid."""
     if spec.system_dim != traj.dim:
         raise ValueError(
             f"spec dimension {spec.system_dim} does not match trajectory dimension {traj.dim}"
@@ -404,10 +402,9 @@ def _flow(traj: Trajectory, spec: WitnessSpec, support: np.ndarray | None = None
             (kind,) = required
             raise InvarianceError(f"witness requires an invariant {kind}; max deviation "
                                   f"{dev:.3e} exceeds {INVARIANCE_TOL}")
-    if support is None:
-        return spec.orientation * spec.derivative(traj.times, traj.maps)
     flow = np.zeros(traj.nodes - 2)
-    runs = _runs(_stencil_nodes(support)) if _uniform(traj.times) else [(0, traj.nodes - 1)]
+    five_point = traj.nodes >= 5 and _uniform(traj.times)
+    runs = _runs(_stencil_nodes(support)) if five_point else [(0, traj.nodes - 1)]
     for first, last in runs:
         flow[first:last - 1] = spec.derivative(traj.times[first:last + 1],
                                                traj.maps[first:last + 1])
@@ -466,8 +463,10 @@ class WitnessSeries:
 
 def series(traj: Trajectory, spec: WitnessSpec,
            support: np.ndarray | None = None) -> WitnessSeries:
-    """Evaluate the flow at every interior node, or with ``support``, a mask
-    over the interior nodes, at the nodes in it, the flow being 0 elsewhere."""
+    """Evaluate the flow at the interior nodes in ``support``, a mask over
+    them (every interior node by default), the flow being 0 elsewhere."""
+    if support is None:
+        support = np.ones(traj.nodes - 2, dtype=bool)
     return WitnessSeries(spec=spec, times=traj.times[1:-1], values=_flow(traj, spec, support))
 
 

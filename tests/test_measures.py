@@ -367,9 +367,12 @@ class TestWitnessMeasure:
         # both times on a climb from a seed of value 0, routed by rounding
         # noise, and again when the certified seeds became the best pure
         # inputs of their steps; this value is the climb from one of them.
+        # Where that climb ends moves with rounding in the seed: a step
+        # propagator that differs in the last place moves it by 3e-4
+        # relative.
         assert a.value == pytest.approx(0.8643064805615197, rel=1e-12)
         assert witness_measure(replacement_traj, QUICK).value == pytest.approx(
-            0.05946777325775693, rel=1e-12)
+            0.05944974006169677, rel=1e-12)
 
 
 class TestSupport:
@@ -403,11 +406,22 @@ class TestSupport:
         assert blp_measure(markov_traj, search).value == 0.0
         assert calls == []
 
+    def test_violations_inside_the_tolerance_are_not_valued(self):
+        # The value is the positive flow integrated over the support at the
+        # verdict's tolerance.  At rate 1e-7 the step Choi eigenvalues fall
+        # to -2.45e-9, inside the default tolerance, so the support is empty
+        # and both measures read exactly 0; at 1e-10 both are positive.
+        traj = evolve(Dephasing(rate=Sine(1e-7)), SINE_GRID)
+        data = step_choi_data(traj)
+        assert -measures.DIVISIBILITY_TOL < np.nanmin(data.min_eigenvalues) < -1e-10
+        for measure in (witness_measure, blp_measure):
+            assert measure(traj, QUICK, data).value == 0.0
+            assert measure(traj, QUICK, data, 1e-10).value > 0.0
+
     @pytest.mark.parametrize("name", ["sine_traj", "replacement_traj", "qutrit_traj"])
     def test_gradient_on_the_support(self, name, request):
         # With a support the gradient is that of the positive flow summed
-        # over the masked nodes alone; with every node masked it is the
-        # gradient without one.
+        # over the masked nodes alone.
         traj = request.getfixturevalue(name)
         support = measures._support(step_choi_data(traj), measures.DIVISIBILITY_TOL)
         assert 0 < support.sum() < support.size
@@ -427,10 +441,6 @@ class TestSupport:
             grad = _trace_norm_gradient(traj.times, traj.maps, evolved(x), support)
             assert np.vdot(grad, d).real == pytest.approx(
                 (value(x + eps * d) - value(x - eps * d)) / (2 * eps), abs=1e-8)
-            np.testing.assert_allclose(
-                _trace_norm_gradient(traj.times, traj.maps, evolved(x),
-                                     np.ones(support.size, dtype=bool)),
-                _trace_norm_gradient(traj.times, traj.maps, evolved(x)), rtol=0, atol=1e-12)
 
 
 class TestExample2Stability:
@@ -528,6 +538,7 @@ class TestClimb:
         n = traj.dim ** 2 if extended else traj.dim
         evolved = lambda x: apply_superop(traj.maps, x)
         nodes = traj.times.size
+        interior = np.ones(nodes - 2, dtype=bool)
         # the nodes that each interior node's stencil may read
         stencils = np.clip(np.arange(1, nodes - 1)[:, None] + np.arange(-2, 3), 0, nodes - 1)
 
@@ -541,7 +552,7 @@ class TestClimb:
         for _ in range(10):
             spec = family(ops.random_hermitian(n, rng))
             x = getattr(spec, "witness" if extended else "operator")
-            grad = _trace_norm_gradient(traj.times, traj.maps, evolved(x))
+            grad = _trace_norm_gradient(traj.times, traj.maps, evolved(x), interior)
             w, v = np.linalg.eigh(x)
             normal = (v * np.sign(w)) @ v.conj().T
             d = ops.random_hermitian(n, rng)
