@@ -321,8 +321,8 @@ def generator(model: GeneratorModel) -> Callable[[float | np.ndarray], np.ndarra
     array of times (the stack (..., d^2, d^2) back).  The constant GKSL
     superoperators are built here, once; each call weights them by the rate
     arrays at its times.  Trace replacement is rate(t) (|vec target(t)><vec I| - id).
-    Spin-boson rates come from G at the given times (see
-    :func:`volterra.amplitude`) and raise SingularAmplitudeError across a
+    The spin-boson decay rate comes from G at the given times (see
+    :func:`volterra.amplitude`) and raises SingularAmplitudeError across a
     zero of G; a kernel other than the exponential one needs a uniform grid
     from 0."""
     if isinstance(model, TraceReplacement):
@@ -336,11 +336,8 @@ def generator(model: GeneratorModel) -> Callable[[float | np.ndarray], np.ndarra
         terms = dissipator(SIGMA_Z[None])
         rates = lambda times: [0.5 * _eval_scalar(model.rate, times)]
     elif isinstance(model, SpinBoson):
-        terms = np.stack([commutator(SIGMA_PLUS @ SIGMA_MINUS), dissipator(SIGMA_MINUS)])
-
-        def rates(times):
-            shift, decay = time_local_rates(times, *amplitude(model.kernel, times))
-            return [0.5 * shift, decay]
+        terms = dissipator(SIGMA_MINUS[None])
+        rates = lambda times: [time_local_rates(times, *amplitude(model.kernel, times))]
     elif isinstance(model, Lindblad):
         d = model.dim
         h = np.zeros((d, d)) if model.hamiltonian is None else model.hamiltonian

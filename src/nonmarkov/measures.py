@@ -44,7 +44,8 @@ is above the ``_rounding_level``, climbed at once.  A move follows
 search space: the exact gradient of the value with the eigenvalue signs read
 at every node of the derivative stencil.  Unlike the gradient of the value
 itself, it sees the zero crossing of an evolved eigenvalue move between
-nodes.  A climb ends where that ascent
+nodes.  One ``Stencil`` of the support per search gives the gradient its grid
+rules, as it gives each ``series`` call.  A climb ends where that ascent
 vanishes or its step falls below ``MIN_STEP``.  A move is kept only if its
 ``series`` strictly raises the value, so values never decrease, and the
 random numbers drawn for the fill-up seeds are the only ones in the search.
@@ -70,6 +71,7 @@ from .dynamics import (
 from .witnesses import (
     ExtendedTraceNormWitness,
     PlainTraceNormWitness,
+    Stencil,
     WitnessSeries,
     _runs,
     _trace_norm_gradient,
@@ -169,11 +171,6 @@ def _violating(data: StepChoiData, tol: float) -> np.ndarray:
     return ~data.excluded & (data.min_eigenvalues < -tol)
 
 
-def _violating_runs(data: StepChoiData, tol: float) -> list:
-    """(first, last) step of each run of violating steps."""
-    return _runs(_violating(data, tol))
-
-
 def _support(data: StepChoiData, tol: float) -> np.ndarray:
     """Mask over the interior nodes whose stencil (nodes i − 2 to i + 2)
     reads a violating or an excluded step at ``tol``: the nodes over which
@@ -191,7 +188,7 @@ def divisibility_verdict(traj: Trajectory, tol: float = DIVISIBILITY_TOL,
     violations = [
         (float(data.start_times[a]), float(data.end_times[b]),
          float(np.nanmin(data.min_eigenvalues[a:b + 1])))
-        for a, b in _violating_runs(data, tol)
+        for a, b in _runs(_violating(data, tol))
     ]
     excluded = [
         (float(data.start_times[a]), float(data.end_times[b]))
@@ -294,7 +291,7 @@ def _best_pure_input(v: np.ndarray) -> np.ndarray:
 def _certified_candidates(traj: Trajectory, data: StepChoiData,
                           tol: float = DIVISIBILITY_TOL) -> list:
     """W_k = (id ⊗ Λ_{t_k})⁻¹Z_k for the first and the worst step k of each
-    run of violating steps (``_violating_runs``), in time order, with Z_k
+    run of violating steps, in time order, with Z_k
     the ``_best_pure_input`` of the step propagator V_k = Λ_{t_{k+1}}Λ_{t_k}⁻¹.
 
     (id ⊗ Λ_{t_k})W_k = Z_k has trace norm 1 and (id ⊗ Λ_{t_{k+1}})W_k =
@@ -303,7 +300,7 @@ def _certified_candidates(traj: Trajectory, data: StepChoiData,
     (Chruściński, Kossakowski and Rivas, PRA 83, 052128 (2011)).  A
     violating step is never excluded, so Λ_{t_k} is well conditioned."""
     steps = []
-    for first, last in _violating_runs(data, tol):
+    for first, last in _runs(_violating(data, tol)):
         worst = first + int(np.argmin(data.min_eigenvalues[first:last + 1]))
         steps += [first] if worst == first else [first, worst]
     seeds = []
@@ -338,12 +335,11 @@ def _point(spec_cls, x):
     return getattr(spec, fields(spec)[0].name), spec
 
 
-def _ascent(traj, point, project, support):
-    """``_trace_norm_gradient`` at ``point`` on ``support``, projected, less
-    its part along the projected normal sign(point) of the unit trace-norm
-    sphere; scaled to unit trace norm, or None where it vanishes."""
-    grad = project(_trace_norm_gradient(traj.times, traj.maps, apply_superop(traj.maps, point),
-                                        support))
+def _ascent(traj, point, project, stencil):
+    """``_trace_norm_gradient`` at ``point`` on the ``stencil``, projected,
+    less its part along the projected normal sign(point) of the unit
+    trace-norm sphere; scaled to unit trace norm, or None where it vanishes."""
+    grad = project(_trace_norm_gradient(stencil, traj.maps, apply_superop(traj.maps, point)))
     w, v = np.linalg.eigh(point)
     normal = project((v * np.sign(w)) @ v.conj().T)
     grad = grad - np.vdot(normal, grad).real / np.vdot(normal, normal).real * normal
@@ -351,8 +347,8 @@ def _ascent(traj, point, project, support):
     return grad / norm if norm > 0.0 else None
 
 
-def _climb(traj, spec_cls, project, support, start, iterations):
-    """Best (operator, series, value) of a climb on ``support`` from the
+def _climb(traj, spec_cls, project, stencil, start, iterations):
+    """Best (operator, series, value) of a climb on the ``stencil``'s support from the
     triple ``start``, whose value is positive.  Each move is a step along
     ``_ascent``; the step doubles after a kept move and halves otherwise.  The climb ends where the
     ascent vanishes or once the step falls below ``MIN_STEP``."""
@@ -361,12 +357,12 @@ def _climb(traj, spec_cls, project, support, start, iterations):
     step = INITIAL_STEP
     for _ in range(iterations):
         if ascent is None:
-            ascent = _ascent(traj, point, project, support)
+            ascent = _ascent(traj, point, project, stencil)
         if ascent is None or step < MIN_STEP:
             break
         moved = _point(spec_cls, point + step * ascent)
         if moved is not None:
-            cand = series(traj, moved[1], support=support)
+            cand = series(traj, moved[1], support=stencil.support)
             if cand.total_violation > value:
                 point, ws, value = moved[0], cand, cand.total_violation
                 ascent = None
@@ -380,8 +376,8 @@ def _rounding_level(traj, support):
     """The value that rounding alone can give an operator whose evolved trace
     norm stays near 1: each of its d² evolved eigenvalues off by one unit in
     the last place of 1 at every node, differenced by a stencil of absolute
-    weight at most 1.5/h (h the smallest step), integrated over ``support``."""
-    width = np.trapezoid(support.astype(float), traj.times[1:-1])
+    weight at most 1.5/h (h the smallest step), integrated by the ``Stencil`` of ``support``."""
+    width = Stencil(traj.times, support).weights.sum()
     return 1.5 * traj.dim ** 2 * np.finfo(float).eps * width / np.diff(traj.times).min()
 
 
@@ -405,6 +401,7 @@ def _search(traj, directed, spec_cls, project, search, support):
     if not support.any():
         return None, None, 0.0
     floor = _rounding_level(traj, support)
+    stencil = Stencil(traj.times, support)
     seeds = list(directed)
     rng = np.random.default_rng(search.rng_seed)
     size = traj.dim ** 2 if spec_cls._doubled else traj.dim
@@ -414,7 +411,7 @@ def _search(traj, directed, spec_cls, project, search, support):
     for point, spec in filter(None, (_point(spec_cls, x) for x in seeds[:search.seeds])):
         ws = series(traj, spec, support=support)
         if ws.total_violation > floor:
-            climbed = _climb(traj, spec_cls, project, support, (point, ws, ws.total_violation),
+            climbed = _climb(traj, spec_cls, project, stencil, (point, ws, ws.total_violation),
                              search.iterations)
             if climbed[2] > best[2]:
                 best = climbed

@@ -10,12 +10,12 @@ f(t) = gamma0 * lam * exp(-lam t) / 2 the closed form is exact at any times.
 Any other kernel, a ``dynamics.Table`` or a custom callable of an array of
 times, goes through the stepper, whose step guard reads the kernel sampled on
 the grid.  A kernel is real, so G is real.  G alone fixes the spin-boson maps
-(populations |G|^2, coherences G*) and the time-local rates
+(populations |G|^2, coherences G*) and the time-local decay rate
 
-    shift s(t) = -2 Im G'(t)/G(t),   decay gamma(t) = -2 Re G'(t)/G(t),
+    gamma(t) = -2 G'(t)/G(t),
 
-which diverge at every zero of G.  :func:`amplitude` gives (G, G') on a
-stack of times and :func:`time_local_rates` turns them into the rates, or
+which diverges at every zero of G.  :func:`amplitude` gives (G, G') on a
+stack of times and :func:`time_local_rates` turns them into the rate, or
 raises :class:`SingularAmplitudeError` where G vanishes or changes sign.
 """
 
@@ -130,12 +130,11 @@ def amplitude(kernel: Callable, times) -> tuple[np.ndarray, np.ndarray]:
 
 
 def time_local_rates(times, g, dg):
-    """(shift, decay) = (-2 Im G'/G, -2 Re G'/G) at one time (floats) or a
-    stack of times (arrays).
+    """The decay rate -2 Re G'/G at one time (a float) or a stack of times (an array).
 
     Raises SingularAmplitudeError at the first time, in the order given, where
     |G| < AMPLITUDE_FLOOR, or the first pair of consecutive times between
-    which Re G changes sign: the rates diverge at the zero of G in between.
+    which Re G changes sign: the rate diverges at the zero of G in between.
     """
     t, flat = np.ravel(times), np.ravel(g)
     collapsed = np.abs(flat) < AMPLITUDE_FLOOR
@@ -147,6 +146,5 @@ def time_local_rates(times, g, dg):
                                          f"below {AMPLITUDE_FLOOR}; rates diverge")
         raise SingularAmplitudeError(f"G changes sign between t={t[k]:.6g} and "
                                      f"t={t[k + 1]:.6g}; rates diverge at its zero")
-    ratio = np.asarray(dg) / np.asarray(g)
-    shift, decay = -2.0 * np.imag(ratio), -2.0 * np.real(ratio)
-    return (float(shift), float(decay)) if np.ndim(g) == 0 else (shift, decay)
+    decay = -2.0 * np.real(np.asarray(dg) / np.asarray(g))
+    return float(decay) if np.ndim(g) == 0 else decay

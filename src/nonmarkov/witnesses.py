@@ -26,6 +26,10 @@ eigenvalue of the evolved operator crosses zero, but each sorted eigenvalue
 passes through zero smoothly, so the norm families difference the ascending
 spectrum instead: d‖Y‖₁/dt = Σᵢ sign(λᵢ) λ̇ᵢ, and d‖Y‖/dt is λ̇_max or −λ̇_min,
 whichever of λ_max and −λ_min leads (Bhatia, *Matrix Analysis*, §VI).
+One ``Stencil`` per support mask owns how a flow uses the grid, for
+``series``, the search gradient and its rounding level: the nodes read, their
+runs, the trapezoid weights and the adjoint band.  ``total_violation`` stays
+on ``np.trapezoid``, and a test pins the weights to it.
 """
 
 from __future__ import annotations
@@ -71,34 +75,58 @@ def derivative_series(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    n = times.size
-    if n < 3:
+    if times.size < 3:
         raise ValueError("need at least three nodes for interior derivatives")
     spans = (times[2:] - times[:-2]).reshape((-1,) + (1,) * (values.ndim - 1))
     out = (values[2:] - values[:-2]) / spans
-    if n >= 5 and _uniform(times):
+    if _five_point(times):
         out[1:-1] = (-values[4:] + 8.0 * values[3:-1] - 8.0 * values[1:-3]
                      + values[:-4]) / (12.0 * (times[1] - times[0]))
     return out
 
 
-def _uniform(times: np.ndarray) -> bool:
-    """Whether the grid's steps are equal within rtol 1e-8, atol 1e-14, as
-    np.allclose(steps, first step) judges it."""
+def _five_point(times: np.ndarray) -> bool:
+    """Whether :func:`derivative_series` uses five points: on five or more nodes
+    whose steps equal the first within rtol 1e-8, atol 1e-14 (np.allclose's rule)."""
     steps = np.diff(times)
-    return bool((np.abs(steps - steps[0]) <= 1e-14 + 1e-8 * abs(steps[0])).all())
+    return times.size >= 5 and bool((abs(steps - steps[0]) <= 1e-14 + 1e-8 * abs(steps[0])).all())
 
 
-def _derivative_adjoint(times: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Dᵀ of ``weights``, one per interior node, for the linear map D of
-    :func:`derivative_series`, so that Σ weights·D[v] = Σ Dᵀ[weights]·v.
-    Row j of D reads nodes j − 1 to j + 3, one of each residue mod 5, so D
-    of the five combs of a residue gives the band of D."""
-    n = np.asarray(times).size
-    band = derivative_series(times, np.arange(n)[:, None] % 5 == np.arange(5))
-    first = np.arange(n - 2)[:, None] - 1
-    cols = np.clip(first + (np.arange(5) - first) % 5, 0, n - 1)  # zero band off the grid
-    return np.bincount(cols.ravel(), (band * weights[:, None]).ravel(), minlength=n)
+class Stencil:
+    """The grid rules of a flow on ``support``, a mask over the interior nodes
+    of ``times``: ``read``, the nodes its stencils read (node i reads i − 2 to
+    i + 2); ``runs``, the runs of those, each differenced alone so the flow on
+    the mask is the full grid's (one run, the whole grid, where the grid has no
+    five-point stencil); ``weights``, the trapezoid weights on the support."""
+
+    def __init__(self, times: np.ndarray, support: np.ndarray) -> None:
+        self.times = np.asarray(times, dtype=float)
+        self.support = np.asarray(support, dtype=bool)
+        if self.support.shape != (self.times.size - 2,):
+            raise ValueError(f"support of shape {self.support.shape} is not one per interior node")
+        self.read = np.convolve(self.support, np.ones(5))[1:-1] > 0.0
+        self.runs = _runs(self.read) if _five_point(self.times) else [(0, self.times.size - 1)]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        inner = self.times[1:-1]  # np.trapezoid of the one sample of three nodes is 0
+        return (np.convolve(np.diff(inner), [0.5, 0.5]) if inner.size > 1 else 0.0) * self.support
+
+    @cached_property
+    def _band(self) -> tuple[np.ndarray, np.ndarray]:
+        n = self.times.size
+        band = derivative_series(self.times, np.arange(n)[:, None] % 5 == np.arange(5))
+        first = np.arange(n - 2)[:, None] - 1
+        cols = np.clip(first + (np.arange(5) - first) % 5, 0, n - 1)  # zero band off the grid
+        return band, cols.ravel()
+
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        """Dᵀ of ``w``, one per interior node, for the linear map D of
+        :func:`derivative_series`, so that Σ w·D[v] = Σ Dᵀ[w]·v.  Row j of D
+        reads nodes j − 1 to j + 3, one of each residue mod 5, so D of the
+        five combs of a residue gives the band of D, built once."""
+        band, cols = self._band
+        return np.bincount(cols, (band * w[:, None]).ravel(), minlength=self.times.size)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +142,7 @@ def _trace_norm_derivative(times: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (np.sign(eigs[1:-1]) * derivative_series(times, eigs)).sum(axis=1)
 
 
-def _trace_norm_gradient(times: np.ndarray, maps: np.ndarray, stack: np.ndarray,
-                         support: np.ndarray) -> np.ndarray:
+def _trace_norm_gradient(stencil: Stencil, maps: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Gradient of Σⱼ wⱼ max(0, D[‖·‖₁]ⱼ) (w the trapezoid weights) with
     respect to the operator that ``maps`` evolve into ``stack``: the
     eigenprojectors Pᵢ of the stack, weighted by c = sign(λ) Dᵀ(w [D[‖·‖₁] > 0])
@@ -125,15 +152,14 @@ def _trace_norm_gradient(times: np.ndarray, maps: np.ndarray, stack: np.ndarray,
     time an eigenvalue's zero crossing passes a node, and its gradient pushes
     crossings into those jumps; this flow is continuous and sees them move.
 
-    The sum runs over the interior nodes in ``support``, a mask over them,
-    and only the nodes their stencils read are diagonalized and pulled back."""
-    read = _stencil_nodes(support)
+    w and D are the ``stencil``'s, so the sum runs over its support, and
+    only the nodes their stencils read are diagonalized and pulled back."""
+    read = stencil.read
     eigs, vecs = np.linalg.eigh(stack[read])
-    norms = np.zeros(times.size)
+    norms = np.zeros(stencil.times.size)
     norms[read] = np.abs(eigs).sum(axis=1)
-    flow = derivative_series(times, norms)
-    weights = np.convolve(np.diff(times[1:-1]), [0.5, 0.5]) * (flow > 0.0) * support
-    coeffs = np.sign(eigs) * _derivative_adjoint(times, weights)[read][:, None]
+    flow = derivative_series(stencil.times, norms)
+    coeffs = np.sign(eigs) * stencil.adjoint(stencil.weights * (flow > 0.0))[read][:, None]
     return pull_back(maps[read], (vecs * coeffs[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
 
 
@@ -376,21 +402,9 @@ def verify_invariance(traj: Trajectory, state: np.ndarray | None = None,
     return dev <= INVARIANCE_TOL, dev
 
 
-def _stencil_nodes(support: np.ndarray) -> np.ndarray:
-    """Mask over all nodes of those that the stencils of the interior nodes
-    in ``support`` read: interior node i reads nodes i − 2 to i + 2."""
-    return np.convolve(support, np.ones(5))[1:-1] > 0.0
-
-
-def _flow(traj: Trajectory, spec: WitnessSpec, support: np.ndarray) -> np.ndarray:
-    """Oriented witness flow at the interior nodes times[1:-1] in ``support``,
-    a mask over them, and 0 at the others.
-
-    Each run of nodes that the masked stencils read is differenced on its
-    own, so the flow at a masked node is the full grid's.  That needs the
-    five-point stencil on the runs exactly where the full grid has it, so on
-    a grid without it (not uniform, or under five nodes) the one run is the
-    whole grid."""
+def _flow(traj: Trajectory, spec: WitnessSpec, stencil: Stencil) -> np.ndarray:
+    """Oriented witness flow at the interior nodes times[1:-1] on the
+    ``stencil``'s support, and 0 off it; each of its runs differenced alone."""
     if spec.system_dim != traj.dim:
         raise ValueError(
             f"spec dimension {spec.system_dim} does not match trajectory dimension {traj.dim}"
@@ -403,12 +417,10 @@ def _flow(traj: Trajectory, spec: WitnessSpec, support: np.ndarray) -> np.ndarra
             raise InvarianceError(f"witness requires an invariant {kind}; max deviation "
                                   f"{dev:.3e} exceeds {INVARIANCE_TOL}")
     flow = np.zeros(traj.nodes - 2)
-    five_point = traj.nodes >= 5 and _uniform(traj.times)
-    runs = _runs(_stencil_nodes(support)) if five_point else [(0, traj.nodes - 1)]
-    for first, last in runs:
+    for first, last in stencil.runs:
         flow[first:last - 1] = spec.derivative(traj.times[first:last + 1],
                                                traj.maps[first:last + 1])
-    return np.where(support, spec.orientation * flow, 0.0)
+    return np.where(stencil.support, spec.orientation * flow, 0.0)
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -465,9 +477,8 @@ def series(traj: Trajectory, spec: WitnessSpec,
            support: np.ndarray | None = None) -> WitnessSeries:
     """Evaluate the flow at the interior nodes in ``support``, a mask over
     them (every interior node by default), the flow being 0 elsewhere."""
-    if support is None:
-        support = np.ones(traj.nodes - 2, dtype=bool)
-    return WitnessSeries(spec=spec, times=traj.times[1:-1], values=_flow(traj, spec, support))
+    stencil = Stencil(traj.times, np.ones(traj.nodes - 2, bool) if support is None else support)
+    return WitnessSeries(spec=spec, times=traj.times[1:-1], values=_flow(traj, spec, stencil))
 
 
 # ---------------------------------------------------------------------------

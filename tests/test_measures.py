@@ -37,6 +37,7 @@ from nonmarkov.witnesses import (
     ExtendedTraceNormWitness,
     InformationFlowPair,
     PlainTraceNormWitness,
+    Stencil,
     _trace_norm_gradient,
     derivative_series,
     series,
@@ -438,7 +439,7 @@ class TestSupport:
             x /= ops.trace_norm(x)
             d = ops.random_hermitian(traj.dim ** 2, rng)
             d /= np.linalg.norm(d)
-            grad = _trace_norm_gradient(traj.times, traj.maps, evolved(x), support)
+            grad = _trace_norm_gradient(Stencil(traj.times, support), traj.maps, evolved(x))
             assert np.vdot(grad, d).real == pytest.approx(
                 (value(x + eps * d) - value(x - eps * d)) / (2 * eps), abs=1e-8)
 
@@ -552,7 +553,7 @@ class TestClimb:
         for _ in range(10):
             spec = family(ops.random_hermitian(n, rng))
             x = getattr(spec, "witness" if extended else "operator")
-            grad = _trace_norm_gradient(traj.times, traj.maps, evolved(x), interior)
+            grad = _trace_norm_gradient(Stencil(traj.times, interior), traj.maps, evolved(x))
             w, v = np.linalg.eigh(x)
             normal = (v * np.sign(w)) @ v.conj().T
             d = ops.random_hermitian(n, rng)

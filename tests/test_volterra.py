@@ -65,11 +65,10 @@ def test_second_order_convergence():
 def test_rates_match_closed_form():
     times = np.linspace(0, 5, 2001)
     sol = solve_memory_kernel(OVERDAMPED, times)
-    shift, decay = time_local_rates(times, sol.values, sol.derivatives)
+    decay = time_local_rates(times, sol.values, sol.derivatives)
     for k in (200, 800, 1600):  # t = 0.5, 2.0, 4.0
         t = times[k]
         ratio = amplitude(OVERDAMPED, t)[1] / OVERDAMPED.closed_form_amplitude(t)
-        assert shift[k] == pytest.approx(0.0, abs=1e-6)
         assert decay[k] == pytest.approx(-2.0 * ratio, abs=1e-4)
 
 
@@ -102,30 +101,30 @@ def test_collapse_detection_and_singular_rates():
 
 def test_rates_on_an_array_of_times():
     sol = solve_memory_kernel(OVERDAMPED, np.linspace(0, 5, 501))
-    shift, decay = time_local_rates(sol.times, sol.values, sol.derivatives)
-    assert shift.shape == decay.shape == sol.times.shape
+    decay = time_local_rates(sol.times, sol.values, sol.derivatives)
+    assert decay.shape == sol.times.shape
     for k, t in enumerate(sol.times):
         one = time_local_rates(t, sol.values[k], sol.derivatives[k])
-        assert all(isinstance(x, float) for x in one)
-        assert one == (shift[k], decay[k])
+        assert isinstance(one, float)
+        assert one == decay[k]
     times = np.linspace(0, 1, 11)
     values = np.where(np.arange(11) == 5, 1e-14, 1.0)
-    assert time_local_rates(times[[1, 2]], values[[1, 2]], np.zeros(2))[1].shape == (2,)
+    assert time_local_rates(times[[1, 2]], values[[1, 2]], np.zeros(2)).shape == (2,)
     with pytest.raises(SingularAmplitudeError, match=r"\|G\(0\.5\)\|"):
         time_local_rates(times[[1, 5, 7]], values[[1, 5, 7]], np.zeros(3))
 
 
 def test_sign_change_names_both_times():
     times = np.linspace(0, 1, 11)
-    assert time_local_rates(times[:6], 0.55 - times[:6], -np.ones(6))[1].shape == (6,)
+    assert time_local_rates(times[:6], 0.55 - times[:6], -np.ones(6)).shape == (6,)
     with pytest.raises(SingularAmplitudeError, match=r"between t=0\.5 and t=0\.6"):
         time_local_rates(times, 0.55 - times, -np.ones(11))
 
 
 def test_no_collapse_for_overdamped():
     sol = solve_memory_kernel(OVERDAMPED, np.linspace(0, 10, 2001))
-    shift, decay = time_local_rates(sol.times, sol.values, sol.derivatives)
-    assert np.isfinite(shift).all() and np.isfinite(decay).all()
+    decay = time_local_rates(sol.times, sol.values, sol.derivatives)
+    assert np.isfinite(decay).all()
 
 
 def test_tabulated_matches_exponential():

@@ -29,7 +29,7 @@ from nonmarkov.witnesses import (
     HeisenbergSkew,
     PlainTraceNormWitness,
     SchrodingerSkew,
-    _derivative_adjoint,
+    Stencil,
     derivative_series,
     detect_violations,
     series,
@@ -214,6 +214,11 @@ def test_series_on_a_support_is_the_full_grid_flow(family, grid, request):
     # every node masked, as by default, is the full grid bit for bit
     np.testing.assert_array_equal(series(traj, spec).values, full)
     assert (series(traj, spec, support=np.zeros(full.size, dtype=bool)).values == 0.0).all()
+    # a mask of another shape would broadcast over the nodes while the runs
+    # read only its first entries
+    for wrong in (np.array([True]), support[:-1]):
+        with pytest.raises(ValueError, match="not one per interior node"):
+            series(traj, spec, support=wrong)
 
 
 class TestSeries:
@@ -516,14 +521,27 @@ class TestDerivativeReference:
             np.testing.assert_array_equal(estimate, derivative_series(times, column))
 
     @settings(max_examples=300, deadline=None)
-    @given(grid=_grids())
-    def test_adjoint_pairs_with_the_stencil(self, grid):
+    @given(grid=_grids(), data=st.data())
+    def test_adjoint_pairs_with_the_stencil(self, grid, data):
         # Σ w·D[v] = Σ Dᵀ[w]·v, which the gradient of the search rests on
         times, values = grid
+        support = np.array(data.draw(st.lists(st.booleans(), min_size=times.size - 2,
+                                              max_size=times.size - 2)), dtype=bool)
+        stencil = Stencil(times, support)
         weights = np.random.default_rng(times.size).normal(size=times.size - 2)
-        adjoint = _derivative_adjoint(times, weights)
+        adjoint = stencil.adjoint(weights)
         assert adjoint.shape == (times.size,)
         scale = np.abs(weights).sum() * np.abs(values).max() / np.diff(times).min()
         np.testing.assert_array_less(
             np.abs(np.tensordot(weights, derivative_series(times, values), axes=(0, 0))
                    - np.tensordot(adjoint, values, axes=(0, 0))), 1e-13 * scale)
+        # the gradient's weights are the value's quadrature: np.trapezoid on
+        # the support, whose one sample on three nodes integrates to 0
+        flow = derivative_series(times, values)
+        mask = support.reshape((-1,) + (1,) * (flow.ndim - 1))
+        trapezoid = np.trapezoid(flow * mask, times[1:-1], axis=0)
+        scale = (times[-2] - times[1]) * np.abs(flow).max()
+        assert np.all(np.abs(np.tensordot(stencil.weights, flow, axes=(0, 0)) - trapezoid)
+                      <= 1e-13 * scale)
+        if times.size == 3:
+            assert stencil.weights.tolist() == [0.0]
