@@ -19,11 +19,11 @@ Hermitian operator of unit trace norm, fed to a trace-norm witness family.
 A CP step raises no trace norm (Chruściński, Kossakowski and Rivas, PRA 83,
 052128 (2011)), so the searches look for flow only at the interior nodes
 whose stencil reads a violating or an excluded step at the verdict's
-tolerance, the ``_support``.  The value of an operator is defined as the
-integral of its positive flow over that support.  Off it, the five-point
-stencil can still read a small positive flow from a norm that does not
-increase; that flow is not part of the value, and is discarded.  On an
-empty support, as where every violation lies within the tolerance, both
+tolerance, the support of ``Stencil.of_steps``.  The value of an operator
+is defined as the integral of its positive flow over that support.  Off it,
+the five-point stencil can still read a small positive flow from a norm that
+does not increase; that flow is not part of the value, and is discarded.  On
+an empty support, as where every violation lies within the tolerance, both
 searches return 0 without evaluating a flow.
 The witness search ranges over operators on H ⊗ H
 (``ExtendedTraceNormWitness``).  Its seeds are the certified candidates
@@ -39,14 +39,15 @@ the positive and negative parts of such an X has ρ1 − ρ2 = 2X, so its BLP
 flow is exactly the flow of X.
 
 Seeds are taken in order in one pass: each is valued once and, if its value
-is above the ``_rounding_level``, climbed at once.  A move follows
-``_trace_norm_gradient`` of the evolved operator in the tangent space of the
-search space: the exact gradient of the value with the eigenvalue signs read
-at every node of the derivative stencil.  Unlike the gradient of the value
-itself, it sees the zero crossing of an evolved eigenvalue move between
-nodes.  One ``Stencil`` of the support per search gives the gradient its grid
-rules, as it gives each ``series`` call.  A climb ends where that ascent
-vanishes or its step falls below ``MIN_STEP``.  A move is kept only if its
+is above the support's ``Stencil.rounding_level``, climbed at once.  A move
+follows ``_trace_norm_gradient`` of the evolved operator in the tangent space
+of the search space: the exact gradient of the value with the eigenvalue
+signs read at every node of the derivative stencil.  Unlike the gradient of
+the value itself, it sees the zero crossing of an evolved eigenvalue move
+between nodes.  Each search builds one ``Stencil`` of its support, which
+gives every candidate's ``series``, the gradient and the floor their grid
+rules.  A climb ends where that ascent vanishes or its step falls below
+``MIN_STEP``.  A move is kept only if its
 ``series`` strictly raises the value, so values never decrease, and the
 random numbers drawn for the fill-up seeds are the only ones in the search.
 """
@@ -131,6 +132,8 @@ class StepChoiData:
 
 @dataclass
 class WitnessMeasureResult:
+    """Best witness found; ``value == series.total_violation``."""
+
     value: float
     witness: np.ndarray | None
     series: WitnessSeries | None
@@ -138,6 +141,8 @@ class WitnessMeasureResult:
 
 @dataclass
 class BlpMeasureResult:
+    """Best pair found; ``value == series.total_violation``."""
+
     value: float
     pair: tuple | None
     series: WitnessSeries | None
@@ -169,14 +174,6 @@ def _violating(data: StepChoiData, tol: float) -> np.ndarray:
     """Mask of the violating steps: not excluded, with a minimum Choi
     eigenvalue below -``tol``."""
     return ~data.excluded & (data.min_eigenvalues < -tol)
-
-
-def _support(data: StepChoiData, tol: float) -> np.ndarray:
-    """Mask over the interior nodes whose stencil (nodes i − 2 to i + 2)
-    reads a violating or an excluded step at ``tol``: the nodes over which
-    the searches integrate a flow (module docstring)."""
-    # entry i + 1 of the convolution counts the flagged steps i − 2 to i + 1
-    return np.convolve(_violating(data, tol) | data.excluded, np.ones(4))[2:-2] > 0.0
 
 
 def divisibility_verdict(traj: Trajectory, tol: float = DIVISIBILITY_TOL,
@@ -362,7 +359,7 @@ def _climb(traj, spec_cls, project, stencil, start, iterations):
             break
         moved = _point(spec_cls, point + step * ascent)
         if moved is not None:
-            cand = series(traj, moved[1], support=stencil.support)
+            cand = series(traj, moved[1], stencil=stencil)
             if cand.total_violation > value:
                 point, ws, value = moved[0], cand, cand.total_violation
                 ascent = None
@@ -372,19 +369,10 @@ def _climb(traj, spec_cls, project, stencil, start, iterations):
     return point, ws, value
 
 
-def _rounding_level(traj, support):
-    """The value that rounding alone can give an operator whose evolved trace
-    norm stays near 1: each of its d² evolved eigenvalues off by one unit in
-    the last place of 1 at every node, differenced by a stencil of absolute
-    weight at most 1.5/h (h the smallest step), integrated by the ``Stencil`` of ``support``."""
-    width = Stencil(traj.times, support).weights.sum()
-    return 1.5 * traj.dim ** 2 * np.finfo(float).eps * width / np.diff(traj.times).min()
-
-
-def _search(traj, directed, spec_cls, project, search, support):
+def _search(traj, directed, spec_cls, project, search, data, tol):
     """Best (operator, series, value) of a hill climb from every seed above
-    the rounding level, each operator valued by its flow on ``support``
-    (``_support``).
+    the rounding level, each operator valued by its flow on the support of
+    the steps that violate at ``tol`` or are excluded in ``data``.
 
     ``spec_cls`` is a trace-norm witness family that stores its Hermitian
     operator with unit trace norm; ``project`` projects onto the search space
@@ -393,23 +381,23 @@ def _search(traj, directed, spec_cls, project, search, support):
     ``np.random.default_rng(search.rng_seed)`` and cut to ``search.seeds``; a
     seed or move that ``spec_cls`` rejects is skipped.  In one pass, each
     seed is valued once and climbed at once for at most ``search.iterations``
-    moves if its value exceeds the ``_rounding_level``.  Any other seed is
-    not climbed: its value is rounding noise, and no direction is known to
-    raise it.  Returns ``(None, None, 0.0)`` when no seed is climbed, and
-    without any evaluation when ``support`` is empty.
+    moves if its value exceeds the ``Stencil.rounding_level`` of the searched
+    operator.  Any other seed is not climbed: its value is rounding noise, and
+    no direction is known to raise it.  Returns ``(None, None, 0.0)`` when no
+    seed is climbed, and without any evaluation when the support is empty.
     """
-    if not support.any():
+    stencil = Stencil.of_steps(traj.times, _violating(data, tol) | data.excluded)
+    if not stencil.support.any():
         return None, None, 0.0
-    floor = _rounding_level(traj, support)
-    stencil = Stencil(traj.times, support)
     seeds = list(directed)
     rng = np.random.default_rng(search.rng_seed)
     size = traj.dim ** 2 if spec_cls._doubled else traj.dim
+    floor = stencil.rounding_level(size)
     while len(seeds) < search.seeds:
         seeds.append(project(ops.random_hermitian(size, rng)))
     best = (None, None, 0.0)
     for point, spec in filter(None, (_point(spec_cls, x) for x in seeds[:search.seeds])):
-        ws = series(traj, spec, support=support)
+        ws = series(traj, spec, stencil=stencil)
         if ws.total_violation > floor:
             climbed = _climb(traj, spec_cls, project, stencil, (point, ws, ws.total_violation),
                              search.iterations)
@@ -422,7 +410,7 @@ def _search(traj, directed, spec_cls, project, search, support):
     # not positive, and 0 where it is: positive flow there is not part of
     # the value (module docstring).
     full = series(traj, ws.spec).values
-    return point, WitnessSeries(ws.spec, ws.times, np.where(support, ws.values,
+    return point, WitnessSeries(ws.spec, ws.times, np.where(stencil.support, ws.values,
                                                             np.minimum(full, 0.0))), value
 
 
@@ -434,11 +422,11 @@ def witness_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
     The seeds are, in this order, the certified candidates of the steps that
     violate divisibility at tolerance ``tol`` (the verdict's), the product
     candidates, then random witnesses, cut to ``search.seeds``.  Flows are
-    valued on the ``_support`` of the steps at ``tol``."""
+    valued on the support of the steps at ``tol`` (module docstring)."""
     data = steps if steps is not None else step_choi_data(traj)
     directed = _certified_candidates(traj, data, tol) + _product_candidates(traj.dim)
     witness, ws, value = _search(traj, directed, ExtendedTraceNormWitness,
-                                 ops.hermitian_part, search, _support(data, tol))
+                                 ops.hermitian_part, search, data, tol)
     return WitnessMeasureResult(value=float(value), witness=witness, series=ws)
 
 
@@ -448,11 +436,11 @@ def blp_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
     """Lower bound on the state-distinguishability measure with the best pair.
 
     Searches traceless Hermitian X of unit trace norm for the largest positive
-    trace-norm flow on the ``_support`` of the steps at ``tol``; the pair is
+    trace-norm flow on the support of the steps at ``tol``; the pair is
     (2X⁺, 2X⁻), the doubled positive and negative parts of the best X, whose
     BLP flow is the flow of X (module docstring).
     """
     data = steps if steps is not None else step_choi_data(traj)
     x, ws, value = _search(traj, gell_mann_basis(traj.dim), PlainTraceNormWitness,
-                           _traceless, search, _support(data, tol))
+                           _traceless, search, data, tol)
     return BlpMeasureResult(value=float(value), pair=None if x is None else _pair(x), series=ws)

@@ -26,10 +26,10 @@ eigenvalue of the evolved operator crosses zero, but each sorted eigenvalue
 passes through zero smoothly, so the norm families difference the ascending
 spectrum instead: d‖Y‖₁/dt = Σᵢ sign(λᵢ) λ̇ᵢ, and d‖Y‖/dt is λ̇_max or −λ̇_min,
 whichever of λ_max and −λ_min leads (Bhatia, *Matrix Analysis*, §VI).
-One ``Stencil`` per support mask owns how a flow uses the grid, for
-``series``, the search gradient and its rounding level: the nodes read, their
-runs, the trapezoid weights and the adjoint band.  ``total_violation`` stays
-on ``np.trapezoid``, and a test pins the weights to it.
+One ``Stencil`` per search owns how its flows use the grid: the support of
+the flagged steps, the nodes read, their runs, the trapezoid weights, the
+adjoint band and the rounding floor.  ``total_violation`` stays on
+``np.trapezoid``, and a test pins the weights to it.
 """
 
 from __future__ import annotations
@@ -94,18 +94,33 @@ def _five_point(times: np.ndarray) -> bool:
 
 class Stencil:
     """The grid rules of a flow on ``support``, a mask over the interior nodes
-    of ``times``: ``read``, the nodes its stencils read (node i reads i − 2 to
-    i + 2); ``runs``, the runs of those, each differenced alone so the flow on
-    the mask is the full grid's (one run, the whole grid, where the grid has no
-    five-point stencil); ``weights``, the trapezoid weights on the support."""
+    of ``times`` (all by default): ``read``, the nodes its stencils read (node
+    i reads i − 2 to i + 2); ``runs``, the runs of those, each differenced
+    alone so the flow on the mask is the full grid's (the whole grid where it
+    has no five-point stencil); ``weights``, the trapezoid weights."""
 
-    def __init__(self, times: np.ndarray, support: np.ndarray) -> None:
+    def __init__(self, times: np.ndarray, support: np.ndarray | None = None) -> None:
         self.times = np.asarray(times, dtype=float)
-        self.support = np.asarray(support, dtype=bool)
+        self.support = (np.ones(self.times.size - 2, dtype=bool) if support is None
+                        else np.asarray(support, dtype=bool))
         if self.support.shape != (self.times.size - 2,):
             raise ValueError(f"support of shape {self.support.shape} is not one per interior node")
         self.read = np.convolve(self.support, np.ones(5))[1:-1] > 0.0
         self.runs = _runs(self.read) if _five_point(self.times) else [(0, self.times.size - 1)]
+
+    @classmethod
+    def of_steps(cls, times: np.ndarray, flagged: np.ndarray) -> Stencil:
+        """The ``Stencil`` on the interior nodes whose stencil reads a step of
+        ``flagged``, a mask over the steps: node i reads steps i − 2 to i + 1."""
+        # entry i + 1 of the convolution counts the flagged steps i − 2 to i + 1
+        return cls(times, np.convolve(flagged, np.ones(4))[2:-2] > 0.0)
+
+    def rounding_level(self, m: int) -> float:
+        """The value rounding alone gives an operator with ``m`` eigenvalues
+        and an evolved trace norm near 1: each evolved eigenvalue one ulp of 1
+        off at every node, differenced by weights of at most 1.5/h (h the
+        smallest step) in absolute value and integrated with the ``weights``."""
+        return 1.5 * m * np.finfo(float).eps * self.weights.sum() / np.diff(self.times).min()
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -402,27 +417,6 @@ def verify_invariance(traj: Trajectory, state: np.ndarray | None = None,
     return dev <= INVARIANCE_TOL, dev
 
 
-def _flow(traj: Trajectory, spec: WitnessSpec, stencil: Stencil) -> np.ndarray:
-    """Oriented witness flow at the interior nodes times[1:-1] on the
-    ``stencil``'s support, and 0 off it; each of its runs differenced alone."""
-    if spec.system_dim != traj.dim:
-        raise ValueError(
-            f"spec dimension {spec.system_dim} does not match trajectory dimension {traj.dim}"
-        )
-    required = spec.invariant()
-    if required is not None:
-        ok, dev = verify_invariance(traj, **required)
-        if not ok:
-            (kind,) = required
-            raise InvarianceError(f"witness requires an invariant {kind}; max deviation "
-                                  f"{dev:.3e} exceeds {INVARIANCE_TOL}")
-    flow = np.zeros(traj.nodes - 2)
-    for first, last in stencil.runs:
-        flow[first:last - 1] = spec.derivative(traj.times[first:last + 1],
-                                               traj.maps[first:last + 1])
-    return np.where(stencil.support, spec.orientation * flow, 0.0)
-
-
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Inclusive (first, last) index pairs of the maximal True runs of a 1-d mask."""
     padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
@@ -474,11 +468,29 @@ class WitnessSeries:
 
 
 def series(traj: Trajectory, spec: WitnessSpec,
-           support: np.ndarray | None = None) -> WitnessSeries:
-    """Evaluate the flow at the interior nodes in ``support``, a mask over
-    them (every interior node by default), the flow being 0 elsewhere."""
-    stencil = Stencil(traj.times, np.ones(traj.nodes - 2, bool) if support is None else support)
-    return WitnessSeries(spec=spec, times=traj.times[1:-1], values=_flow(traj, spec, stencil))
+           stencil: Stencil | None = None) -> WitnessSeries:
+    """Oriented flow of ``spec`` at the interior nodes times[1:-1] on the
+    support of ``stencil``, a ``Stencil`` of the trajectory's grid (every
+    interior node by default), and 0 off it; each of its runs differenced alone."""
+    if spec.system_dim != traj.dim:
+        raise ValueError(f"spec dimension {spec.system_dim} does not match trajectory "
+                         f"dimension {traj.dim}")
+    required = spec.invariant()
+    if required is not None:
+        ok, dev = verify_invariance(traj, **required)
+        if not ok:
+            (kind,) = required
+            raise InvarianceError(f"witness requires an invariant {kind}; max deviation "
+                                  f"{dev:.3e} exceeds {INVARIANCE_TOL}")
+    stencil = Stencil(traj.times) if stencil is None else stencil
+    if stencil.times is not traj.times and not np.array_equal(stencil.times, traj.times):
+        raise ValueError("stencil is not on the trajectory's grid")
+    flow = np.zeros(traj.nodes - 2)
+    for first, last in stencil.runs:
+        flow[first:last - 1] = spec.derivative(traj.times[first:last + 1],
+                                               traj.maps[first:last + 1])
+    return WitnessSeries(spec=spec, times=traj.times[1:-1],
+                         values=np.where(stencil.support, spec.orientation * flow, 0.0))
 
 
 # ---------------------------------------------------------------------------

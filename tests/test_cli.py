@@ -519,7 +519,7 @@ prefix = sb
         assert "numeric failure in measure:rhp: G changes sign between t=1.46 and t=1.465" in err
 
     def test_search_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        def failing(traj, spec, support=None):
+        def failing(traj, spec, stencil=None):
             raise FloatingPointError("objective failed in a search")
 
         monkeypatch.setattr(measures, "series", failing)

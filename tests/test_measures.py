@@ -110,9 +110,17 @@ def _valued_seeds(traj, search, monkeypatch, **kwargs):
 
     monkeypatch.setattr(measures, "_point", record)
     monkeypatch.setattr(measures, "_climb",
-                        lambda traj, spec_cls, project, support, start, its: start)
+                        lambda traj, spec_cls, project, stencil, start, its: start)
     witness_measure(traj, search, **kwargs)
     return seen
+
+
+def _support_stencil(traj):
+    """The ``Stencil`` the searches build: on the support of the steps that
+    violate at the default tolerance or are excluded."""
+    data = step_choi_data(traj)
+    flagged = measures._violating(data, measures.DIVISIBILITY_TOL) | data.excluded
+    return Stencil.of_steps(traj.times, flagged)
 
 
 def _qutrit_dephasing(rate):
@@ -386,9 +394,18 @@ class TestSupport:
         data = measures.StepChoiData(
             start_times=np.arange(13.0), end_times=np.arange(1.0, 14.0), min_eigenvalues=mins,
             excluded=np.isnan(mins), worst_vector=None, worst_value=-1e-3)
-        nodes = lambda support: (np.flatnonzero(support) + 1).tolist()
-        assert nodes(measures._support(data, 1e-8)) == [2, 3, 4, 5, 10, 11, 12]
-        assert nodes(measures._support(data, 1e-10)) == [2, 3, 4, 5, 6, 7, 8, 10, 11, 12]
+
+        def nodes(tol):
+            flagged = measures._violating(data, tol) | data.excluded
+            return (np.flatnonzero(Stencil.of_steps(np.arange(14.0), flagged).support)
+                    + 1).tolist()
+
+        assert nodes(1e-8) == [2, 3, 4, 5, 10, 11, 12]
+        assert nodes(1e-10) == [2, 3, 4, 5, 6, 7, 8, 10, 11, 12]
+        # a step mask of another length maps to a support of another shape
+        for wrong in (np.ones(12, bool), np.ones(14, bool)):
+            with pytest.raises(ValueError, match="not one per interior node"):
+                Stencil.of_steps(np.arange(14.0), wrong)
 
     def test_markovian_measures_are_exactly_zero_without_evaluation(self, markov_traj,
                                                                     monkeypatch):
@@ -397,9 +414,9 @@ class TestSupport:
         calls = []
         evaluate = measures.series
 
-        def count(traj, spec, support=None):
+        def count(traj, spec, stencil=None):
             calls.append(spec)
-            return evaluate(traj, spec, support=support)
+            return evaluate(traj, spec, stencil=stencil)
 
         monkeypatch.setattr(measures, "series", count)
         search = SearchConfig(rng_seed=7)
@@ -424,7 +441,8 @@ class TestSupport:
         # With a support the gradient is that of the positive flow summed
         # over the masked nodes alone.
         traj = request.getfixturevalue(name)
-        support = measures._support(step_choi_data(traj), measures.DIVISIBILITY_TOL)
+        stencil = _support_stencil(traj)
+        support = stencil.support
         assert 0 < support.sum() < support.size
         evolved = lambda x: apply_superop(traj.maps, x)
 
@@ -439,7 +457,7 @@ class TestSupport:
             x /= ops.trace_norm(x)
             d = ops.random_hermitian(traj.dim ** 2, rng)
             d /= np.linalg.norm(d)
-            grad = _trace_norm_gradient(Stencil(traj.times, support), traj.maps, evolved(x))
+            grad = _trace_norm_gradient(stencil, traj.maps, evolved(x))
             assert np.vdot(grad, d).real == pytest.approx(
                 (value(x + eps * d) - value(x - eps * d)) / (2 * eps), abs=1e-8)
 
@@ -582,13 +600,14 @@ class TestClimb:
     def test_value_is_the_series_of_the_result_and_beats_every_seed(self, name, request,
                                                                    monkeypatch):
         traj = request.getfixturevalue(name)
-        support = measures._support(step_choi_data(traj), measures.DIVISIBILITY_TOL)
+        stencil = _support_stencil(traj)
+        support = stencil.support
         seeded = []
         evaluate = measures.series
 
-        def record(traj, spec, support=None):
-            ws = evaluate(traj, spec, support=support)
-            if support is not None:  # a candidate, not the result's full-grid series
+        def record(traj, spec, stencil=None):
+            ws = evaluate(traj, spec, stencil=stencil)
+            if stencil is not None:  # a candidate, not the result's full-grid series
                 seeded.append(ws.total_violation)
             return ws
 
@@ -603,7 +622,7 @@ class TestClimb:
             if operator is not None:
                 np.testing.assert_array_equal(getattr(spec, operator), result.witness)
             assert result.series.total_violation == result.value
-            assert evaluate(traj, spec, support=support).total_violation == result.value
+            assert evaluate(traj, spec, stencil=stencil).total_violation == result.value
             # the result's series is the full-grid flow on the support, and
             # off it wherever that flow is not positive
             full = evaluate(traj, spec).values
@@ -621,9 +640,9 @@ class TestClimb:
         calls = []
         evaluate = measures.series
 
-        def count(traj, spec, support=None):
+        def count(traj, spec, stencil=None):
             calls.append(spec)
-            return evaluate(traj, spec, support=support)
+            return evaluate(traj, spec, stencil=stencil)
 
         monkeypatch.setattr(measures, "series", count)
         assert blp_measure(replacement_traj, QUICK).value == 0.0
@@ -636,18 +655,17 @@ class TestClimb:
         # On example 2 some product seeds keep a constant evolved norm; their
         # value on the support is rounding noise.  Only the four certified
         # seeds are climbed.
-        support = measures._support(step_choi_data(replacement_traj), measures.DIVISIBILITY_TOL)
-        floor = measures._rounding_level(replacement_traj, support)
+        floor = _support_stencil(replacement_traj).rounding_level(replacement_traj.dim ** 2)
         assert 0.0 < floor < 1e-12
         starts, values = [], []
         climb, evaluate = measures._climb, measures.series
 
-        def record_climb(traj, spec_cls, project, support, start, its):
+        def record_climb(traj, spec_cls, project, stencil, start, its):
             starts.append(start[2])
-            return climb(traj, spec_cls, project, support, start, its)
+            return climb(traj, spec_cls, project, stencil, start, its)
 
-        def record(traj, spec, support=None):
-            ws = evaluate(traj, spec, support=support)
+        def record(traj, spec, stencil=None):
+            ws = evaluate(traj, spec, stencil=stencil)
             values.append(ws.total_violation)
             return ws
 
@@ -656,6 +674,33 @@ class TestClimb:
         witness_measure(replacement_traj, SearchConfig(seeds=32, iterations=100, rng_seed=7))
         assert len(starts) == 4 and min(starts) > 1e-3
         assert any(0.0 < v <= floor for v in values)
+
+    def test_a_search_builds_one_stencil_whatever_its_budget(self, sine_traj, monkeypatch):
+        # One Stencil of the support serves every candidate's series, the
+        # climbs and the floor; the result's full-grid series builds the other.
+        built = []
+        init = Stencil.__init__
+
+        def record(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Stencil, "__init__", record)
+        for measure in (witness_measure, blp_measure):
+            for seeds, iterations in ((4, 2), (16, 40)):
+                built.clear()
+                measure(sine_traj, SearchConfig(seeds=seeds, iterations=iterations, rng_seed=3))
+                assert 1 <= len(built) <= 2
+
+    def test_the_floor_counts_the_searched_operators_eigenvalues(self, qutrit_traj, monkeypatch):
+        # d² for a witness on H ⊗ H, d for a BLP operator on H
+        counted = []
+        level = Stencil.rounding_level
+        monkeypatch.setattr(Stencil, "rounding_level",
+                            lambda self, m: counted.append(m) or level(self, m))
+        witness_measure(qutrit_traj, QUICK)
+        blp_measure(qutrit_traj, QUICK)
+        assert counted == [9, 3]
 
     @pytest.mark.parametrize("budget", [{"seeds": 0}, {"iterations": -3}, {"rng_seed": -1}],
                              ids=["seeds_zero", "iterations_negative", "rng_seed_negative"])
@@ -673,9 +718,9 @@ class TestClimb:
         values = []
         evaluate = measures.series
 
-        def record(traj, spec, support=None):
-            ws = evaluate(traj, spec, support=support)
-            if support is not None:  # a candidate, not the result's full-grid series
+        def record(traj, spec, stencil=None):
+            ws = evaluate(traj, spec, stencil=stencil)
+            if stencil is not None:  # a candidate, not the result's full-grid series
                 values.append(ws.total_violation)
             return ws
 
@@ -698,9 +743,9 @@ class TestClimb:
         values, draws = [], []
         evaluate, draw = measures.series, ops.random_hermitian
 
-        def record(traj, spec, support=None):
-            ws = evaluate(traj, spec, support=support)
-            if support is not None:  # a candidate, not the result's full-grid series
+        def record(traj, spec, stencil=None):
+            ws = evaluate(traj, spec, stencil=stencil)
+            if stencil is not None:  # a candidate, not the result's full-grid series
                 values.append(ws.total_violation)
             return ws
 

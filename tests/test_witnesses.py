@@ -208,17 +208,23 @@ def test_series_on_a_support_is_the_full_grid_flow(family, grid, request):
     full = spec.orientation * spec.derivative(traj.times, traj.maps)
     support = np.zeros(full.size, dtype=bool)
     support[[0, 9, 10, 11, 40, full.size // 2, full.size - 3, full.size - 1]] = True
-    values = series(traj, spec, support=support).values
+    values = series(traj, spec, Stencil(traj.times, support)).values
     np.testing.assert_allclose(values[support], full[support], rtol=0, atol=1e-12)
     assert (values[~support] == 0.0).all()
     # every node masked, as by default, is the full grid bit for bit
     np.testing.assert_array_equal(series(traj, spec).values, full)
-    assert (series(traj, spec, support=np.zeros(full.size, dtype=bool)).values == 0.0).all()
+    np.testing.assert_array_equal(series(traj, spec, Stencil(traj.times)).values, full)
+    empty = Stencil(traj.times, np.zeros(full.size, dtype=bool))
+    assert (series(traj, spec, empty).values == 0.0).all()
     # a mask of another shape would broadcast over the nodes while the runs
     # read only its first entries
     for wrong in (np.array([True]), support[:-1]):
         with pytest.raises(ValueError, match="not one per interior node"):
-            series(traj, spec, support=wrong)
+            Stencil(traj.times, wrong)
+    # a stencil of another grid with as many nodes would difference the
+    # runs of that grid
+    with pytest.raises(ValueError, match="not on the trajectory's grid"):
+        series(traj, spec, Stencil(2.0 * traj.times, support))
 
 
 class TestSeries:
