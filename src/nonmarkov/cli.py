@@ -143,14 +143,8 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
             measures["rhp"] = float(np.trapezoid(rate_values, traj.times))
             _write_csv(out_dir / f"{cfg.prefix}_rhp_rate.csv", ["t", "value"], "%.17g,%.17g",
                        traj.times, rate_values)
-        if cfg.measure_witness:
-            wm = _stage("measure:witness", witness_measure, traj, cfg.search, steps,
-                        cfg.divisibility_tol)
-            measures["witness"] = {
-                "value": wm.value,
-                "witness": _matrix_json(wm.witness) if wm.witness is not None else None,
-                "violation_intervals": wm.series.violation_intervals if wm.series else [],
-            }
+        # the BLP search runs first: its optimum is the witness search's first seed
+        bm = None
         if cfg.measure_blp:
             bm = _stage("measure:blp", blp_measure, traj, cfg.search, steps,
                         cfg.divisibility_tol)
@@ -161,6 +155,14 @@ def _run_pipeline(cfg: RunConfig, args, traj=None) -> int:
                     if bm.pair is not None else None
                 ),
                 "violation_intervals": bm.series.violation_intervals if bm.series else [],
+            }
+        if cfg.measure_witness:
+            wm = _stage("measure:witness", witness_measure, traj, cfg.search, steps,
+                        cfg.divisibility_tol, bm)
+            measures["witness"] = {
+                "value": wm.value,
+                "witness": _matrix_json(wm.witness) if wm.witness is not None else None,
+                "violation_intervals": wm.series.violation_intervals if wm.series else [],
             }
         report["measures"] = measures
         if not quiet:

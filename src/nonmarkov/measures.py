@@ -25,31 +25,36 @@ the five-point stencil can still read a small positive flow from a norm that
 does not increase; that flow is not part of the value, and is discarded.  On
 an empty support, as where every violation lies within the tolerance, both
 searches return 0 without evaluating a flow.
+The BLP search ranges over traceless operators X on H
+(``PlainTraceNormWitness``) and starts from the generalized Gell-Mann basis,
+then random traceless operators.  That loses nothing: the BLP flow of a pair
+(ρ1, ρ2) is ½‖ρ1 − ρ2‖₁ ≤ 1 times the trace-norm flow of
+X = (ρ1 − ρ2)/‖ρ1 − ρ2‖₁, a traceless operator of unit trace norm, and
+conversely the pair (2X⁺, 2X⁻) of the positive and negative parts of such an
+X has ρ1 − ρ2 = 2X, so its BLP flow is exactly the flow of X.
 The witness search ranges over operators on H ⊗ H
-(``ExtendedTraceNormWitness``).  Its seeds are the certified candidates
-(id ⊗ Λ_{t_k})⁻¹ψψ† of violating steps k, ψψ† the ``_best_pure_input`` of
-the step, whose flow is positive right after t_k, then the tensor-product
-basis candidates, then random witnesses.  The
-BLP search ranges over traceless operators X on H (``PlainTraceNormWitness``)
-and starts from the generalized Gell-Mann basis, then random traceless
-operators.  That loses nothing: the BLP flow of a pair (ρ1, ρ2) is
-½‖ρ1 − ρ2‖₁ ≤ 1 times the trace-norm flow of X = (ρ1 − ρ2)/‖ρ1 − ρ2‖₁, a
-traceless operator of unit trace norm, and conversely the pair (2X⁺, 2X⁻) of
-the positive and negative parts of such an X has ρ1 − ρ2 = 2X, so its BLP
-flow is exactly the flow of X.
+(``ExtendedTraceNormWitness``).  Its first seed is the BLP optimum X lifted
+to |0⟩⟨0| ⊗ X: ‖(id ⊗ Λ)(|0⟩⟨0| ⊗ X)‖₁ = ‖ΛX‖₁, so its flow is X's flow,
+and the witness search starts at the BLP value, which the witness measure
+bounds (Breuer, Laine and Piilo, PRL 103, 210401 (2009)).
+Then come the certified candidates (id ⊗ Λ_{t_k})⁻¹ψψ† of violating steps k,
+ψψ† the ``_best_pure_input`` of the step, whose flow is positive right after
+t_k, then the tensor-product basis candidates, then random witnesses.
 
 Seeds are taken in order in one pass: each is valued once and, if its value
-is above the support's ``Stencil.rounding_level``, climbed at once.  A move
-follows ``_trace_norm_gradient`` of the evolved operator in the tangent space
-of the search space: the exact gradient of the value with the eigenvalue
-signs read at every node of the derivative stencil.  Unlike the gradient of
-the value itself, it sees the zero crossing of an evolved eigenvalue move
-between nodes.  Each search builds one ``Stencil`` of its support, which
-gives every candidate's ``series``, the gradient and the floor their grid
-rules.  A climb ends where that ascent vanishes or its step falls below
-``MIN_STEP``.  A move is kept only if its
-``series`` strictly raises the value, so values never decrease, and the
-random numbers drawn for the fill-up seeds are the only ones in the search.
+is above the support's ``Stencil.rounding_level``, climbed at once.  The
+pass stops after ``PATIENCE`` climbs in a row that raise the best value by no
+more than ``PLATEAU_GAIN`` relative plus that level, so ``search.seeds`` is
+a cap.  A move follows ``_trace_norm_gradient`` of the evolved operator in
+the tangent space of the search space: the exact gradient of the value with
+the eigenvalue signs read at every node of the derivative stencil.  Unlike
+the gradient of the value itself, it sees the zero crossing of an evolved
+eigenvalue move between nodes.  Each search builds one ``Stencil`` of its
+support, which gives every candidate's ``series``, the gradient and the
+floor their grid rules.  A climb ends where that ascent vanishes or its step
+falls below ``MIN_STEP``.  A move is kept only if its ``series`` strictly
+raises the value, so values never decrease, and the random numbers drawn
+for the fill-up seeds are the only ones in the search.
 """
 
 from __future__ import annotations
@@ -83,6 +88,10 @@ DIVISIBILITY_TOL = 1e-8
 INITIAL_STEP = 0.5
 MIN_STEP = 1e-6
 MAX_STEP = 2.0
+# A search stops after PATIENCE consecutive climbs that raise its best value
+# by no more than PLATEAU_GAIN relative plus the support's rounding level.
+PATIENCE = 4
+PLATEAU_GAIN = 1e-9
 # Most see-saw rounds that look for a step's best pure input, and the
 # relative gain below which a round is not kept.  On the paper's examples,
 # the qutrit and the rate-5 trace replacement the see-saw keeps at most one
@@ -94,9 +103,11 @@ SEESAW_GAIN = 1e-12
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget of the measure searches: ``seeds`` starting points, each climbed
-    for at most ``iterations`` moves; ``rng_seed`` seeds the random draws
-    that fill the seeds up after the directed ones, and nothing else."""
+    """Budget of the measure searches: at most ``seeds`` starting points, each
+    climbed for at most ``iterations`` moves; ``rng_seed`` seeds the random
+    draws that fill the seeds up after the directed ones, and nothing else.
+    A search stops before its last seed once ``PATIENCE`` climbs in a row
+    have not raised its value, so ``seeds`` is a cap."""
 
     seeds: int = 64
     iterations: int = 200
@@ -132,20 +143,26 @@ class StepChoiData:
 
 @dataclass
 class WitnessMeasureResult:
-    """Best witness found; ``value == series.total_violation``."""
+    """Best witness found; ``value == series.total_violation``.
+    ``evaluations`` counts the search's ``series`` calls, the result's
+    full-grid one included."""
 
     value: float
     witness: np.ndarray | None
     series: WitnessSeries | None
+    evaluations: int
 
 
 @dataclass
 class BlpMeasureResult:
-    """Best pair found; ``value == series.total_violation``."""
+    """Best pair found; ``value == series.total_violation``.
+    ``evaluations`` counts the search's ``series`` calls, the result's
+    full-grid one included."""
 
     value: float
     pair: tuple | None
     series: WitnessSeries | None
+    evaluations: int
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +363,14 @@ def _ascent(traj, point, project, stencil):
 
 def _climb(traj, spec_cls, project, stencil, start, iterations):
     """Best (operator, series, value) of a climb on the ``stencil``'s support from the
-    triple ``start``, whose value is positive.  Each move is a step along
+    triple ``start``, whose value is positive, and the number of ``series``
+    calls it made.  Each move is a step along
     ``_ascent``; the step doubles after a kept move and halves otherwise.  The climb ends where the
     ascent vanishes or once the step falls below ``MIN_STEP``."""
     point, ws, value = start
     ascent = None
     step = INITIAL_STEP
+    calls = 0
     for _ in range(iterations):
         if ascent is None:
             ascent = _ascent(traj, point, project, stencil)
@@ -360,19 +379,21 @@ def _climb(traj, spec_cls, project, stencil, start, iterations):
         moved = _point(spec_cls, point + step * ascent)
         if moved is not None:
             cand = series(traj, moved[1], stencil=stencil)
+            calls += 1
             if cand.total_violation > value:
                 point, ws, value = moved[0], cand, cand.total_violation
                 ascent = None
                 step = min(2.0 * step, MAX_STEP)
                 continue
         step /= 2.0
-    return point, ws, value
+    return (point, ws, value), calls
 
 
 def _search(traj, directed, spec_cls, project, search, data, tol):
-    """Best (operator, series, value) of a hill climb from every seed above
+    """Best (operator, series, value) of a hill climb from the seeds above
     the rounding level, each operator valued by its flow on the support of
-    the steps that violate at ``tol`` or are excluded in ``data``.
+    the steps that violate at ``tol`` or are excluded in ``data``, and the
+    number of ``series`` calls made.
 
     ``spec_cls`` is a trace-norm witness family that stores its Hermitian
     operator with unit trace norm; ``project`` projects onto the search space
@@ -383,12 +404,15 @@ def _search(traj, directed, spec_cls, project, search, data, tol):
     seed is valued once and climbed at once for at most ``search.iterations``
     moves if its value exceeds the ``Stencil.rounding_level`` of the searched
     operator.  Any other seed is not climbed: its value is rounding noise, and
-    no direction is known to raise it.  Returns ``(None, None, 0.0)`` when no
-    seed is climbed, and without any evaluation when the support is empty.
+    no direction is known to raise it.  The pass stops early, after
+    ``PATIENCE`` consecutive climbs that raise the best value by no more than
+    ``PLATEAU_GAIN`` relative plus that level.  Returns ``(None, None, 0.0)``
+    when no seed is climbed, and without any evaluation when the support is
+    empty.
     """
     stencil = Stencil.of_steps(traj.times, _violating(data, tol) | data.excluded)
     if not stencil.support.any():
-        return None, None, 0.0
+        return (None, None, 0.0), 0
     seeds = list(directed)
     rng = np.random.default_rng(search.rng_seed)
     size = traj.dim ** 2 if spec_cls._doubled else traj.dim
@@ -396,38 +420,60 @@ def _search(traj, directed, spec_cls, project, search, data, tol):
     while len(seeds) < search.seeds:
         seeds.append(project(ops.random_hermitian(size, rng)))
     best = (None, None, 0.0)
+    evaluations = stale = 0
     for point, spec in filter(None, (_point(spec_cls, x) for x in seeds[:search.seeds])):
         ws = series(traj, spec, stencil=stencil)
+        evaluations += 1
         if ws.total_violation > floor:
-            climbed = _climb(traj, spec_cls, project, stencil, (point, ws, ws.total_violation),
-                             search.iterations)
-            if climbed[2] > best[2]:
+            climbed, calls = _climb(traj, spec_cls, project, stencil,
+                                    (point, ws, ws.total_violation), search.iterations)
+            evaluations += calls
+            gain = climbed[2] - best[2]
+            stale = stale + 1 if gain <= PLATEAU_GAIN * best[2] + floor else 0
+            if gain > 0.0:
                 best = climbed
+            if stale == PATIENCE:
+                break
     point, ws, value = best
     if point is None:
-        return best
+        return best, evaluations
     # Off the support the result's series is the full-grid flow where it is
     # not positive, and 0 where it is: positive flow there is not part of
     # the value (module docstring).
     full = series(traj, ws.spec).values
-    return point, WitnessSeries(ws.spec, ws.times, np.where(stencil.support, ws.values,
-                                                            np.minimum(full, 0.0))), value
+    return (point, WitnessSeries(ws.spec, ws.times, np.where(stencil.support, ws.values,
+                                                             np.minimum(full, 0.0))),
+            value), evaluations + 1
 
 
 def witness_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
                     steps: StepChoiData | None = None,
-                    tol: float = DIVISIBILITY_TOL) -> WitnessMeasureResult:
+                    tol: float = DIVISIBILITY_TOL,
+                    blp: BlpMeasureResult | None = None) -> WitnessMeasureResult:
     """Lower bound on the optimal-witness measure with the witness that attains it.
 
-    The seeds are, in this order, the certified candidates of the steps that
-    violate divisibility at tolerance ``tol`` (the verdict's), the product
-    candidates, then random witnesses, cut to ``search.seeds``.  Flows are
-    valued on the support of the steps at ``tol`` (module docstring)."""
+    The seeds are, in this order, the lifted BLP optimum |0⟩⟨0| ⊗ X, with
+    X = (ρ1 − ρ2)/2 of the pair of ``blp``, the certified candidates of the
+    steps that violate divisibility at tolerance ``tol`` (the verdict's), the
+    product candidates, then random witnesses, cut to ``search.seeds``.
+    ‖(id ⊗ Λ)(|0⟩⟨0| ⊗ X)‖₁ = ‖ΛX‖₁, so the lifted seed's value is the BLP
+    value, and climbs never lower a value.  Where ``blp`` is None,
+    ``blp_measure`` runs on the same arguments first, so passing its result
+    changes nothing but the work.  Flows are valued on the support of the
+    steps at ``tol`` (module docstring)."""
     data = steps if steps is not None else step_choi_data(traj)
-    directed = _certified_candidates(traj, data, tol) + _product_candidates(traj.dim)
-    witness, ws, value = _search(traj, directed, ExtendedTraceNormWitness,
-                                 ops.hermitian_part, search, data, tol)
-    return WitnessMeasureResult(value=float(value), witness=witness, series=ws)
+    if blp is None:
+        blp = blp_measure(traj, search, data, tol)
+    lifted = []
+    if blp.pair is not None:
+        ancilla = np.zeros((traj.dim, traj.dim), dtype=complex)
+        ancilla[0, 0] = 1.0
+        lifted.append(np.kron(ancilla, 0.5 * (blp.pair[0] - blp.pair[1])))
+    directed = lifted + _certified_candidates(traj, data, tol) + _product_candidates(traj.dim)
+    (witness, ws, value), evaluations = _search(traj, directed, ExtendedTraceNormWitness,
+                                                ops.hermitian_part, search, data, tol)
+    return WitnessMeasureResult(value=float(value), witness=witness, series=ws,
+                                evaluations=evaluations)
 
 
 def blp_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
@@ -441,6 +487,7 @@ def blp_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),
     BLP flow is the flow of X (module docstring).
     """
     data = steps if steps is not None else step_choi_data(traj)
-    x, ws, value = _search(traj, gell_mann_basis(traj.dim), PlainTraceNormWitness,
-                           _traceless, search, data, tol)
-    return BlpMeasureResult(value=float(value), pair=None if x is None else _pair(x), series=ws)
+    (x, ws, value), evaluations = _search(traj, gell_mann_basis(traj.dim), PlainTraceNormWitness,
+                                          _traceless, search, data, tol)
+    return BlpMeasureResult(value=float(value), pair=None if x is None else _pair(x), series=ws,
+                            evaluations=evaluations)

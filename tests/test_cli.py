@@ -519,8 +519,13 @@ prefix = sb
         assert "numeric failure in measure:rhp: G changes sign between t=1.46 and t=1.465" in err
 
     def test_search_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the BLP stage runs first and passes; the witness search's objective fails
+        evaluate = measures.series
+
         def failing(traj, spec, stencil=None):
-            raise FloatingPointError("objective failed in a search")
+            if isinstance(spec, ExtendedTraceNormWitness):
+                raise FloatingPointError("objective failed in a search")
+            return evaluate(traj, spec, stencil=stencil)
 
         monkeypatch.setattr(measures, "series", failing)
         cfg_path = _write(tmp_path, EXAMPLE1)
@@ -536,9 +541,9 @@ prefix = sb
         tols = []
 
         def recording(search):
-            def record(traj, search_cfg, steps, tol):
+            def record(traj, search_cfg, steps, tol, *blp):
                 tols.append(tol)
-                return search(traj, search_cfg, steps, tol)
+                return search(traj, search_cfg, steps, tol, *blp)
             return record
 
         monkeypatch.setattr(cli, "witness_measure", recording(cli.witness_measure))
@@ -553,6 +558,35 @@ prefix = sb
         assert len(report["verdict"]["violation_intervals"]) == 1
         assert report["measures"]["witness"]["value"] > 0.0
         assert report["measures"]["blp"]["value"] > 0.0
+
+    def test_the_witness_search_is_seeded_by_the_blp_stage(self, tmp_path, monkeypatch):
+        # A report runs the BLP search once, before the witness search, and
+        # hands its result over as the witness search's lifted first seed.
+        stages, inner = [], []
+        blp, witness, rerun = cli.blp_measure, cli.witness_measure, measures.blp_measure
+
+        def record_blp(*args):
+            stages.append(("blp", blp(*args)))
+            return stages[-1][1]
+
+        def record_witness(*args):
+            stages.append(("witness", args[4]))
+            return witness(*args)
+
+        def record_rerun(*args, **kwargs):
+            inner.append(args)
+            return rerun(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "blp_measure", record_blp)
+        monkeypatch.setattr(cli, "witness_measure", record_witness)
+        monkeypatch.setattr(measures, "blp_measure", record_rerun)
+        out = tmp_path / "out"
+        assert main(["report", "--config", _write(tmp_path, EXAMPLE1), "--out", str(out),
+                     "--quiet"]) == 0
+        assert [name for name, _ in stages] == ["blp", "witness"]
+        assert stages[1][1] is stages[0][1] and inner == []
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["measures"]["witness"]["value"] >= report["measures"]["blp"]["value"]
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         cfg_path = _write(tmp_path, EXAMPLE1)

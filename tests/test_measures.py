@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -100,7 +102,9 @@ def _assert_best_pure_seed(traj, k, seed):
 
 def _valued_seeds(traj, search, monkeypatch, **kwargs):
     """The operators that ``witness_measure`` values as seeds, in order, with
-    the climbs switched off."""
+    the climbs and the plateau stop switched off, and the BLP result it was
+    given; the BLP search runs before the recorder is installed."""
+    blp = blp_measure(traj, search, **kwargs)
     seen = []
     point = measures._point
 
@@ -110,9 +114,17 @@ def _valued_seeds(traj, search, monkeypatch, **kwargs):
 
     monkeypatch.setattr(measures, "_point", record)
     monkeypatch.setattr(measures, "_climb",
-                        lambda traj, spec_cls, project, stencil, start, its: start)
-    witness_measure(traj, search, **kwargs)
-    return seen
+                        lambda traj, spec_cls, project, stencil, start, its: (start, 0))
+    monkeypatch.setattr(measures, "PATIENCE", search.seeds + 1)
+    witness_measure(traj, search, blp=blp, **kwargs)
+    return seen, blp
+
+
+def _lifted(traj, blp):
+    """|0⟩⟨0| ⊗ X of the BLP pair (2X⁺, 2X⁻), on H ⊗ H with the ancilla first."""
+    ancilla = np.zeros((traj.dim, traj.dim), dtype=complex)
+    ancilla[0, 0] = 1.0
+    return np.kron(ancilla, 0.5 * (blp.pair[0] - blp.pair[1]))
 
 
 def _support_stencil(traj):
@@ -289,14 +301,16 @@ class TestWitnessMeasure:
 
     @pytest.mark.parametrize("name,seeds", [
         ("sine_traj", 1), ("sine_traj", 2), ("sine_traj", 12), ("sine_traj", 15),
-        ("sine_traj", 16), ("sine_traj", 17), ("sine_traj", 64), ("qutrit_traj", 64),
+        ("sine_traj", 16), ("sine_traj", 17), ("sine_traj", 18), ("sine_traj", 64),
+        ("qutrit_traj", 64),
     ])
     def test_seed_order(self, name, seeds, request, monkeypatch):
-        # The certified seeds in time order (first and worst step of each
-        # window), then the products in tensor-basis order, then random draws
-        # from the search's rng_seed, cut to the budget.
+        # The lifted BLP optimum, then the certified seeds in time order
+        # (first and worst step of each window), then the products in
+        # tensor-basis order, then random draws from the search's rng_seed,
+        # cut to the budget.
         traj = request.getfixturevalue(name)
-        seen = _valued_seeds(traj, SearchConfig(seeds=seeds, rng_seed=5), monkeypatch)
+        seen, blp = _valued_seeds(traj, SearchConfig(seeds=seeds, rng_seed=5), monkeypatch)
         data = step_choi_data(traj)
         certified = measures._certified_candidates(traj, data)
         steps = _certified_steps(traj, data)
@@ -307,8 +321,8 @@ class TestWitnessMeasure:
         products = [0.5 * np.kron(a, b) for a in local for b in local][1:]
         rng = np.random.default_rng(5)
         draws = [ops.hermitian_part(ops.random_hermitian(traj.dim ** 2, rng))
-                 for _ in range(seeds - len(certified) - len(products))]
-        expected = (certified + products + draws)[:seeds]
+                 for _ in range(seeds - 1 - len(certified) - len(products))]
+        expected = ([_lifted(traj, blp)] + certified + products + draws)[:seeds]
         assert len(seen) == seeds
         for got, want in zip(seen, expected):
             np.testing.assert_array_equal(got, want)
@@ -326,8 +340,10 @@ class TestWitnessMeasure:
         certified = measures._certified_candidates(traj, data, tol)
         steps = _certified_steps(traj, data, tol)
         assert len(certified) == len(steps) == 2
-        seen = _valued_seeds(traj, QUICK, monkeypatch, tol=tol)
-        for got, want, k in zip(seen, certified, steps):
+        seen, blp = _valued_seeds(traj, QUICK, monkeypatch, tol=tol)
+        assert blp.value > 0.0
+        np.testing.assert_array_equal(seen[0], _lifted(traj, blp))
+        for got, want, k in zip(seen[1:], certified, steps):
             np.testing.assert_array_equal(got, want)
             _assert_best_pure_seed(traj, k, want)
             assert series(traj, ExtendedTraceNormWitness(want)).total_violation > 0.0
@@ -541,6 +557,80 @@ class TestBlpMeasure:
                     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def spin_boson_traj():
+    # paper example 3: exponential kernel of coupling 4 and rate 1
+    return evolve(SpinBoson(kernel=ExponentialKernel(coupling=4.0, rate=1.0)),
+                  np.linspace(0, 10, 401), backend="analytic")
+
+
+class TestWitnessBoundsBlp:
+    # ‖(id ⊗ Λ)(|0⟩⟨0| ⊗ X)‖₁ = ‖ΛX‖₁, so the witness measure bounds the BLP
+    # measure from above, and the lifted BLP optimum, the witness search's
+    # first seed, makes its lower bound do so too.
+
+    def test_spin_boson_at_a_small_budget(self, spin_boson_traj):
+        # at this budget the certified seeds climb to the populations pair's
+        # 0.1026, below the BLP value 0.4269, unless the search is seeded with
+        # the lifted BLP optimum
+        search = SearchConfig(seeds=8, iterations=20, rng_seed=1)
+        blp = blp_measure(spin_boson_traj, search)
+        assert blp.value > 0.4
+        assert witness_measure(spin_boson_traj, search).value >= blp.value
+
+    @pytest.mark.parametrize("rng_seed", range(4))
+    @pytest.mark.parametrize("name", ["sine_traj", "replacement_traj", "qutrit_traj"])
+    def test_witness_is_never_below_blp(self, name, rng_seed, request):
+        traj = request.getfixturevalue(name)
+        search = SearchConfig(seeds=12, iterations=40, rng_seed=rng_seed)
+        assert witness_measure(traj, search).value >= blp_measure(traj, search).value
+
+    @pytest.mark.parametrize("name", ["sine_traj", "replacement_traj", "qutrit_traj"])
+    def test_a_given_blp_result_changes_nothing_but_the_work(self, name, request):
+        traj = request.getfixturevalue(name)
+        data = step_choi_data(traj)
+        own = witness_measure(traj, QUICK, data)
+        given = witness_measure(traj, QUICK, data, blp=blp_measure(traj, QUICK, data))
+        assert own.value == given.value and own.evaluations == given.evaluations
+        np.testing.assert_array_equal(own.witness, given.witness)
+        np.testing.assert_array_equal(own.series.values, given.series.values)
+
+
+class TestPlateauStop:
+    @pytest.mark.parametrize("name", ["sine_traj", "spin_boson_traj"])
+    def test_the_default_budget_stops_early(self, name, request):
+        # both searches at 64 seeds of 200 moves: thousands of calls without
+        # the stop, a few hundred with it
+        traj = request.getfixturevalue(name)
+        search = SearchConfig(rng_seed=7)
+        blp = blp_measure(traj, search)
+        witness = witness_measure(traj, search, blp=blp)
+        assert witness.evaluations + blp.evaluations <= 400
+
+    def test_the_value_does_not_grow_with_the_seed_cap(self, sine_traj):
+        for measure in (witness_measure, blp_measure):
+            values = {measure(sine_traj, SearchConfig(seeds=seeds, rng_seed=7)).value
+                      for seeds in (16, 64, 256)}
+            assert len(values) == 1
+
+    def test_the_search_stops_after_patience_stale_climbs(self, sine_traj, monkeypatch):
+        # Climbs that end at the scripted values: a gain of 1e-10 relative is
+        # stale, a climb to 2 resets the count, and PATIENCE stale climbs
+        # after it end the search with seeds left.
+        script = iter([1.0, 1.0 + 1e-10, 1.0, 2.0] + [2.0] * 100)
+        climbs = []
+
+        def scripted(traj, spec_cls, project, stencil, start, its):
+            climbs.append(start)
+            return (start[0], start[1], next(script)), 0
+
+        monkeypatch.setattr(measures, "_climb", scripted)
+        result = blp_measure(sine_traj, SearchConfig(seeds=24, rng_seed=3))
+        assert len(climbs) == 4 + measures.PATIENCE
+        assert result.value == 2.0
+        np.testing.assert_array_equal(result.series.spec.operator, climbs[3][0])
+
+
 class TestClimb:
     @pytest.mark.parametrize("name", ["sine_traj", "replacement_traj", "qutrit_traj"])
     @pytest.mark.parametrize("family", [ExtendedTraceNormWitness, PlainTraceNormWitness])
@@ -686,19 +776,22 @@ class TestClimb:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Stencil, "__init__", record)
-        for measure in (witness_measure, blp_measure):
-            for seeds, iterations in ((4, 2), (16, 40)):
+        for seeds, iterations in ((4, 2), (16, 40)):
+            search = SearchConfig(seeds=seeds, iterations=iterations, rng_seed=3)
+            blp = blp_measure(sine_traj, search)
+            for measure in (partial(witness_measure, blp=blp), blp_measure):
                 built.clear()
-                measure(sine_traj, SearchConfig(seeds=seeds, iterations=iterations, rng_seed=3))
+                measure(sine_traj, search)
                 assert 1 <= len(built) <= 2
 
     def test_the_floor_counts_the_searched_operators_eigenvalues(self, qutrit_traj, monkeypatch):
         # d² for a witness on H ⊗ H, d for a BLP operator on H
         counted = []
         level = Stencil.rounding_level
+        blp = blp_measure(qutrit_traj, QUICK)
         monkeypatch.setattr(Stencil, "rounding_level",
                             lambda self, m: counted.append(m) or level(self, m))
-        witness_measure(qutrit_traj, QUICK)
+        witness_measure(qutrit_traj, QUICK, blp=blp)
         blp_measure(qutrit_traj, QUICK)
         assert counted == [9, 3]
 
@@ -713,8 +806,10 @@ class TestClimb:
     @pytest.mark.parametrize("iterations", [0, 3])
     def test_iterations_bound_every_climb(self, sine_traj, iterations, monkeypatch):
         # each climb makes at most one ``series`` call per iteration after its
-        # seed's; uncapped, these climbs make far more than 4 calls per seed
+        # seed's; uncapped, these climbs make far more than 4 calls per seed.
+        # Without the plateau stop every seed is valued.
         search = SearchConfig(seeds=12, iterations=iterations, rng_seed=3)
+        blp = blp_measure(sine_traj, search)
         values = []
         evaluate = measures.series
 
@@ -725,9 +820,11 @@ class TestClimb:
             return ws
 
         monkeypatch.setattr(measures, "series", record)
-        for measure in (witness_measure, blp_measure):
+        monkeypatch.setattr(measures, "PATIENCE", search.seeds + 1)
+        for measure in (partial(witness_measure, blp=blp), blp_measure):
             values.clear()
             result = measure(sine_traj, search)
+            assert result.evaluations == len(values) + 1
             if iterations == 0:
                 assert len(values) == search.seeds
                 assert result.value == max(values) > 0.0
@@ -738,8 +835,10 @@ class TestClimb:
     def test_climb_ends_where_its_ascent_vanishes(self, name, request, monkeypatch):
         # With no ascent anywhere, every accepted seed is valued once and
         # never moved, and random numbers are drawn only for the fill-up.
+        # Without the plateau stop every seed is valued.
         traj = request.getfixturevalue(name)
         search = SearchConfig(seeds=24, iterations=40, rng_seed=3)
+        blp = blp_measure(traj, search)
         values, draws = [], []
         evaluate, draw = measures.series, ops.random_hermitian
 
@@ -756,9 +855,12 @@ class TestClimb:
         monkeypatch.setattr(measures, "_ascent", lambda *args: None)
         monkeypatch.setattr(measures, "series", record)
         monkeypatch.setattr(ops, "random_hermitian", count)
-        # the certified seeds and the d⁴ - 1 products; the d² - 1 Gell-Mann matrices
+        monkeypatch.setattr(measures, "PATIENCE", search.seeds + 1)
+        # the lifted BLP optimum, the certified seeds and the d⁴ - 1 products;
+        # the d² - 1 Gell-Mann matrices
         certified = _certified_steps(traj, step_choi_data(traj))
-        for measure, directed in ((witness_measure, len(certified) + traj.dim ** 4 - 1),
+        for measure, directed in ((partial(witness_measure, blp=blp),
+                                   1 + len(certified) + traj.dim ** 4 - 1),
                                   (blp_measure, traj.dim ** 2 - 1)):
             values.clear()
             draws.clear()
