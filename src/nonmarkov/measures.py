@@ -45,16 +45,20 @@ Seeds are taken in order in one pass: each is valued once and, if its value
 is above the support's ``Stencil.rounding_level``, climbed at once.  The
 pass stops after ``PATIENCE`` climbs in a row that raise the best value by no
 more than ``PLATEAU_GAIN`` relative plus that level, so ``search.seeds`` is
-a cap.  A move follows ``_trace_norm_gradient`` of the evolved operator in
-the tangent space of the search space: the exact gradient of the value with
-the eigenvalue signs read at every node of the derivative stencil.  Unlike
-the gradient of the value itself, it sees the zero crossing of an evolved
-eigenvalue move between nodes.  Each search builds one ``Stencil`` of its
-support, which gives every candidate's ``series``, the gradient and the
-floor their grid rules.  A climb ends where that ascent vanishes or its step
-falls below ``MIN_STEP``.  A move is kept only if its ``series`` strictly
-raises the value, so values never decrease, and the random numbers drawn
-for the fill-up seeds are the only ones in the search.
+a cap.  Each search builds one ``Stencil`` of its support and one
+``TraceNormKernel`` from it, once: the maps at the nodes the stencil reads
+and its derivative band's rows at the support.  The kernel values every
+seed and move, one ``eigvalsh`` of the evolved operator and the band rows,
+the arithmetic of ``series`` on that stencil, so a value is that series'
+``total_violation`` bit for bit; only the result's ``WitnessSeries`` is
+built.  A move follows ``TraceNormKernel.gradient`` at the evolved operator
+of its point, in the tangent space of the search space: the exact gradient
+of the value with the eigenvalue signs read at every node of the derivative
+stencil.  Unlike the gradient of the value itself, it sees the zero crossing
+of an evolved eigenvalue move between nodes.  A climb ends where that
+ascent vanishes or its step falls below ``MIN_STEP``.  A move is kept only
+if it strictly raises the value, so values never decrease, and the random
+numbers drawn for the fill-up seeds are the only ones in the search.
 """
 
 from __future__ import annotations
@@ -78,9 +82,9 @@ from .witnesses import (
     ExtendedTraceNormWitness,
     PlainTraceNormWitness,
     Stencil,
+    TraceNormKernel,
     WitnessSeries,
     _runs,
-    _trace_norm_gradient,
     series,
 )
 
@@ -144,8 +148,8 @@ class StepChoiData:
 @dataclass
 class WitnessMeasureResult:
     """Best witness found; ``value == series.total_violation``.
-    ``evaluations`` counts the search's ``series`` calls, the result's
-    full-grid one included."""
+    ``evaluations`` counts the points the search valued, plus one for the
+    result's full-grid ``series`` call."""
 
     value: float
     witness: np.ndarray | None
@@ -156,8 +160,8 @@ class WitnessMeasureResult:
 @dataclass
 class BlpMeasureResult:
     """Best pair found; ``value == series.total_violation``.
-    ``evaluations`` counts the search's ``series`` calls, the result's
-    full-grid one included."""
+    ``evaluations`` counts the points the search valued, plus one for the
+    result's full-grid ``series`` call."""
 
     value: float
     pair: tuple | None
@@ -349,11 +353,12 @@ def _point(spec_cls, x):
     return getattr(spec, fields(spec)[0].name), spec
 
 
-def _ascent(traj, point, project, stencil):
-    """``_trace_norm_gradient`` at ``point`` on the ``stencil``, projected,
-    less its part along the projected normal sign(point) of the unit
-    trace-norm sphere; scaled to unit trace norm, or None where it vanishes."""
-    grad = project(_trace_norm_gradient(stencil, traj.maps, apply_superop(traj.maps, point)))
+def _ascent(kernel, point, stack, project):
+    """``TraceNormKernel.gradient`` at ``point``, evolved into ``stack``,
+    projected, less its part along the projected normal sign(point) of the
+    unit trace-norm sphere; scaled to unit trace norm, or None where it
+    vanishes."""
+    grad = project(kernel.gradient(stack))
     w, v = np.linalg.eigh(point)
     normal = project((v * np.sign(w)) @ v.conj().T)
     grad = grad - np.vdot(normal, grad).real / np.vdot(normal, normal).real * normal
@@ -361,39 +366,39 @@ def _ascent(traj, point, project, stencil):
     return grad / norm if norm > 0.0 else None
 
 
-def _climb(traj, spec_cls, project, stencil, start, iterations):
-    """Best (operator, series, value) of a climb on the ``stencil``'s support from the
-    triple ``start``, whose value is positive, and the number of ``series``
-    calls it made.  Each move is a step along
-    ``_ascent``; the step doubles after a kept move and halves otherwise.  The climb ends where the
+def _climb(kernel, spec_cls, project, start, iterations):
+    """Best (operator, spec, value, stack) of a climb on the ``kernel``'s
+    support from ``start``, a point of positive value, and the number of
+    points it valued.  Each move is a step along ``_ascent``; the step
+    doubles after a kept move and halves otherwise.  The climb ends where the
     ascent vanishes or once the step falls below ``MIN_STEP``."""
-    point, ws, value = start
+    point, spec, value, stack = start
     ascent = None
     step = INITIAL_STEP
     calls = 0
     for _ in range(iterations):
         if ascent is None:
-            ascent = _ascent(traj, point, project, stencil)
+            ascent = _ascent(kernel, point, stack, project)
         if ascent is None or step < MIN_STEP:
             break
         moved = _point(spec_cls, point + step * ascent)
         if moved is not None:
-            cand = series(traj, moved[1], stencil=stencil)
+            raised, evolved = kernel.value(moved[0])
             calls += 1
-            if cand.total_violation > value:
-                point, ws, value = moved[0], cand, cand.total_violation
+            if raised > value:
+                (point, spec), value, stack = moved, raised, evolved
                 ascent = None
                 step = min(2.0 * step, MAX_STEP)
                 continue
         step /= 2.0
-    return (point, ws, value), calls
+    return (point, spec, value, stack), calls
 
 
 def _search(traj, directed, spec_cls, project, search, data, tol):
     """Best (operator, series, value) of a hill climb from the seeds above
     the rounding level, each operator valued by its flow on the support of
     the steps that violate at ``tol`` or are excluded in ``data``, and the
-    number of ``series`` calls made.
+    number of evaluations: the points valued, plus the result's ``series``.
 
     ``spec_cls`` is a trace-norm witness family that stores its Hermitian
     operator with unit trace norm; ``project`` projects onto the search space
@@ -413,20 +418,21 @@ def _search(traj, directed, spec_cls, project, search, data, tol):
     stencil = Stencil.of_steps(traj.times, _violating(data, tol) | data.excluded)
     if not stencil.support.any():
         return (None, None, 0.0), 0
+    kernel = TraceNormKernel(stencil, traj.maps)
     seeds = list(directed)
     rng = np.random.default_rng(search.rng_seed)
     size = traj.dim ** 2 if spec_cls._doubled else traj.dim
     floor = stencil.rounding_level(size)
     while len(seeds) < search.seeds:
         seeds.append(project(ops.random_hermitian(size, rng)))
-    best = (None, None, 0.0)
+    best = (None, None, 0.0, None)
     evaluations = stale = 0
     for point, spec in filter(None, (_point(spec_cls, x) for x in seeds[:search.seeds])):
-        ws = series(traj, spec, stencil=stencil)
+        value, stack = kernel.value(point)
         evaluations += 1
-        if ws.total_violation > floor:
-            climbed, calls = _climb(traj, spec_cls, project, stencil,
-                                    (point, ws, ws.total_violation), search.iterations)
+        if value > floor:
+            climbed, calls = _climb(kernel, spec_cls, project, (point, spec, value, stack),
+                                    search.iterations)
             evaluations += calls
             gain = climbed[2] - best[2]
             stale = stale + 1 if gain <= PLATEAU_GAIN * best[2] + floor else 0
@@ -434,16 +440,16 @@ def _search(traj, directed, spec_cls, project, search, data, tol):
                 best = climbed
             if stale == PATIENCE:
                 break
-    point, ws, value = best
+    point, spec, value, stack = best
     if point is None:
-        return best, evaluations
-    # Off the support the result's series is the full-grid flow where it is
-    # not positive, and 0 where it is: positive flow there is not part of
-    # the value (module docstring).
-    full = series(traj, ws.spec).values
-    return (point, WitnessSeries(ws.spec, ws.times, np.where(stencil.support, ws.values,
-                                                             np.minimum(full, 0.0))),
-            value), evaluations + 1
+        return (None, None, 0.0), evaluations
+    # The result's series is the kernel's flow on the support and, off it,
+    # the full-grid flow where that is not positive: positive flow there is
+    # not part of the value (module docstring).
+    full = series(traj, spec)
+    values = np.minimum(full.values, 0.0)
+    values[stencil.support] = kernel.flow(stack)
+    return (point, WitnessSeries(spec, full.times, values), value), evaluations + 1
 
 
 def witness_measure(traj: Trajectory, search: SearchConfig = SearchConfig(),

@@ -28,8 +28,13 @@ spectrum instead: d‖Y‖₁/dt = Σᵢ sign(λᵢ) λ̇ᵢ, and d‖Y‖/dt is
 whichever of λ_max and −λ_min leads (Bhatia, *Matrix Analysis*, §VI).
 One ``Stencil`` per search owns how its flows use the grid: the support of
 the flagged steps, the nodes read, their runs, the trapezoid weights, the
-adjoint band and the rounding floor.  ``total_violation`` stays on
-``np.trapezoid``, and a test pins the weights to it.
+derivative band's rows at the support with their adjoint, and the rounding
+floor.  A ``TraceNormKernel`` of a stencil and a map stack gives the
+trace-norm flow on the support from one diagonalization per read node and
+those band rows; the trace-norm witness families' ``series`` use it, and
+each measure search builds one to value its candidates and their gradients.
+``total_violation`` integrates with the trapezoid rule's node weights, the
+stencil's, and a test pins them to ``np.trapezoid``.
 """
 
 from __future__ import annotations
@@ -97,7 +102,9 @@ class Stencil:
     of ``times`` (all by default): ``read``, the nodes its stencils read (node
     i reads i − 2 to i + 2); ``runs``, the runs of those, each differenced
     alone so the flow on the mask is the full grid's (the whole grid where it
-    has no five-point stencil); ``weights``, the trapezoid weights."""
+    has no five-point stencil); ``weights``, the trapezoid weights;
+    ``derivative`` and ``adjoint``, the full grid's derivative at the mask and
+    its transpose, which read and give values at the read nodes alone."""
 
     def __init__(self, times: np.ndarray, support: np.ndarray | None = None) -> None:
         self.times = np.asarray(times, dtype=float)
@@ -105,7 +112,9 @@ class Stencil:
                         else np.asarray(support, dtype=bool))
         if self.support.shape != (self.times.size - 2,):
             raise ValueError(f"support of shape {self.support.shape} is not one per interior node")
-        self.read = np.convolve(self.support, np.ones(5))[1:-1] > 0.0
+        # a grid of two nodes has no interior node, so nothing is read
+        self.read = (np.convolve(self.support, np.ones(5))[1:-1] > 0.0 if self.support.size
+                     else np.zeros(self.times.size, dtype=bool))
         self.runs = _runs(self.read) if _five_point(self.times) else [(0, self.times.size - 1)]
 
     @classmethod
@@ -124,58 +133,100 @@ class Stencil:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        inner = self.times[1:-1]  # np.trapezoid of the one sample of three nodes is 0
-        return (np.convolve(np.diff(inner), [0.5, 0.5]) if inner.size > 1 else 0.0) * self.support
+        return _trapezoid_weights(self.times[1:-1]) * self.support
 
     @cached_property
     def _band(self) -> tuple[np.ndarray, np.ndarray]:
+        """D of :func:`derivative_series` on the whole grid as a band: row j
+        reads nodes j − 1 to j + 3, one of each residue mod 5, so D of the
+        five combs of a residue gives the coefficients, and ``cols`` the
+        nodes they weigh (clipped to the grid, where the band is 0)."""
         n = self.times.size
         band = derivative_series(self.times, np.arange(n)[:, None] % 5 == np.arange(5))
         first = np.arange(n - 2)[:, None] - 1
-        cols = np.clip(first + (np.arange(5) - first) % 5, 0, n - 1)  # zero band off the grid
-        return band, cols.ravel()
+        return band, np.clip(first + (np.arange(5) - first) % 5, 0, n - 1)
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """The band's rows at the support nodes: their coefficients, the
+        places among the read nodes of the nodes they weigh and of their
+        centres, and their trapezoid weights."""
+        band, cols = self._band
+        rows = np.flatnonzero(self.support)
+        place = np.cumsum(self.read) - 1
+        return band[rows], place[cols[rows]], place[rows + 1], self.weights[rows]
+
+    def derivative(self, values: np.ndarray) -> np.ndarray:
+        """The rows of :func:`derivative_series` on the whole grid at the
+        support nodes, of ``values`` given at the read nodes (axis 0)."""
+        band, cols, _, _ = self._rows
+        return (band.reshape(band.shape + (1,) * (values.ndim - 1)) * values[cols]).sum(axis=1)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
-        """Dᵀ of ``w``, one per interior node, for the linear map D of
-        :func:`derivative_series`, so that Σ w·D[v] = Σ Dᵀ[w]·v.  Row j of D
-        reads nodes j − 1 to j + 3, one of each residue mod 5, so D of the
-        five combs of a residue gives the band of D, built once."""
-        band, cols = self._band
-        return np.bincount(cols, (band * w[:, None]).ravel(), minlength=self.times.size)
+        """Dᵀ of ``w``, one per support node, at the read nodes, so that
+        Σ w·D[v] = Σ Dᵀ[w]·v for D of :meth:`derivative`."""
+        band, cols, _, _ = self._rows
+        return np.bincount(cols.ravel(), (band * w[:, None]).ravel(),
+                           minlength=int(self.read.sum()))
+
+
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Node weights of the trapezoid rule on the nodes ``x``; one node integrates to 0."""
+    return np.convolve(np.diff(x), [0.5, 0.5]) if x.size > 1 else np.zeros(x.size)
+
+
+def _positive_integral(weights: np.ndarray, values: np.ndarray) -> float:
+    """Σ w·max(0, v) over the nodes where ``values`` is positive or NaN, so a
+    NaN flow integrates to NaN."""
+    positive = ~(values <= 0.0)
+    return float(weights[positive] @ values[positive])
 
 
 # ---------------------------------------------------------------------------
 # Norm flows from the sorted spectrum
 # ---------------------------------------------------------------------------
 
-def _trace_norm_derivative(times: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """d/dt of the trace norm of a Hermitian stack at the interior nodes,
-    Σᵢ sign(λᵢ) D[λᵢ] over the ascending spectrum.  Each sorted eigenvalue
-    passes smoothly through zero, and eigenvalues of equal sign that cross
-    each other add up to a smooth sum, so no kink needs detecting."""
-    eigs = ops.eigvalsh(stack)
-    return (np.sign(eigs[1:-1]) * derivative_series(times, eigs)).sum(axis=1)
+class TraceNormKernel:
+    """The trace-norm flow of operators that ``maps`` evolve, on the support
+    of ``stencil``: Σᵢ sign(λᵢ) D[λᵢ] over the ascending spectrum, the signs
+    read at the centre.  Each sorted eigenvalue passes smoothly through zero,
+    and eigenvalues of equal sign that cross each other add up to a smooth
+    sum, so no kink needs detecting.  Only the maps at the read nodes are
+    kept, and only the band rows of the support are applied."""
 
+    def __init__(self, stencil: Stencil, maps: np.ndarray) -> None:
+        self.stencil = stencil
+        self.maps = maps if stencil.read.all() else maps[stencil.read]
 
-def _trace_norm_gradient(stencil: Stencil, maps: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Gradient of Σⱼ wⱼ max(0, D[‖·‖₁]ⱼ) (w the trapezoid weights) with
-    respect to the operator that ``maps`` evolve into ``stack``: the
-    eigenprojectors Pᵢ of the stack, weighted by c = sign(λ) Dᵀ(w [D[‖·‖₁] > 0])
-    and pulled back.  This flow reads sign(λᵢ) at every stencil node, where
-    ``_trace_norm_derivative`` reads it at the centre; the two agree wherever
-    no eigenvalue changes sign inside a stencil.  The centred flow jumps each
-    time an eigenvalue's zero crossing passes a node, and its gradient pushes
-    crossings into those jumps; this flow is continuous and sees them move.
+    def evolve(self, x: np.ndarray) -> np.ndarray:
+        """The operator ``x`` evolved at the read nodes."""
+        return apply_superop(self.maps, x)
 
-    w and D are the ``stencil``'s, so the sum runs over its support, and
-    only the nodes their stencils read are diagonalized and pulled back."""
-    read = stencil.read
-    eigs, vecs = np.linalg.eigh(stack[read])
-    norms = np.zeros(stencil.times.size)
-    norms[read] = np.abs(eigs).sum(axis=1)
-    flow = derivative_series(stencil.times, norms)
-    coeffs = np.sign(eigs) * stencil.adjoint(stencil.weights * (flow > 0.0))[read][:, None]
-    return pull_back(maps[read], (vecs * coeffs[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
+    def flow(self, stack: np.ndarray) -> np.ndarray:
+        """The flow at the support nodes of an evolved ``stack``."""
+        eigs = ops.eigvalsh(stack)
+        return (np.sign(eigs[self.stencil._rows[2]]) * self.stencil.derivative(eigs)).sum(axis=1)
+
+    def value(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """The integral of the positive flow of ``x`` over the support (that
+        of its ``series`` on the stencil, bit for bit) and ``evolve(x)``."""
+        stack = self.evolve(x)
+        return _positive_integral(self.stencil._rows[3], self.flow(stack)), stack
+
+    def gradient(self, stack: np.ndarray) -> np.ndarray:
+        """Gradient of Σⱼ wⱼ max(0, D[‖·‖₁]ⱼ) on the support (w the trapezoid
+        weights) with respect to the operator evolved into ``stack``: the
+        eigenprojectors Pᵢ of the stack, weighted by
+        c = sign(λ) Dᵀ(w [D[‖·‖₁] > 0]) and pulled back.  This flow reads
+        sign(λᵢ) at every stencil node, where :meth:`flow` reads it at the
+        centre; the two agree wherever no eigenvalue changes sign inside a
+        stencil.  The centred flow jumps each time an eigenvalue's zero
+        crossing passes a node, and its gradient pushes crossings into those
+        jumps; this flow is continuous and sees them move."""
+        eigs, vecs = np.linalg.eigh(stack)
+        flow = self.stencil.derivative(np.abs(eigs).sum(axis=1))
+        coeffs = np.sign(eigs) * self.stencil.adjoint(self.stencil._rows[3] * (flow > 0.0))[:, None]
+        return pull_back(self.maps, (vecs * coeffs[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
 
 
 def _operator_norm_derivative(times: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -203,10 +254,11 @@ def _non_psd_witness(witness: np.ndarray, kind: str, norm) -> np.ndarray:
 class WitnessSpec:
     """What the families share.  Each family is a frozen dataclass deriving
     from this class (never from another family), the state pairs by way of
-    ``_StatePair``, and has ``derivative(times, maps)``: the un-oriented
-    derivative of its functional at the interior nodes times[1:-1], from the
-    stencil of :func:`derivative_series` applied to the functional, or to the
-    evolved spectrum for the norm families."""
+    ``_StatePair`` and the trace-norm witnesses by way of ``_TraceNorm``, and
+    has ``derivative(times, maps)``: the un-oriented derivative of its
+    functional at the interior nodes times[1:-1], from the stencil of
+    :func:`derivative_series` applied to the functional, or to the evolved
+    spectrum for the norm families."""
 
     orientation = 1.0  # -1 for functionals that CP-divisible evolution cannot lower
     _doubled = False  # the first field is an operator on H ⊗ H
@@ -221,9 +273,30 @@ class WitnessSpec:
         fixed, as keyword arguments of :func:`verify_invariance`; or None."""
         return None
 
+    def flow(self, stencil: Stencil, maps: np.ndarray) -> np.ndarray:
+        """The un-oriented flow at the support nodes of ``stencil``: the
+        ``derivative`` of each of its runs, differenced alone."""
+        flow = np.zeros(stencil.times.size - 2)
+        for first, last in stencil.runs:
+            flow[first:last - 1] = self.derivative(stencil.times[first:last + 1],
+                                                   maps[first:last + 1])
+        return flow[stencil.support]
+
+
+class _TraceNorm(WitnessSpec):
+    """A trace-norm witness: the functional is the trace norm of the evolved
+    operator of the first field, whose flow one ``TraceNormKernel`` gives."""
+
+    def flow(self, stencil: Stencil, maps: np.ndarray) -> np.ndarray:
+        kernel = TraceNormKernel(stencil, maps)
+        return kernel.flow(kernel.evolve(getattr(self, fields(self)[0].name)))
+
+    def derivative(self, times: np.ndarray, maps: np.ndarray):
+        return self.flow(Stencil(times), maps)
+
 
 @dataclass(frozen=True)
-class ExtendedTraceNormWitness(WitnessSpec):
+class ExtendedTraceNormWitness(_TraceNorm):
     """Hermitian, non-PSD operator on H ⊗ H, stored with unit trace norm."""
 
     witness: np.ndarray
@@ -232,12 +305,9 @@ class ExtendedTraceNormWitness(WitnessSpec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "witness", _non_psd_witness(self.witness, "extended", np.sum))
 
-    def derivative(self, times: np.ndarray, maps: np.ndarray):
-        return _trace_norm_derivative(times, apply_superop(maps, self.witness))
-
 
 @dataclass(frozen=True)
-class PlainTraceNormWitness(WitnessSpec):
+class PlainTraceNormWitness(_TraceNorm):
     """Hermitian operator on H, stored with unit trace norm."""
 
     operator: np.ndarray
@@ -248,9 +318,6 @@ class PlainTraceNormWitness(WitnessSpec):
         if norm == 0.0:
             raise ValueError("operator must not be zero")
         object.__setattr__(self, "operator", x / norm)
-
-    def derivative(self, times: np.ndarray, maps: np.ndarray):
-        return _trace_norm_derivative(times, apply_superop(maps, self.operator))
 
 
 @dataclass(frozen=True)
@@ -265,8 +332,8 @@ class InformationFlowPair(WitnessSpec):
         object.__setattr__(self, "rho2", ops.check_density_matrix(self.rho2, "rho2"))
 
     def derivative(self, times: np.ndarray, maps: np.ndarray):
-        difference = apply_superop(maps, self.rho1 - self.rho2)
-        return 0.5 * _trace_norm_derivative(times, difference)
+        kernel = TraceNormKernel(Stencil(times), maps)
+        return 0.5 * kernel.flow(kernel.evolve(self.rho1 - self.rho2))
 
 
 @dataclass(frozen=True)
@@ -463,15 +530,17 @@ class WitnessSeries:
 
     @property
     def total_violation(self) -> float:
-        """Integral of the positive part of the flow (trapezoidal)."""
-        return float(np.trapezoid(np.clip(self.values, 0.0, None), self.times))
+        """Integral of the positive part of the flow, by the trapezoid rule's
+        node weights: for a trace-norm series on a search's ``Stencil``, the
+        search's ``TraceNormKernel.value`` bit for bit."""
+        return _positive_integral(_trapezoid_weights(self.times), self.values)
 
 
 def series(traj: Trajectory, spec: WitnessSpec,
            stencil: Stencil | None = None) -> WitnessSeries:
     """Oriented flow of ``spec`` at the interior nodes times[1:-1] on the
     support of ``stencil``, a ``Stencil`` of the trajectory's grid (every
-    interior node by default), and 0 off it; each of its runs differenced alone."""
+    interior node by default), and 0 off it: ``spec.flow`` on the stencil."""
     if spec.system_dim != traj.dim:
         raise ValueError(f"spec dimension {spec.system_dim} does not match trajectory "
                          f"dimension {traj.dim}")
@@ -485,12 +554,9 @@ def series(traj: Trajectory, spec: WitnessSpec,
     stencil = Stencil(traj.times) if stencil is None else stencil
     if stencil.times is not traj.times and not np.array_equal(stencil.times, traj.times):
         raise ValueError("stencil is not on the trajectory's grid")
-    flow = np.zeros(traj.nodes - 2)
-    for first, last in stencil.runs:
-        flow[first:last - 1] = spec.derivative(traj.times[first:last + 1],
-                                               traj.maps[first:last + 1])
-    return WitnessSeries(spec=spec, times=traj.times[1:-1],
-                         values=np.where(stencil.support, spec.orientation * flow, 0.0))
+    values = np.zeros(traj.nodes - 2)
+    values[stencil.support] = spec.orientation * spec.flow(stencil, traj.maps)
+    return WitnessSeries(spec=spec, times=traj.times[1:-1], values=values)
 
 
 # ---------------------------------------------------------------------------

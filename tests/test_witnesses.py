@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nonmarkov.operators as ops
@@ -14,6 +14,7 @@ from nonmarkov.dynamics import (
     TraceReplacement,
     Trajectory,
     apply_superop,
+    dissipator,
     dual_superop,
     evolve,
     generator_superoperator,
@@ -30,6 +31,7 @@ from nonmarkov.witnesses import (
     PlainTraceNormWitness,
     SchrodingerSkew,
     Stencil,
+    TraceNormKernel,
     derivative_series,
     detect_violations,
     series,
@@ -228,6 +230,19 @@ def test_series_on_a_support_is_the_full_grid_flow(family, grid, request):
 
 
 class TestSeries:
+    @pytest.mark.parametrize("step", ["identity", "transpose"])
+    def test_two_nodes_have_no_interior_flow(self, step):
+        # the stencil of a grid without interior nodes is empty, and a series
+        # on it raises derivative_series's message
+        stencil = Stencil(np.array([0.0, 1.0]))
+        assert stencil.support.shape == (0,) and not stencil.read.any()
+        second = np.eye(4) if step == "identity" else np.eye(4)[[0, 2, 1, 3]]
+        traj = Trajectory(times=np.array([0.0, 1.0]), maps=np.stack([np.eye(4), second]))
+        for spec in (ExtendedTraceNormWitness(XX), PlainTraceNormWitness(PAULI_X),
+                     InformationFlowPair(PLUS, MINUS)):
+            with pytest.raises(ValueError, match="need at least three nodes"):
+                series(traj, spec)
+
     def test_sine_violation_interval(self, sine_traj):
         spec = ExtendedTraceNormWitness(0.5 * np.kron(PAULI_X, PAULI_X))
         ws = series(sine_traj, spec)
@@ -529,21 +544,24 @@ class TestDerivativeReference:
     @settings(max_examples=300, deadline=None)
     @given(grid=_grids(), data=st.data())
     def test_adjoint_pairs_with_the_stencil(self, grid, data):
-        # Σ w·D[v] = Σ Dᵀ[w]·v, which the gradient of the search rests on
+        # Σ w·D[v] = Σ Dᵀ[w]·v on the support, which the gradient of the
+        # search rests on; D reads the values at the read nodes
         times, values = grid
         support = np.array(data.draw(st.lists(st.booleans(), min_size=times.size - 2,
                                               max_size=times.size - 2)), dtype=bool)
         stencil = Stencil(times, support)
-        weights = np.random.default_rng(times.size).normal(size=times.size - 2)
+        weights = np.random.default_rng(times.size).normal(size=support.sum())
         adjoint = stencil.adjoint(weights)
-        assert adjoint.shape == (times.size,)
+        assert adjoint.shape == (stencil.read.sum(),)
+        flow = derivative_series(times, values)
+        np.testing.assert_allclose(stencil.derivative(values[stencil.read]), flow[support],
+                                   rtol=0, atol=1e-13 * np.abs(values).max() / np.diff(times).min())
         scale = np.abs(weights).sum() * np.abs(values).max() / np.diff(times).min()
-        np.testing.assert_array_less(
-            np.abs(np.tensordot(weights, derivative_series(times, values), axes=(0, 0))
-                   - np.tensordot(adjoint, values, axes=(0, 0))), 1e-13 * scale)
+        assert np.all(np.abs(np.tensordot(weights, flow[support], axes=(0, 0))
+                             - np.tensordot(adjoint, values[stencil.read], axes=(0, 0)))
+                      <= 1e-13 * scale)
         # the gradient's weights are the value's quadrature: np.trapezoid on
         # the support, whose one sample on three nodes integrates to 0
-        flow = derivative_series(times, values)
         mask = support.reshape((-1,) + (1,) * (flow.ndim - 1))
         trapezoid = np.trapezoid(flow * mask, times[1:-1], axis=0)
         scale = (times[-2] - times[1]) * np.abs(flow).max()
@@ -551,3 +569,44 @@ class TestDerivativeReference:
                       <= 1e-13 * scale)
         if times.size == 3:
             assert stencil.weights.tolist() == [0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=_grids(), data=st.data())
+    def test_kernel_is_the_series_and_has_its_gradient(self, grid, data):
+        # On random maps X ↦ X + D[A_k](X), trace and Hermiticity preserving
+        # and not CP for every A_k, and a random support: the kernel's value
+        # of an operator of each trace-norm family is its series' total
+        # violation bit for bit, and away from the kinks of |λ| and max(0, ·)
+        # its gradient is that of Σ w·max(0, D[‖·‖₁]) on the support.
+        times, _ = grid
+        support = np.array(data.draw(st.lists(st.booleans(), min_size=times.size - 2,
+                                              max_size=times.size - 2)), dtype=bool)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        jumps = rng.normal(size=(times.size, 2, 2)) + 1j * rng.normal(size=(times.size, 2, 2))
+        maps = np.eye(4) + dissipator(jumps)
+        maps[0] = np.eye(4)
+        traj = Trajectory(times=times, maps=maps)
+        stencil = Stencil(times, support)
+        kernel = TraceNormKernel(stencil, maps)
+        for family, n in ((ExtendedTraceNormWitness, 4), (PlainTraceNormWitness, 2)):
+            x = ops.random_hermitian(n, rng)
+            spec = family(x - np.trace(x).real / n * np.eye(n))  # traceless, so not PSD
+            x = spec.witness if family is ExtendedTraceNormWitness else spec.operator
+            value, stack = kernel.value(x)
+            assert value == series(traj, spec, stencil).total_violation
+
+            def objective(y):
+                norms = np.abs(np.linalg.eigvalsh(apply_superop(maps, y))).sum(1)
+                flow = derivative_series(times, norms)
+                return np.trapezoid(np.clip(flow, 0.0, None) * support, times[1:-1]), norms, flow
+
+            eps = 1e-7
+            d = ops.random_hermitian(n, rng)
+            d /= np.linalg.norm(d)
+            level, norms, flow = objective(x)
+            eigs = np.linalg.eigvalsh(apply_superop(maps, x))
+            scale = max(1.0, np.abs(flow).max())
+            assume(np.abs(eigs).min() > 1e-4 and np.abs(flow[support]).min(initial=1.0) > 1e-4 * scale)
+            along = np.vdot(kernel.gradient(stack), d).real
+            assert along == pytest.approx((objective(x + eps * d)[0] - objective(x - eps * d)[0])
+                                          / (2 * eps), abs=1e-6 * scale)
