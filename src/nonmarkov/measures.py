@@ -48,11 +48,12 @@ more than ``PLATEAU_GAIN`` relative plus that level, so ``search.seeds`` is
 a cap.  Each search builds one ``Stencil`` of its support and one
 ``TraceNormKernel`` from it, once: the maps at the nodes the stencil reads
 and its derivative band's rows at the support.  The kernel values every
-seed and move, one ``eigvalsh`` of the evolved operator and the band rows,
-the arithmetic of ``series`` on that stencil, so a value is that series'
-``total_violation`` bit for bit; only the result's ``WitnessSeries`` is
-built.  A move follows ``TraceNormKernel.gradient`` at the evolved operator
-of its point, in the tangent space of the search space: the exact gradient
+seed and move, one ``eigvalsh`` of the evolved operator and the band rows:
+the full-grid flow of ``series`` on the support, bit for bit, so a value is
+the ``total_violation`` of that series clipped at 0 off the support; only
+the result's ``WitnessSeries`` is built, from one full-grid ``series``.  A
+move follows ``TraceNormKernel.gradient`` at the evolved operator of its
+point, in the tangent space of the search space: the exact gradient
 of the value with the eigenvalue signs read at every node of the derivative
 stencil.  Unlike the gradient of the value itself, it sees the zero crossing
 of an evolved eigenvalue move between nodes.  A climb ends where that

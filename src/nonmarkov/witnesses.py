@@ -26,15 +26,18 @@ eigenvalue of the evolved operator crosses zero, but each sorted eigenvalue
 passes through zero smoothly, so the norm families difference the ascending
 spectrum instead: d‖Y‖₁/dt = Σᵢ sign(λᵢ) λ̇ᵢ, and d‖Y‖/dt is λ̇_max or −λ̇_min,
 whichever of λ_max and −λ_min leads (Bhatia, *Matrix Analysis*, §VI).
-One ``Stencil`` per search owns how its flows use the grid: the support of
-the flagged steps, the nodes read, their runs, the trapezoid weights, the
-derivative band's rows at the support with their adjoint, and the rounding
-floor.  A ``TraceNormKernel`` of a stencil and a map stack gives the
-trace-norm flow on the support from one diagonalization per read node and
-those band rows; the trace-norm witness families' ``series`` use it, and
-each measure search builds one to value its candidates and their gradients.
-``total_violation`` integrates with the trapezoid rule's node weights, the
-stencil's, and a test pins them to ``np.trapezoid``.
+``derivative`` is a family's one flow hook: ``series(traj, spec)`` is its
+oriented derivative on the whole grid.  One ``Stencil`` per search owns how
+the search uses the grid: the support of the flagged steps, the nodes read,
+the trapezoid weights, the full grid's derivative band's rows at the support
+with their adjoint, and the rounding floor.  A ``TraceNormKernel`` of a
+stencil and a map stack gives the trace-norm flow on the support from one
+diagonalization per read node and those band rows, the full-grid flow there
+bit for bit; the trace-norm families' ``derivative`` is the kernel of the
+full-grid stencil, and each measure search builds one on its support to
+value its candidates and their gradients.  ``total_violation`` integrates
+with the trapezoid rule's node weights, the stencil's, and a test pins them
+to ``np.trapezoid``.
 """
 
 from __future__ import annotations
@@ -84,45 +87,40 @@ def derivative_series(times: np.ndarray, values: np.ndarray) -> np.ndarray:
         raise ValueError("need at least three nodes for interior derivatives")
     spans = (times[2:] - times[:-2]).reshape((-1,) + (1,) * (values.ndim - 1))
     out = (values[2:] - values[:-2]) / spans
-    if _five_point(times):
-        out[1:-1] = (-values[4:] + 8.0 * values[3:-1] - 8.0 * values[1:-3]
-                     + values[:-4]) / (12.0 * (times[1] - times[0]))
-    return out
-
-
-def _five_point(times: np.ndarray) -> bool:
-    """Whether :func:`derivative_series` uses five points: on five or more nodes
-    whose steps equal the first within rtol 1e-8, atol 1e-14 (np.allclose's rule)."""
     steps = np.diff(times)
-    return times.size >= 5 and bool((abs(steps - steps[0]) <= 1e-14 + 1e-8 * abs(steps[0])).all())
+    # five points on five or more nodes whose steps equal the first within
+    # rtol 1e-8, atol 1e-14 (np.allclose's rule)
+    if times.size >= 5 and (abs(steps - steps[0]) <= 1e-14 + 1e-8 * abs(steps[0])).all():
+        out[1:-1] = (-values[4:] + 8.0 * values[3:-1] - 8.0 * values[1:-3]
+                     + values[:-4]) / (12.0 * steps[0])
+    return out
 
 
 class Stencil:
     """The grid rules of a flow on ``support``, a mask over the interior nodes
     of ``times`` (all by default): ``read``, the nodes its stencils read (node
-    i reads i − 2 to i + 2); ``runs``, the runs of those, each differenced
-    alone so the flow on the mask is the full grid's (the whole grid where it
-    has no five-point stencil); ``weights``, the trapezoid weights;
+    i reads i − 2 to i + 2); ``weights``, the trapezoid weights;
     ``derivative`` and ``adjoint``, the full grid's derivative at the mask and
-    its transpose, which read and give values at the read nodes alone."""
+    its transpose, which read and give values at the read nodes alone.  A grid
+    of fewer than three nodes has no interior node, so its support is empty."""
 
     def __init__(self, times: np.ndarray, support: np.ndarray | None = None) -> None:
         self.times = np.asarray(times, dtype=float)
-        self.support = (np.ones(self.times.size - 2, dtype=bool) if support is None
+        interior = max(self.times.size - 2, 0)
+        self.support = (np.ones(interior, dtype=bool) if support is None
                         else np.asarray(support, dtype=bool))
-        if self.support.shape != (self.times.size - 2,):
+        if self.support.shape != (interior,):
             raise ValueError(f"support of shape {self.support.shape} is not one per interior node")
-        # a grid of two nodes has no interior node, so nothing is read
         self.read = (np.convolve(self.support, np.ones(5))[1:-1] > 0.0 if self.support.size
                      else np.zeros(self.times.size, dtype=bool))
-        self.runs = _runs(self.read) if _five_point(self.times) else [(0, self.times.size - 1)]
 
     @classmethod
     def of_steps(cls, times: np.ndarray, flagged: np.ndarray) -> Stencil:
         """The ``Stencil`` on the interior nodes whose stencil reads a step of
         ``flagged``, a mask over the steps: node i reads steps i − 2 to i + 1."""
-        # entry i + 1 of the convolution counts the flagged steps i − 2 to i + 1
-        return cls(times, np.convolve(flagged, np.ones(4))[2:-2] > 0.0)
+        # entry i + 1 of the convolution counts the flagged steps i − 2 to i + 1;
+        # the step appended unflagged lets a grid of one node, with no step, convolve
+        return cls(times, np.convolve(np.append(flagged, False), np.ones(4))[2:-3] > 0.0)
 
     def rounding_level(self, m: int) -> float:
         """The value rounding alone gives an operator with ``m`` eigenvalues
@@ -208,8 +206,9 @@ class TraceNormKernel:
         return (np.sign(eigs[self.stencil._rows[2]]) * self.stencil.derivative(eigs)).sum(axis=1)
 
     def value(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """The integral of the positive flow of ``x`` over the support (that
-        of its ``series`` on the stencil, bit for bit) and ``evolve(x)``."""
+        """The integral of the positive flow of ``x`` over the support (the
+        ``total_violation`` of its full-grid ``series`` clipped at 0 off the
+        support, bit for bit) and ``evolve(x)``."""
         stack = self.evolve(x)
         return _positive_integral(self.stencil._rows[3], self.flow(stack)), stack
 
@@ -255,10 +254,10 @@ class WitnessSpec:
     """What the families share.  Each family is a frozen dataclass deriving
     from this class (never from another family), the state pairs by way of
     ``_StatePair`` and the trace-norm witnesses by way of ``_TraceNorm``, and
-    has ``derivative(times, maps)``: the un-oriented derivative of its
-    functional at the interior nodes times[1:-1], from the stencil of
-    :func:`derivative_series` applied to the functional, or to the evolved
-    spectrum for the norm families."""
+    has ``derivative(times, maps)``, its one flow hook: the un-oriented
+    derivative of its functional at the interior nodes times[1:-1] of the
+    whole grid, from the stencil of :func:`derivative_series` applied to the
+    functional, or to the evolved spectrum for the norm families."""
 
     orientation = 1.0  # -1 for functionals that CP-divisible evolution cannot lower
     _doubled = False  # the first field is an operator on H ⊗ H
@@ -273,26 +272,15 @@ class WitnessSpec:
         fixed, as keyword arguments of :func:`verify_invariance`; or None."""
         return None
 
-    def flow(self, stencil: Stencil, maps: np.ndarray) -> np.ndarray:
-        """The un-oriented flow at the support nodes of ``stencil``: the
-        ``derivative`` of each of its runs, differenced alone."""
-        flow = np.zeros(stencil.times.size - 2)
-        for first, last in stencil.runs:
-            flow[first:last - 1] = self.derivative(stencil.times[first:last + 1],
-                                                   maps[first:last + 1])
-        return flow[stencil.support]
-
 
 class _TraceNorm(WitnessSpec):
     """A trace-norm witness: the functional is the trace norm of the evolved
-    operator of the first field, whose flow one ``TraceNormKernel`` gives."""
-
-    def flow(self, stencil: Stencil, maps: np.ndarray) -> np.ndarray:
-        kernel = TraceNormKernel(stencil, maps)
-        return kernel.flow(kernel.evolve(getattr(self, fields(self)[0].name)))
+    operator of the first field, whose derivative is the flow of the
+    ``TraceNormKernel`` of the full-grid ``Stencil``."""
 
     def derivative(self, times: np.ndarray, maps: np.ndarray):
-        return self.flow(Stencil(times), maps)
+        kernel = TraceNormKernel(Stencil(times), maps)
+        return kernel.flow(kernel.evolve(getattr(self, fields(self)[0].name)))
 
 
 @dataclass(frozen=True)
@@ -531,16 +519,14 @@ class WitnessSeries:
     @property
     def total_violation(self) -> float:
         """Integral of the positive part of the flow, by the trapezoid rule's
-        node weights: for a trace-norm series on a search's ``Stencil``, the
-        search's ``TraceNormKernel.value`` bit for bit."""
+        node weights: for a trace-norm series clipped at 0 off a search's
+        ``Stencil`` support, the search's ``TraceNormKernel.value`` bit for bit."""
         return _positive_integral(_trapezoid_weights(self.times), self.values)
 
 
-def series(traj: Trajectory, spec: WitnessSpec,
-           stencil: Stencil | None = None) -> WitnessSeries:
-    """Oriented flow of ``spec`` at the interior nodes times[1:-1] on the
-    support of ``stencil``, a ``Stencil`` of the trajectory's grid (every
-    interior node by default), and 0 off it: ``spec.flow`` on the stencil."""
+def series(traj: Trajectory, spec: WitnessSpec) -> WitnessSeries:
+    """Oriented flow of ``spec`` at the interior nodes times[1:-1] of the
+    trajectory's grid: ``spec.orientation`` times ``spec.derivative``."""
     if spec.system_dim != traj.dim:
         raise ValueError(f"spec dimension {spec.system_dim} does not match trajectory "
                          f"dimension {traj.dim}")
@@ -551,11 +537,7 @@ def series(traj: Trajectory, spec: WitnessSpec,
             (kind,) = required
             raise InvarianceError(f"witness requires an invariant {kind}; max deviation "
                                   f"{dev:.3e} exceeds {INVARIANCE_TOL}")
-    stencil = Stencil(traj.times) if stencil is None else stencil
-    if stencil.times is not traj.times and not np.array_equal(stencil.times, traj.times):
-        raise ValueError("stencil is not on the trajectory's grid")
-    values = np.zeros(traj.nodes - 2)
-    values[stencil.support] = spec.orientation * spec.flow(stencil, traj.maps)
+    values = spec.orientation * spec.derivative(traj.times, traj.maps)
     return WitnessSeries(spec=spec, times=traj.times[1:-1], values=values)
 
 

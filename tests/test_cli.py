@@ -522,10 +522,10 @@ prefix = sb
         # the BLP stage runs first and passes; the witness search's objective fails
         evaluate = measures.series
 
-        def failing(traj, spec, stencil=None):
+        def failing(traj, spec):
             if isinstance(spec, ExtendedTraceNormWitness):
                 raise FloatingPointError("objective failed in a search")
-            return evaluate(traj, spec, stencil=stencil)
+            return evaluate(traj, spec)
 
         monkeypatch.setattr(measures, "series", failing)
         cfg_path = _write(tmp_path, EXAMPLE1)

@@ -32,6 +32,7 @@ from nonmarkov.witnesses import (
     SchrodingerSkew,
     Stencil,
     TraceNormKernel,
+    WitnessSeries,
     derivative_series,
     detect_violations,
     series,
@@ -195,53 +196,67 @@ def test_family_matches_single_matrix_reference(family, request):
     np.testing.assert_allclose(series(traj, spec).values, reference, rtol=0, atol=1e-12)
 
 
+# Per trace-norm family: the operator its kernel evolves and the factor of
+# its flow.
+KERNEL_OPERATORS = {
+    "trace_norm_extended": lambda s: (s.witness, 1.0),
+    "trace_norm_plain": lambda s: (s.operator, 1.0),
+    "blp": lambda s: (s.rho1 - s.rho2, 0.5),
+}
+
+
 @pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
 @pytest.mark.parametrize("family", FAMILY_REFERENCES)
 def test_series_on_a_support_is_the_full_grid_flow(family, grid, request):
-    # With a mask over the interior nodes, the flow at a masked node is the
-    # full grid's, at the grid's edges too, and 0 elsewhere.  Dropping one
-    # node makes the grid non-uniform: the secants read only neighbours, and
-    # a uniform run must not switch to the five-point stencil.
-    make, traj_name, _, _ = FAMILY_REFERENCES[family]
+    # A Stencil on a mask over the interior nodes gives the full grid's flow
+    # at the masked nodes, at the grid's edges too: its band rows on the
+    # functional's node values within rounding, and a trace-norm kernel bit
+    # for bit, which the searches' values rest on.  Dropping one node makes
+    # the grid non-uniform: the secants read only neighbours, and a uniform
+    # stretch of it must not switch to the five-point stencil.
+    make, traj_name, sign, functional = FAMILY_REFERENCES[family]
     spec, traj = make(), request.getfixturevalue(traj_name)
     if grid == "nonuniform":
         keep = np.arange(traj.nodes) != traj.nodes // 2
         traj = Trajectory(times=traj.times[keep], maps=traj.maps[keep])
-    full = spec.orientation * spec.derivative(traj.times, traj.maps)
+    full = series(traj, spec).values
+    np.testing.assert_array_equal(full, spec.orientation * spec.derivative(traj.times, traj.maps))
     support = np.zeros(full.size, dtype=bool)
     support[[0, 9, 10, 11, 40, full.size // 2, full.size - 3, full.size - 1]] = True
-    values = series(traj, spec, Stencil(traj.times, support)).values
-    np.testing.assert_allclose(values[support], full[support], rtol=0, atol=1e-12)
-    assert (values[~support] == 0.0).all()
-    # every node masked, as by default, is the full grid bit for bit
-    np.testing.assert_array_equal(series(traj, spec).values, full)
-    np.testing.assert_array_equal(series(traj, spec, Stencil(traj.times)).values, full)
-    empty = Stencil(traj.times, np.zeros(full.size, dtype=bool))
-    assert (series(traj, spec, empty).values == 0.0).all()
-    # a mask of another shape would broadcast over the nodes while the runs
-    # read only its first entries
+    stencil = Stencil(traj.times, support)
+    values = np.array([functional(spec, m) for m in traj.maps[stencil.read]])
+    np.testing.assert_allclose(sign * stencil.derivative(values), full[support],
+                               rtol=0, atol=1e-12)
+    if family in KERNEL_OPERATORS:
+        x, factor = KERNEL_OPERATORS[family](spec)
+        kernel = TraceNormKernel(stencil, traj.maps)
+        np.testing.assert_array_equal(factor * kernel.flow(kernel.evolve(x)), full[support])
+        # an empty support has no flow, and its value is 0
+        empty = TraceNormKernel(Stencil(traj.times, np.zeros(full.size, dtype=bool)), traj.maps)
+        value, stack = empty.value(x)
+        assert value == 0.0 and empty.flow(stack).shape == (0,)
+    # a mask of another shape would broadcast over the nodes while the band
+    # rows read only its first entries
     for wrong in (np.array([True]), support[:-1]):
         with pytest.raises(ValueError, match="not one per interior node"):
             Stencil(traj.times, wrong)
-    # a stencil of another grid with as many nodes would difference the
-    # runs of that grid
-    with pytest.raises(ValueError, match="not on the trajectory's grid"):
-        series(traj, spec, Stencil(2.0 * traj.times, support))
 
 
 class TestSeries:
     @pytest.mark.parametrize("step", ["identity", "transpose"])
     def test_two_nodes_have_no_interior_flow(self, step):
-        # the stencil of a grid without interior nodes is empty, and a series
-        # on it raises derivative_series's message
-        stencil = Stencil(np.array([0.0, 1.0]))
-        assert stencil.support.shape == (0,) and not stencil.read.any()
+        # the stencil of a grid without interior nodes, of two nodes or of
+        # one, is empty, and a series of any family on it raises
+        # derivative_series's message
         second = np.eye(4) if step == "identity" else np.eye(4)[[0, 2, 1, 3]]
-        traj = Trajectory(times=np.array([0.0, 1.0]), maps=np.stack([np.eye(4), second]))
-        for spec in (ExtendedTraceNormWitness(XX), PlainTraceNormWitness(PAULI_X),
-                     InformationFlowPair(PLUS, MINUS)):
-            with pytest.raises(ValueError, match="need at least three nodes"):
-                series(traj, spec)
+        for maps in (np.stack([np.eye(4), second]), np.eye(4)[None]):
+            times = np.arange(float(len(maps)))
+            stencil = Stencil(times)
+            assert stencil.support.shape == (0,) and not stencil.read.any()
+            traj = Trajectory(times=times, maps=maps)
+            for make, *_ in FAMILY_REFERENCES.values():
+                with pytest.raises(ValueError, match="need at least three nodes"):
+                    series(traj, make())
 
     def test_sine_violation_interval(self, sine_traj):
         spec = ExtendedTraceNormWitness(0.5 * np.kron(PAULI_X, PAULI_X))
@@ -574,10 +589,11 @@ class TestDerivativeReference:
     @given(grid=_grids(), data=st.data())
     def test_kernel_is_the_series_and_has_its_gradient(self, grid, data):
         # On random maps X ↦ X + D[A_k](X), trace and Hermiticity preserving
-        # and not CP for every A_k, and a random support: the kernel's value
-        # of an operator of each trace-norm family is its series' total
-        # violation bit for bit, and away from the kinks of |λ| and max(0, ·)
-        # its gradient is that of Σ w·max(0, D[‖·‖₁]) on the support.
+        # and not CP for every A_k, and a random support: the kernel's flow
+        # of an operator of each trace-norm family is its full-grid series on
+        # the support and its value that series' total violation, clipped at
+        # 0 off the support, bit for bit; away from the kinks of |λ| and
+        # max(0, ·) its gradient is that of Σ w·max(0, D[‖·‖₁]) on the support.
         times, _ = grid
         support = np.array(data.draw(st.lists(st.booleans(), min_size=times.size - 2,
                                               max_size=times.size - 2)), dtype=bool)
@@ -593,7 +609,12 @@ class TestDerivativeReference:
             spec = family(x - np.trace(x).real / n * np.eye(n))  # traceless, so not PSD
             x = spec.witness if family is ExtendedTraceNormWitness else spec.operator
             value, stack = kernel.value(x)
-            assert value == series(traj, spec, stencil).total_violation
+            # on the support the kernel's flow is the full grid's; off it
+            # the full-grid flow clipped at 0 adds nothing to the value
+            full = series(traj, spec)
+            np.testing.assert_array_equal(kernel.flow(stack), full.values[support])
+            clipped = np.where(support, full.values, np.minimum(full.values, 0.0))
+            assert value == WitnessSeries(spec, full.times, clipped).total_violation
 
             def objective(y):
                 norms = np.abs(np.linalg.eigvalsh(apply_superop(maps, y))).sum(1)
